@@ -204,7 +204,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    stats = experiments.exact_enumeration(args.n, args.k, args.a)
+    if args.table:
+        report = experiments.conjecture_table(args.n, args.k, args.a)
+        stats = report.stats
+    else:
+        stats = experiments.exact_enumeration(args.n, args.k, args.a)
     payload = {
         "command": "exact",
         "n": args.n,
@@ -215,7 +219,6 @@ def _cmd_exact(args) -> int:
         "ex_missing": stats.ex_missing_exact,
     }
     if args.table:
-        report = experiments.conjecture_table(args.n, args.k, args.a)
         payload["per_target"] = [
             {"code": code, "p_missing": p} for code, p in report.table
         ]

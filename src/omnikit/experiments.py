@@ -13,15 +13,14 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
+from omnikit import kernel
 from omnikit.core import MosaicError, MosaicMatrix, target_space
 
 ENUMERATION_GUARD = 2**25
 _MASK_BITS = 64
-_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise MosaicError("trials must be >= 1")
         if self.n < 1 or self.k < 1 or self.a < 2:
-            raise MosaicError("invalid n/k/a")
+            raise MosaicError("invalid n/k/a: need n >= 1, k >= 1, a >= 2")
+        target_space(self.k, self.a)
 
 
 @dataclass
@@ -60,36 +60,27 @@ def random_matrix(n: int, a: int, rng: np.random.Generator) -> MosaicMatrix:
     return MosaicMatrix.from_numpy(rng.integers(0, a, size=(n, n)), a)
 
 
-def _placement_tables(n: int, k: int, a: int):
-    rowsubs = np.array(list(combinations(range(n), k)), dtype=np.int64)
-    colsubs = rowsubs.copy()
-    rowpow = np.array([a ** (k * (k - 1 - i)) for i in range(k)], dtype=np.int64)
-    colpow = np.array([a ** (k - 1 - j) for j in range(k)], dtype=np.int64)
-    return rowsubs, colsubs, rowpow, colpow
-
-
-def _trial_missing_count(arr, tables, total) -> int:
-    rowsubs, colsubs, rowpow, colpow = tables
-    words = np.einsum("i,sic->sc", rowpow, arr[rowsubs, :])
-    codes = words[:, colsubs] @ colpow
-    return total - np.unique(codes).size
-
-
 def _run_trials(config: ExperimentConfig, lo: int, hi: int) -> tuple[int, int, int]:
     """(omni count, sum of missing counts, sum of squared missing counts)."""
     n, k, a = config.n, config.k, config.a
     total = target_space(k, a)
-    tables = _placement_tables(n, k, a)
+    subsets = kernel.subsets(n, k)
+    # codes and bitset bytes of one trial bound how many trials share a step
+    batch = max(1, kernel.CHUNK // max(len(subsets) ** 2, min(total, kernel.BITSET_LIMIT)))
     omni = 0
     s1 = 0
     s2 = 0
-    for t in range(lo, hi):
-        arr = trial_rng(config.seed, t).integers(0, a, size=(n, n))
-        miss = _trial_missing_count(arr, tables, total)
-        if miss == 0:
-            omni += 1
-        s1 += miss
-        s2 += miss * miss
+    for start in range(lo, hi, batch):
+        arrs = np.stack([
+            trial_rng(config.seed, t).integers(0, a, size=(n, n))
+            for t in range(start, min(start + batch, hi))
+        ])
+        codes = kernel.placement_codes(arrs, k, a, subsets, subsets)
+        for distinct in kernel.distinct_counts(codes, total).tolist():
+            miss = total - distinct  # Python ints: miss^2 can pass 2^64
+            omni += miss == 0
+            s1 += miss
+            s2 += miss * miss
     return omni, s1, s2
 
 
@@ -125,51 +116,35 @@ def estimate(config: ExperimentConfig, workers: int = 1) -> MissingStats:
     )
 
 
-def _check_enumeration_guard(n: int, k: int, a: int) -> tuple[int, int]:
+def _check_enumeration_guard(n: int, k: int, a: int) -> int:
+    """Number of matrices to enumerate; raises before anything is allocated."""
+    if n < 1 or k < 1 or a < 2:
+        raise MosaicError("invalid n/k/a: need n >= 1, k >= 1, a >= 2")
     total_matrices = a ** (n * n)
     if total_matrices > ENUMERATION_GUARD:
         raise MosaicError(
             f"enumeration space {total_matrices} exceeds guard {ENUMERATION_GUARD}"
         )
-    total_targets = target_space(k, a)
-    if total_targets > _MASK_BITS:
-        raise MosaicError("too many targets for exhaustive per-matrix masks")
-    return total_matrices, total_targets
-
-
-def _digit_positions(n: int, a: int) -> np.ndarray:
-    return np.array([a ** (n * n - 1 - p) for p in range(n * n)], dtype=np.int64)
+    return total_matrices
 
 
 def exact_enumeration(n: int, k: int, a: int) -> MissingStats:
     """Iterate every a^(n*n) matrix; exact P(omni), E(X) and per-target missing
     probabilities as rationals."""
-    total_matrices, total_targets = _check_enumeration_guard(n, k, a)
-    rowsubs, colsubs, rowpow, colpow = _placement_tables(n, k, a)
-    placements = [
-        (np.array([r * n + c for r in rows for c in cols]),)
-        for rows in map(tuple, rowsubs)
-        for cols in map(tuple, colsubs)
-    ]
-    flatpow = np.array(
-        [a ** (k * k - 1 - p) for p in range(k * k)], dtype=np.uint64
-    )
-    digit_pow = _digit_positions(n, a)
-    full = np.uint64((1 << total_targets) - 1)
+    total_matrices = _check_enumeration_guard(n, k, a)
+    total_targets = target_space(k, a)
+    if total_targets > _MASK_BITS:
+        raise MosaicError("too many targets for exhaustive per-matrix masks")
+    full = (1 << total_targets) - 1
     omni = 0
-    missing = np.zeros(total_targets, dtype=np.int64)
-    one = np.uint64(1)
-    for start in range(0, total_matrices, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total_matrices), dtype=np.int64)
-        digits = ((idx[:, None] // digit_pow[None, :]) % a).astype(np.uint64)
-        masks = np.zeros(idx.size, dtype=np.uint64)
-        for (cells,) in placements:
-            codes = digits[:, cells] @ flatpow
-            masks |= np.left_shift(one, codes)
+    covered = 0
+    for masks in kernel.enumerate_coverage(n, k, a):
         omni += int(np.count_nonzero(masks == full))
-        for t in range(total_targets):
-            missing[t] += int(np.count_nonzero(~(masks >> np.uint64(t)) & one))
-    per_target = {t: Fraction(int(missing[t]), total_matrices) for t in range(total_targets)}
+        covered = covered + kernel.bit_counts(masks)
+    per_target = {
+        t: Fraction(total_matrices - int(covered[t]), total_matrices)
+        for t in range(total_targets)
+    }
     ex = sum(per_target.values(), Fraction(0))
     p_omni = Fraction(omni, total_matrices)
     return MissingStats(
@@ -186,29 +161,16 @@ def exact_enumeration(n: int, k: int, a: int) -> MissingStats:
 
 def exact_target_missing_probability(n: int, k: int, a: int, code: int) -> Fraction:
     """Exact P(a single target is missing) by full enumeration; cheaper than
-    exact_enumeration when only one target matters."""
-    total_matrices, total_targets = _check_enumeration_guard(n, k, a)
-    if not 0 <= code < total_targets:
+    exact_enumeration when only one target matters, and not limited to 64
+    targets."""
+    total_matrices = _check_enumeration_guard(n, k, a)
+    if not 0 <= code < target_space(k, a):
         raise MosaicError("target code out of range")
-    rowsubs, colsubs, _, _ = _placement_tables(n, k, a)
-    target_digits = np.array(
-        [(code // a ** (k * k - 1 - p)) % a for p in range(k * k)], dtype=np.int64
+    present = sum(
+        int(np.count_nonzero(block))
+        for block in kernel.enumerate_coverage(n, k, a, target=code)
     )
-    placements = [
-        np.array([r * n + c for r in rows for c in cols])
-        for rows in map(tuple, rowsubs)
-        for cols in map(tuple, colsubs)
-    ]
-    digit_pow = _digit_positions(n, a)
-    missing = 0
-    for start in range(0, total_matrices, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total_matrices), dtype=np.int64)
-        digits = (idx[:, None] // digit_pow[None, :]) % a
-        present = np.zeros(idx.size, dtype=bool)
-        for cells in placements:
-            present |= np.all(digits[:, cells] == target_digits, axis=1)
-        missing += int(np.count_nonzero(~present))
-    return Fraction(missing, total_matrices)
+    return Fraction(total_matrices - present, total_matrices)
 
 
 @dataclass
@@ -220,6 +182,7 @@ class ConjectureReport:
     monochromatic_codes: list[int]
     maximal_all_monochromatic: bool
     max_over_mono_ratio: float  # max P(M missing) / P(J missing), reported only
+    stats: MissingStats  # the exact enumeration the table was read from
 
 
 def conjecture_table(n: int, k: int, a: int) -> ConjectureReport:
@@ -242,6 +205,7 @@ def conjecture_table(n: int, k: int, a: int) -> ConjectureReport:
         monochromatic_codes=sorted(mono),
         maximal_all_monochromatic=maximal == set(mono),
         max_over_mono_ratio=ratio,
+        stats=stats,
     )
 
 
@@ -330,15 +294,17 @@ def oneD_exhaustive_mean_missing(n: int, k: int, a: int) -> Fraction:
     total = a**n
     if total > ENUMERATION_GUARD:
         raise MosaicError("sequence space exceeds guard")
-    pows = np.array([a ** (n - 1 - p) for p in range(n)], dtype=np.int64)
-    idx = np.arange(total, dtype=np.int64)
-    digits = (idx[:, None] // pows[None, :]) % a
     grand = 0
     for code in range(a**k):
-        word = np.array([(code // a ** (k - 1 - t)) % a for t in range(k)])
-        state = np.zeros(total, dtype=np.int64)
-        for p in range(n):
-            hit = (digits[:, p] == word[np.minimum(state, k - 1)]) & (state < k)
-            state += hit
+        word = [(code // a ** (k - 1 - t)) % a for t in range(k)]
+        # state[s]: letters of the word matched greedily by prefix s, for
+        # every prefix of the current length; each step extends all of them
+        # by every letter, until state covers all a^n sequences
+        state = np.zeros(1, dtype=np.int8)
+        for _ in range(n):
+            extended = np.repeat(state[:, None], a, axis=1)
+            for matched, letter in enumerate(word):
+                extended[:, letter] += state == matched
+            state = extended.ravel()
         grand += int(np.count_nonzero(state < k))
     return Fraction(grand, total)

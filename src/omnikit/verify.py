@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
+from omnikit import kernel
 from omnikit.core import MosaicError, MosaicMatrix, target_space
 from omnikit.construct import Placement
 
@@ -52,16 +52,6 @@ class VerifyReport:
     elapsed: float = 0.0
 
 
-def _column_words(arr: np.ndarray, row_subset, rowpow: np.ndarray) -> np.ndarray:
-    return rowpow @ arr[list(row_subset), :]
-
-
-def _powers(k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-    rowpow = np.array([a ** (k * (k - 1 - i)) for i in range(k)], dtype=np.int64)
-    colpow = np.array([a ** (k - 1 - j) for j in range(k)], dtype=np.int64)
-    return rowpow, colpow
-
-
 def coverage(
     m: MosaicMatrix, k: int, guard: int = DEFAULT_COVERAGE_GUARD
 ) -> CoverageSet:
@@ -74,14 +64,7 @@ def coverage(
             "check individual targets with contains_target instead"
         )
     bits = np.zeros(size, dtype=bool)
-    if k > m.rows or k > m.cols:
-        return CoverageSet(k, m.a, bits)
-    arr = m.to_numpy()
-    rowpow, colpow = _powers(k, m.a)
-    colsubs = np.array(list(combinations(range(m.cols), k)), dtype=np.int64)
-    for rows in combinations(range(m.rows), k):
-        words = _column_words(arr, rows, rowpow)
-        codes = words[colsubs] @ colpow
+    for codes in kernel.code_batches(m.to_numpy(), k, m.a):
         bits[codes] = True
     return CoverageSet(k, m.a, bits)
 
@@ -123,23 +106,22 @@ def contains_target(m: MosaicMatrix, t: MosaicMatrix) -> Placement | None:
     k = t.rows
     if k > m.rows or k > m.cols:
         raise MosaicError("target larger than host matrix")
+    rowpow, _ = kernel.powers(k, m.a)
     arr = m.to_numpy()
-    rowpow, colpow = _powers(k, m.a)
-    tarr = t.to_numpy()
-    twords = rowpow @ tarr
-    for rows in combinations(range(m.rows), k):
-        words = _column_words(arr, rows, rowpow)
-        cols = []
-        pos = 0
-        for j in range(k):
-            hits = np.flatnonzero(words[pos:] == twords[j])
-            if hits.size == 0:
-                break
-            pos += int(hits[0])
-            cols.append(pos)
-            pos += 1
-        if len(cols) == k:
-            return Placement(tuple(rows), tuple(cols))
+    twords = kernel.column_words(t.to_numpy(), kernel.subsets(k, k), rowpow)[:, 0]
+    for rowsubs in kernel.subset_batches(m.rows, k, max(1, kernel.CHUNK // m.cols)):
+        for rows, words in zip(rowsubs, kernel.column_words(arr, rowsubs, rowpow).T):
+            cols = []
+            pos = 0
+            for j in range(k):
+                hits = np.flatnonzero(words[pos:] == twords[j])
+                if hits.size == 0:
+                    break
+                pos += int(hits[0])
+                cols.append(pos)
+                pos += 1
+            if len(cols) == k:
+                return Placement(tuple(int(r) for r in rows), tuple(cols))
     return None
 
 

@@ -171,7 +171,17 @@ class TestSampleExactOned:
         _, out2, _ = run(capsys, *args, "--workers", "2")
         assert out1 == out2
 
-    def test_exact_payload(self, capsys):
+    def test_exact_payload(self, capsys, monkeypatch):
+        from omnikit import experiments
+
+        calls = []
+        enumerate_all = experiments.exact_enumeration
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_all(*args)
+
+        monkeypatch.setattr(experiments, "exact_enumeration", counted)
         code, payload, _ = run_json(
             capsys, "exact", "--n", "4", "--k", "2", "--a", "2", "--table"
         )
@@ -179,6 +189,26 @@ class TestSampleExactOned:
         assert payload["p_omni"] == {"num": 181, "den": 8192}
         assert payload["maximal_all_monochromatic"] is True
         assert len(payload["per_target"]) == 16
+        assert calls == [(4, 2, 2)]  # the table reuses the one enumeration
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "3", "--k", "5", "--a", "2", "--trials", "4"],
+            ["sample", "--n", "3", "--k", "0", "--a", "2", "--trials", "4"],
+            ["exact", "--n", "3", "--k", "0", "--a", "2"],
+            ["exact", "--n", "3", "--k", "-1", "--a", "2"],
+            ["exact", "--n", "1", "--k", "2", "--a", "2", "--table"],
+        ],
+    )
+    def test_bad_k_exits_cleanly(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_ERROR)
+        assert "Traceback" not in err
+        if code == EXIT_OK:
+            # k > n: no placements, so every target is missing
+            payload = json.loads(out)
+            assert payload["p_omni"] in (0.0, {"num": 0, "den": 1})
 
     def test_oned_seq(self, capsys):
         code, payload, _ = run_json(

@@ -20,7 +20,7 @@ from omnikit.experiments import (
     oneD_missing_count,
     trial_rng,
 )
-from omnikit.verify import is_omnimosaic
+from omnikit.verify import coverage, is_omnimosaic
 
 
 class TestExactEnumeration:
@@ -48,7 +48,7 @@ class TestExactEnumeration:
 
     def test_single_target_agrees(self):
         stats = exact_enumeration(4, 2, 2)
-        for code in (0, 6, 15):
+        for code in range(16):
             assert (
                 exact_target_missing_probability(4, 2, 2, code)
                 == stats.per_target[code]
@@ -80,11 +80,54 @@ class TestExactEnumeration:
         )
         assert exact_enumeration(3, 2, 2).p_omni_exact == Fraction(omni, 512)
 
+    @pytest.mark.parametrize("n,k,a", [(3, 2, 2), (3, 1, 3)])
+    def test_per_target_brute_force(self, n, k, a):
+        # independent oracle: verify.coverage of every matrix, one at a time
+        missing = dict.fromkeys(range(a ** (k * k)), 0)
+        for e in itertools.product(range(a), repeat=n * n):
+            bits = coverage(MosaicMatrix(n, n, a, e), k).bits
+            for code in missing:
+                missing[code] += not bits[code]
+        total = a ** (n * n)
+        assert exact_enumeration(n, k, a).per_target == {
+            code: Fraction(m, total) for code, m in missing.items()
+        }
+
+    def test_5_2_2_reference_value(self):
+        # value of the per-placement enumeration this module used before
+        assert exact_enumeration(5, 2, 2).per_target[0] == Fraction(286737, 4194304)
+
+    def test_single_target_beyond_mask_guard(self):
+        # 81 and 512 targets: too many for masks, fine for one target
+        for n, k, a, codes in [(3, 2, 3, (0, 17, 41)), (3, 3, 2, (0, 100, 511))]:
+            missing = dict.fromkeys(codes, 0)
+            for e in itertools.product(range(a), repeat=n * n):
+                bits = coverage(MosaicMatrix(n, n, a, e), k).bits
+                for code in codes:
+                    missing[code] += not bits[code]
+            for code in codes:
+                assert exact_target_missing_probability(n, k, a, code) == Fraction(
+                    missing[code], a ** (n * n)
+                )
+
+    def test_k_exceeds_n_misses_everything(self):
+        stats = exact_enumeration(1, 2, 2)
+        assert stats.p_omni_exact == 0
+        assert stats.ex_missing_exact == 16
+        assert exact_target_missing_probability(2, 3, 2, 5) == 1
+
     def test_guards(self):
         with pytest.raises(MosaicError):
             exact_enumeration(6, 2, 2)  # 2^36 matrices
         with pytest.raises(MosaicError):
             exact_enumeration(3, 3, 2)  # 512 targets > 64-bit masks
+        for k in (0, -1):
+            with pytest.raises(MosaicError):
+                exact_enumeration(3, k, 2)
+            with pytest.raises(MosaicError):
+                exact_target_missing_probability(3, k, 2, 0)
+        with pytest.raises(MosaicError):
+            exact_target_missing_probability(6, 2, 2, 0)
 
 
 class TestConjectureTable:
@@ -97,6 +140,11 @@ class TestConjectureTable:
         probs = [p for _, p in rep.table]
         assert probs == sorted(probs, reverse=True)
         assert set(codes) == set(range(16))
+
+    def test_carries_its_enumeration(self):
+        rep = conjecture_table(4, 2, 2)
+        assert rep.stats.p_omni_exact == Fraction(181, 8192)
+        assert dict(rep.table) == rep.stats.per_target
 
     def test_3_1_3_monochromatic_codes(self):
         # k=1: every target is monochromatic by definition
@@ -162,6 +210,31 @@ class TestMonteCarlo:
         four = estimate(config, workers=4)
         assert one == four
 
+    # recorded with the per-trial np.unique implementation; batching and
+    # bitset dedup must reproduce every count
+    @pytest.mark.parametrize(
+        "n,k,a,trials,expected",
+        [
+            (12, 3, 2, 400, (400, 0.9875, 0.005555121510822233, 0.0175,
+                             0.008255589736945623)),
+            (4, 2, 2, 2000, (2000, 0.0185, 0.003013117156700018, 4.1955,
+                             0.05145837013478434)),
+        ],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_estimates(self, n, k, a, trials, expected, workers):
+        stats = estimate(ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=2024),
+                         workers=workers)
+        assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
+                stats.ex_missing_stderr) == expected
+
+    @pytest.mark.parametrize("n,k,a", [(3, 5, 2), (2, 3, 128)])
+    def test_k_exceeds_n_misses_everything(self, n, k, a):
+        # (2,3,128): 2^63 targets, so sums of squared counts exceed 64 bits
+        stats = estimate(ExperimentConfig(n=n, k=k, a=a, trials=3))
+        total = a ** (k * k)
+        assert (stats.p_omni, stats.ex_missing, stats.ex_missing_stderr) == (0, total, 0)
+
     def test_trial_rng_independent_of_partition(self):
         a = trial_rng(3, 17).integers(0, 1000, size=4)
         b = trial_rng(3, 17).integers(0, 1000, size=4)
@@ -223,6 +296,15 @@ class TestOneD:
             assert oneD_exhaustive_mean_missing(n, k, a) == bounds.oneD_EX(
                 n, k, a, exact=True
             )
+
+    @pytest.mark.parametrize("n,k,a", [(9, 3, 2), (7, 2, 3)])
+    def test_exhaustive_mean_matches_direct_count(self, n, k, a):
+        # independent oracle: match every word against every sequence directly
+        grand = sum(
+            oneD_missing_count(seq, k, a)
+            for seq in itertools.product(range(a), repeat=n)
+        )
+        assert oneD_exhaustive_mean_missing(n, k, a) == Fraction(grand, a**n)
 
     def test_threshold_consistency(self):
         # at n well above a*H_a*k almost every sequence is omni

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from omnikit.core import MosaicError
+
 E = math.e
 
 
@@ -98,7 +100,7 @@ def suen_report(n: int, k: int, a: int) -> BoundsReport:
     cap chain fail, the report is flagged advisory.
     """
     if n < k:
-        raise ValueError("n must be >= k")
+        raise MosaicError("n must be >= k")
     ln_a = math.log(a)
     log_mu = 2 * log_binom(n, k) - k * k * ln_a
     log_delta_cap = log_mu + math.log(n) + 3 * math.log(k) - k * ln_a
@@ -148,7 +150,9 @@ class ThresholdEstimate:
 
 def suen_threshold_n(k: int, a: int) -> ThresholdEstimate:
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise MosaicError("k must be >= 2")
+    if a < 2:
+        raise MosaicError("a must be >= 2")
     base = asymptotic_lower(k, a)
     # ln ln a is negative for a=2; that is fine, it is just a real number.
     refined = k + base * (
@@ -292,7 +296,7 @@ def check_lemma_properties(n: int, k: int, a: int) -> LemmaVerdicts:
 def oneD_threshold(a: int) -> Fraction:
     """a * H(1..a): the n/k ratio at which random sequences become k-omni."""
     if a < 2:
-        raise ValueError("a must be >= 2")
+        raise MosaicError("a must be >= 2")
     return a * sum(Fraction(1, i) for i in range(1, a + 1))
 
 
@@ -320,7 +324,7 @@ def oneD_EX_threshold_ratio(a: int, tol: float = 1e-6) -> float:
     """The n/k ratio at which the expected missing count flips from divergent
     to vanishing: the root r > a of ln a = r * D(1/r || 1/a)."""
     if a < 2:
-        raise ValueError("a must be >= 2")
+        raise MosaicError("a must be >= 2")
     target = math.log(a)
 
     def f(r: float) -> float:

@@ -172,16 +172,17 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["k", "a", "n", "log_mu", "log_total_bound", "certifies"])
+    rows = []  # all computed before any output, so a bad argument prints no header
     for k in range(args.k_min, args.k_max + 1):
-        est = bounds.suen_threshold_n(k, args.a)
-        n = est.refined
+        n = bounds.suen_threshold_n(k, args.a).refined
         rep = bounds.suen_report(n, k, args.a)
-        writer.writerow(
+        rows.append(
             [k, args.a, n, f"{rep.log_mu:.6f}", f"{rep.log_total_bound:.6f}",
              int(rep.certifies_existence)]
         )
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["k", "a", "n", "log_mu", "log_total_bound", "certifies"])
+    writer.writerows(rows)
     return EXIT_OK
 
 
@@ -235,6 +236,8 @@ def _read_oned_sequence(args) -> tuple[list[int], int]:
         symbols = sorted(set(text))
         index = {s: i for i, s in enumerate(symbols)}
         return [index[s] for s in text], max(2, len(symbols))
+    if not all(c in "0123456789" for c in args.seq):
+        raise MosaicError(f"--seq must be decimal digits, got {args.seq!r}")
     seq = [int(c) for c in args.seq]
     return seq, args.a
 

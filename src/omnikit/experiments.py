@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from omnikit import kernel
-from omnikit.core import MosaicError, MosaicMatrix, target_space
+from omnikit.core import MosaicError, target_space
 
 ENUMERATION_GUARD = 2**25
 _MASK_BITS = 64
@@ -54,10 +54,6 @@ class MissingStats:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
-
-
-def random_matrix(n: int, a: int, rng: np.random.Generator) -> MosaicMatrix:
-    return MosaicMatrix.from_numpy(rng.integers(0, a, size=(n, n)), a)
 
 
 def _run_trials(config: ExperimentConfig, lo: int, hi: int) -> tuple[int, int, int]:
@@ -279,6 +275,8 @@ def _word_missing(seq, word) -> bool:
 
 def oneD_missing_count(seq, k: int, a: int) -> int:
     """Number of length-k words not embeddable as subsequences."""
+    if k < 1:
+        raise MosaicError(f"k must be >= 1, got {k}")
     seq = list(seq)
     missing = 0
     for code in range(a**k):

@@ -16,10 +16,13 @@ induces, most significant entry first (``core.encode_target``).
   target occurs.  A matrix covers the OR of T over its C(n,k) row subsets;
   that OR is evaluated by broadcasting over the rows, a block of leading-row
   values at a time, so a step holds max(CHUNK, a^(n(n-1))) matrices.
+* ``tuple_masks`` gives the same strip coverage for a batch of row tuples as
+  Python-int bitmasks of any width, for the exact search.
 """
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from itertools import combinations, islice
 
@@ -92,12 +95,41 @@ def distinct_counts(codes: np.ndarray, total: int) -> np.ndarray:
     return np.count_nonzero(bits.reshape(trials, total), axis=1)
 
 
-def _row_words(n: int, k: int, a: int) -> np.ndarray:
-    """[c, u]: the k-digit base-a word of row value u at column subset c."""
-    width = a**n
-    digits = (np.arange(width)[:, None] // a ** np.arange(n - 1, -1, -1)) % a
+def row_digits(values: np.ndarray, n: int, a: int) -> np.ndarray:
+    """[..., c]: column c's entry of each row value, first column most significant."""
+    return (np.asarray(values)[..., None] // a ** np.arange(n - 1, -1, -1)) % a
+
+
+def _row_words(digits: np.ndarray, k: int, a: int) -> np.ndarray:
+    """[..., c]: the k-digit base-a word of each row (..., n) at column subset c."""
     _, colpow = powers(k, a)
-    return (digits[:, subsets(n, k)] @ colpow).T
+    subs = subsets(digits.shape[-1], k)
+    return sum(colpow[j] * digits[..., subs[:, j]] for j in range(k))
+
+
+def tuple_masks(rows: np.ndarray, a: int) -> list[int]:
+    """Coverage masks of k-tuples of rows, rows[s, i] holding row i's entries.
+
+    Bit t of mask s is set iff target code t occurs in the k×n strip of
+    tuple s.  The masks are Python ints joined from 64-bit limbs, so any
+    target space fits; a step holds at most CHUNK codes and, unless one tuple
+    needs more, BITSET_LIMIT bits.
+    """
+    m, k, n = rows.shape
+    rowpow, _ = powers(k, a)
+    step = max(1, min(CHUNK // math.comb(n, k), BITSET_LIMIT // a ** (k * k)))
+    out = []
+    for lo in range(0, m, step):
+        words = _row_words(rows[lo : lo + step], k, a)
+        codes = sum(rowpow[i] * words[:, i] for i in range(k))  # [s, c]
+        bits = np.zeros((len(codes), (int(codes.max()) // 64 + 1) * 64), dtype=bool)
+        bits[np.arange(len(codes))[:, None], codes] = True
+        limbs = np.packbits(bits, axis=1, bitorder="little").view("<u8").T.tolist()
+        masks = limbs[0]
+        for i, limb in enumerate(limbs[1:], 1):
+            masks = [mask | v << (64 * i) for mask, v in zip(masks, limb)]
+        out += masks
+    return out
 
 
 def _tuple_table(rowwords, lead, k: int, a: int, target, dtype) -> np.ndarray:
@@ -128,7 +160,7 @@ def enumerate_coverage(n: int, k: int, a: int, target: int | None = None):
     (at most 64 targets); else it says whether that one target occurs.
     """
     width = a**n
-    rowwords = _row_words(n, k, a)
+    rowwords = _row_words(row_digits(np.arange(width), n, a), k, a).T
     if target is None:
         dtype = np.min_scalar_type((1 << a ** (k * k)) - 1)  # a bit per target
     else:

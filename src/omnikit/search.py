@@ -1,21 +1,29 @@
 """Exact existence/nonexistence search for small omnimosaics.
 
 The depth-first search fills the n-by-n matrix cell by cell in row-major
-order and visits canonical representatives only:
+order and visits only matrices that satisfy:
 
 * letter canonicalization: the first occurrences of letters in reading
   order are 0, 1, 2, ...;
-* rows are constrained to be nondecreasing lexicographically.
+* rows nondecreasing lexicographically;
+* when ``require_all_letters`` is on, every row holding every letter.
 
-Both constraints are sound for existence: iterating "relabel letters by
-first occurrence, then sort rows" strictly decreases the row-major reading
-value until a fixpoint, so every row-permutation/letter-permutation orbit
-contains a representative satisfying both.  An exhausted search at size n
-is therefore a proof of nonexistence.
+A ``found`` verdict is a proof: its witness is checked with
+``verify.is_omnimosaic``.  An ``exhausted_none`` verdict is not yet a proof
+of nonexistence.  Letter canonicalization is sound, but the row order is
+not: submatrix rows must be increasing, so permuting the rows of an
+omnimosaic can lose the property (10 of the 24 row permutations of the
+(4,2,2) witness do), and an orbit may have no sorted member that is omni.
+The all-letters constraint rests on ``row_letter_necessity``, whose count is
+not a proof either.  Making the symmetry breaking sound is open work.
 
 Pruning: placements lying entirely inside the filled rows are final, so a
 branch dies as soon as the codes covered so far plus the number of
-placements touching an unfilled row cannot reach a^(k*k).
+placements touching an unfilled row cannot reach a^(k*k).  The covered
+codes are a Python-int bitmask.  When a row is completed it is encoded as a
+base-a int (``kernel.row_digits`` order) and the masks of the row tuples
+ending at it, from ``kernel.tuple_masks``, are ORed in; the searcher caches
+those masks, up to a fixed number of entries.
 """
 
 from __future__ import annotations
@@ -25,15 +33,24 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+import numpy as np
+
+from omnikit import bounds, kernel
 from omnikit.core import MosaicError, MosaicMatrix
 from omnikit.verify import is_omnimosaic
-from omnikit import bounds
 
 FOUND = "found"
 EXHAUSTED_NONE = "exhausted_none"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 _BUDGET_CHECK_MASK = 0xFFF
+# Largest side searched.  The DFS recurses once per cell and once per row,
+# n*n + n frames deep, and its tree has a^(n*n) leaves: 16 keeps the
+# recursion far inside Python's default limit, at sizes no search exhausts.
+MAX_N = 16
+_COLUMN_ROWS = 1 << 12  # k = 2 caches whole columns while a^n is at most this
+_CACHE_ENTRIES = 1 << 16  # masks a searcher caches ...
+_CACHE_BITS = 1 << 28  # ... and mask bits (32 MB), whichever is fewer
 
 
 @dataclass(frozen=True)
@@ -82,14 +99,18 @@ class _Searcher:
         self.nodes = 0
         self.start = time.perf_counter()
         self.total_targets = a ** (k * k)
-        self.col_subs = list(combinations(range(n), k))
-        self.n_colsubs = len(self.col_subs)
         self.total_placements = math.comb(n, k) ** 2
         # placements fully inside the first m rows, by m
-        self.inside = [math.comb(m, k) * self.n_colsubs for m in range(n + 1)]
-        self.colpow = [a ** (k - 1 - j) for j in range(k)]
-        self.rowpow = [a ** (k * (k - 1 - i)) for i in range(k)]
+        self.inside = [math.comb(m, k) * math.comb(n, k) for m in range(n + 1)]
         self.grid = [[0] * n for _ in range(n)]
+        self.rowvals = [0] * n  # completed rows as base-a ints, first column most significant
+        # coverage masks of row tuples: for k = 2 and small rows, one column
+        # [mask of (u, r) for every row value u] per top-row value r; else one
+        # mask per tuple of row values.  Emptied when it would pass its ceiling.
+        self.cache = {}
+        self.cache_limit = min(_CACHE_ENTRIES, _CACHE_BITS // self.total_targets)
+        self.columns = k == 2 and a**n <= _COLUMN_ROWS
+        self.cached = 0
         self.witness = None
 
     def _tick(self):
@@ -102,36 +123,66 @@ class _Searcher:
         if b.max_seconds is not None and time.perf_counter() - self.start >= b.max_seconds:
             raise _Budget()
 
-    def _new_codes(self, top_row: int) -> set[int]:
-        """Codes of placements whose maximal row is top_row."""
-        k, n, a = self.k, self.n, self.a
+    def _store(self, masks: dict, entries: int):
+        """Cache masks, emptying the cache first if it would pass its ceiling."""
+        if self.cached + entries > self.cache_limit:
+            self.cache.clear()
+            self.cached = 0
+        self.cache.update(masks)
+        self.cached += entries
+
+    def _new_mask(self, top_row: int) -> int:
+        """Mask of the codes of placements whose maximal row is top_row."""
+        n, k, a = self.n, self.k, self.a
+        row = self.grid[top_row]
+        r = 0
+        for x in row:
+            r = r * a + x
+        vals = self.rowvals
+        vals[top_row] = r
+        mask = 0
         if top_row < k - 1:
-            return set()
-        grid = self.grid
-        out = set()
+            return mask
+        if self.columns:
+            column = self.cache.get(r)
+            if column is None:
+                tuples = np.empty((a**n, 2, n), dtype=np.int64)
+                tuples[:, 0] = kernel.row_digits(np.arange(a**n), n, a)
+                tuples[:, 1] = row
+                column = kernel.tuple_masks(tuples, a)
+                self._store({r: column}, len(column))
+            for v in vals[:top_row]:
+                mask |= column[v]
+            return mask
+        missing = {}  # row values -> rows, of the tuples not cached
         for rest in combinations(range(top_row), k - 1):
-            rows = rest + (top_row,)
-            words = [
-                sum(self.rowpow[i] * grid[rows[i]][c] for i in range(k))
-                for c in range(n)
-            ]
-            for cols in self.col_subs:
-                out.add(sum(self.colpow[j] * words[cols[j]] for j in range(k)))
-        return out
+            key = tuple(vals[p] for p in rest) + (r,)
+            m = self.cache.get(key)
+            if m is None:
+                missing[key] = [self.grid[p] for p in rest] + [row]
+            else:
+                mask |= m
+        if missing:
+            masks = kernel.tuple_masks(np.array(list(missing.values())), a)
+            self._store(dict(zip(missing, masks)), len(masks))
+            for m in masks:
+                mask |= m
+        return mask
 
     def search(self) -> bool:
-        return self._fill(0, 0, 0, False, set())
+        return self._fill(0, 0, 0, False, 0)
 
     def _fill(self, i, j, used, tie, covered) -> bool:
         n, a = self.n, self.a
         if j == n:
             if self.require_all_letters and len(set(self.grid[i])) != a:
                 return False
-            covered = covered | self._new_codes(i)
-            if len(covered) + (self.total_placements - self.inside[i + 1]) < self.total_targets:
+            covered |= self._new_mask(i)
+            count = covered.bit_count()
+            if count + (self.total_placements - self.inside[i + 1]) < self.total_targets:
                 return False
             if i == n - 1:
-                if len(covered) == self.total_targets:
+                if count == self.total_targets:
                     self.witness = MosaicMatrix.from_rows(self.grid, a)
                     return True
                 return False
@@ -149,6 +200,17 @@ class _Searcher:
         return False
 
 
+def _check_args(k: int, a: int, n: int | None = None) -> None:
+    if k < 1:
+        raise MosaicError(f"k must be >= 1, got {k}")
+    if a < 2:
+        raise MosaicError(f"alphabet size must be >= 2, got {a}")
+    if n is not None and n < k:
+        raise MosaicError("n must be >= k")
+    if n is not None and n > MAX_N:
+        raise MosaicError(f"search supports n <= {MAX_N}, got {n}")
+
+
 def exists_omnimosaic(
     n: int,
     k: int,
@@ -159,12 +221,10 @@ def exists_omnimosaic(
     """Decide whether an O(n,k,a) omnimosaic exists, by canonical DFS.
 
     require_all_letters defaults to row_letter_necessity(n,k,a), i.e. the
-    per-row constraint is applied only when the counting argument proves it.
+    per-row constraint is applied only when the counting argument holds.
+    Requires k >= 1, a >= 2 and k <= n <= MAX_N.
     """
-    if n < k:
-        raise MosaicError("n must be >= k")
-    if a < 2:
-        raise MosaicError(f"alphabet size must be >= 2, got {a}")
+    _check_args(k, a, n)
     if require_all_letters is None:
         require_all_letters = row_letter_necessity(n, k, a)
     s = _Searcher(n, k, a, budget, require_all_letters)
@@ -186,17 +246,19 @@ def min_omnimosaic_n(
 ) -> list[tuple[int, SearchResult]]:
     """Trace of exists_omnimosaic from the pigeonhole bound upward.
 
-    Stops at the first found size (that size is omega(k,a) when every
-    earlier verdict is exhausted_none), on budget exhaustion, or at max_n.
+    Stops at the first found size (that size is omega(k,a) once every
+    earlier exhausted_none is a proof; see the module docstring), on budget
+    exhaustion, or at max_n, which is at most MAX_N.
     """
+    _check_args(k, a)
     trace: list[tuple[int, SearchResult]] = []
     n = bounds.pigeonhole_min_n(k, a)
+    _check_args(k, a, n)
+    last = MAX_N if max_n is None else min(max_n, MAX_N)
     while True:
         result = exists_omnimosaic(n, k, a, budget=budget)
         trace.append((n, result))
-        if result.status != EXHAUSTED_NONE:
-            return trace
-        if max_n is not None and n >= max_n:
+        if result.status != EXHAUSTED_NONE or n >= last:
             return trace
         n += 1
 

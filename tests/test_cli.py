@@ -233,3 +233,24 @@ class TestSampleExactOned:
         assert code == EXIT_OK
         assert payload["a"] == 2
         assert payload["collections"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--k", "0", "--a", "2"],
+        ["search", "--k", "-1", "--a", "2", "--n", "3"],
+        ["search", "--k", "2", "--a", "2", "--n", "40", "--max-nodes", "10"],
+        ["search", "--k", "5", "--a", "2"],  # pigeonhole start 17 > search.MAX_N
+        ["sweep", "--a", "1"],
+        ["bounds", "--k", "2", "--a", "1"],
+        ["oned", "--seq", "abc"],
+        ["oned", "--seq", "0101", "--k", "0"],
+        ["oned", "--seq", "0101", "--k", "-1"],
+    ],
+)
+def test_bad_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

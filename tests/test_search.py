@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omnikit import search
 from omnikit.core import MosaicMatrix, MosaicError, SymmetryOp, apply_symmetry
 from omnikit.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED_NONE,
     FOUND,
+    MAX_N,
     SearchBudget,
     canonicalize,
     exists_omnimosaic,
@@ -56,10 +58,14 @@ class TestExistence:
         assert exists_omnimosaic(5, 2, 2).status == FOUND
 
     def test_rejects_bad_args(self):
-        with pytest.raises(MosaicError):
-            exists_omnimosaic(1, 2, 2)
-        with pytest.raises(MosaicError):
-            exists_omnimosaic(3, 2, 1)
+        for n, k, a in [(1, 2, 2), (3, 2, 1), (2, 0, 2), (3, -1, 2), (MAX_N + 1, 2, 2), (40, 2, 2)]:
+            with pytest.raises(MosaicError):
+                exists_omnimosaic(n, k, a, budget=SearchBudget(max_nodes=10))
+
+    def test_largest_side_runs(self):
+        # the deepest recursion allowed stays inside Python's limit
+        r = exists_omnimosaic(MAX_N, 2, 2, budget=SearchBudget(max_nodes=10))
+        assert r.status == BUDGET_EXCEEDED
 
 
 class TestMinN:
@@ -73,6 +79,12 @@ class TestMinN:
         trace = min_omnimosaic_n(1, 2)
         assert trace[-1][0] == 2
         assert trace[-1][1].status == FOUND
+
+    @pytest.mark.parametrize("k,a", [(0, 2), (-1, 2), (2, 1), (5, 2)])
+    def test_rejects_bad_args(self, k, a):
+        # (5,2): the pigeonhole start, 17, is beyond MAX_N
+        with pytest.raises(MosaicError):
+            min_omnimosaic_n(k, a)
 
     def test_budget_propagates(self):
         budget = SearchBudget(max_nodes=50_000)
@@ -152,3 +164,76 @@ class TestWitnessQuality:
         rows = r.witness.to_rows()
         assert rows == sorted(rows)  # nondecreasing rows
         assert r.witness.entries[0] == 0  # first entry relabeled to 0
+
+
+# (status, nodes, witness entries) of the set-of-codes search this one replaced;
+# the DFS tree must not move by a single node
+GOLDEN = {
+    (4, 2, 2): (FOUND, 4672, (0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1)),
+    (5, 2, 2): (FOUND, 5538, (0,) * 12 + (1, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 0)),
+    (6, 2, 2): (FOUND, 11197, (0,) * 22 + (1, 0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1)),
+    (7, 2, 2): (FOUND, 10755, (0,) * 36 + (1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 0, 1)),
+    (3, 2, 2): (EXHAUSTED_NONE, 7, None),
+    (4, 2, 3): (EXHAUSTED_NONE, 22, None),
+    (6, 3, 2): (EXHAUSTED_NONE, 63, None),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("n,k,a", list(GOLDEN))
+    def test_tree_unchanged(self, n, k, a):
+        r = exists_omnimosaic(n, k, a)
+        entries = r.witness.entries if r.witness else None
+        assert (r.status, r.nodes, entries) == GOLDEN[n, k, a]
+
+    def test_min_trace(self):
+        trace = min_omnimosaic_n(2, 2)
+        got = [(n, r.status, r.nodes, r.witness.entries) for n, r in trace]
+        assert got == [(4,) + GOLDEN[4, 2, 2]]
+
+    def test_open_instance_budget(self):
+        r = exists_omnimosaic(5, 2, 3, budget=SearchBudget(max_nodes=8192))
+        assert (r.status, r.nodes) == (BUDGET_EXCEEDED, 8192)
+
+
+@pytest.mark.parametrize(
+    "n,k,a,columns,ceiling",
+    [
+        (6, 2, 2, 1 << 12, 200),  # k = 2: whole columns of 64 masks
+        (6, 2, 2, 0, 20),  # k = 2, one mask per row tuple
+        (7, 3, 2, 1 << 12, 50),  # k = 3: one mask per row tuple
+    ],
+)
+def test_mask_cache_stays_under_its_ceiling(monkeypatch, n, k, a, columns, ceiling):
+    store = search._Searcher._store
+    held = []
+
+    def checked(self, masks, count):
+        store(self, masks, count)
+        size = sum(len(m) if isinstance(m, list) else 1 for m in self.cache.values())
+        assert size == self.cached <= self.cache_limit == ceiling
+        held.append(size)
+
+    monkeypatch.setattr(search, "_COLUMN_ROWS", columns)
+    monkeypatch.setattr(search, "_CACHE_ENTRIES", ceiling)
+    monkeypatch.setattr(search._Searcher, "_store", checked)
+    r = exists_omnimosaic(n, k, a, budget=SearchBudget(max_nodes=20_000))
+    assert any(later < earlier for earlier, later in zip(held, held[1:]))  # was emptied
+    if (n, k, a) in GOLDEN:
+        entries = r.witness.entries if r.witness else None
+        assert (r.status, r.nodes, entries) == GOLDEN[n, k, a]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="row sorting is not a sound symmetry: submatrix rows must increase",
+)
+def test_row_permutations_of_a_witness_stay_omni():
+    witness = exists_omnimosaic(4, 2, 2).witness
+    rows = witness.to_rows()
+    lost = [
+        perm
+        for perm in itertools.permutations(range(4))
+        if not is_omnimosaic(MosaicMatrix.from_rows([rows[p] for p in perm], 2), 2).is_omni
+    ]
+    assert lost == []

@@ -39,11 +39,19 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 text file, or stdin for "-"; undecodable bytes are a usage error."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MosaicError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_matrix(path: str):
-    if path == "-":
-        return parse_matrix(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    return parse_matrix(_read_text(path))
 
 
 def _cmd_construct(args) -> int:
@@ -150,6 +158,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.k < 1 or args.a < 2:
+        raise MosaicError(f"need k >= 1 and a >= 2, got k={args.k}, a={args.a}")
     payload = {
         "command": "bounds",
         "k": args.k,
@@ -231,13 +241,14 @@ def _cmd_exact(args) -> int:
 
 def _read_oned_sequence(args) -> tuple[list[int], int]:
     if args.file is not None:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(args.file).replace("\n", "")  # \r\n was read as \n
         symbols = sorted(set(text))
         index = {s: i for i, s in enumerate(symbols)}
         return [index[s] for s in text], max(2, len(symbols))
     if not all(c in "0123456789" for c in args.seq):
         raise MosaicError(f"--seq must be decimal digits, got {args.seq!r}")
+    if args.a < 2:
+        raise MosaicError(f"alphabet size must be >= 2, got {args.a}")
     seq = [int(c) for c in args.seq]
     return seq, args.a
 
@@ -333,7 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oned", help="1-D omni sequence measurement")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--seq", help="digit string over the alphabet")
-    group.add_argument("--file", help="text file; distinct characters form the alphabet")
+    group.add_argument(
+        "--file", help="text file or - for stdin; its distinct characters but line ends "
+        "form the alphabet"
+    )
     p.add_argument("--a", type=int, default=2)
     p.add_argument("--k", type=int)
     p.set_defaults(func=_cmd_oned)

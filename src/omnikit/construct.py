@@ -13,18 +13,20 @@ ascending order; outputs are therefore byte-for-byte reproducible.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
+from omnikit import kernel
 from omnikit.core import MosaicError, MosaicMatrix
 
 H = "H"
 V = "V"
 
-# Keeps constructed matrices comfortably addressable in memory.
-MAX_DIMENSION = 2**26
+MAX_CELLS = 2**26  # 1 GiB as int64 plus the entries tuple; checked before allocating
 
 
 @dataclass(frozen=True)
@@ -47,12 +49,10 @@ class GridDiagram:
         return cls(len(rows), tuple(tuple(r) for r in rows))
 
     def row_counts(self) -> tuple[int, ...]:
-        return tuple(sum(1 for c in row if c == H) for row in self.cells)
+        return tuple(row.count(H) for row in self.cells)
 
     def col_counts(self) -> tuple[int, ...]:
-        return tuple(
-            sum(1 for i in range(self.k) if self.cells[i][j] == V) for j in range(self.k)
-        )
+        return tuple(col.count(V) for col in zip(*self.cells))
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class Placement:
 
     def __post_init__(self):
         for idx in (self.row_idx, self.col_idx):
-            if any(b <= a for a, b in zip(idx, idx[1:])):
+            if not all(map(operator.lt, idx, idx[1:])):
                 raise MosaicError("placement indices must be strictly increasing")
             if idx and idx[0] < 0:
                 raise MosaicError("placement indices must be non-negative")
@@ -89,24 +89,15 @@ def canonical_grid(k: int) -> GridDiagram:
     """The balanced diagram: H where (i <= floor(k/2)) == (j <= ceil(k/2)), 1-based."""
     if k < 1:
         raise MosaicError("k must be >= 1")
-    half_lo = k // 2
-    half_hi = k - half_lo
-    rows = []
-    for i in range(1, k + 1):
-        row = []
-        for j in range(1, k + 1):
-            top = i <= half_lo
-            left = j <= half_hi
-            row.append(H if top == left else V)
-        rows.append(tuple(row))
-    return GridDiagram(k, tuple(rows))
+    half_lo, half_hi = k // 2, k - k // 2
+    return GridDiagram.from_rows(
+        [[H if (i <= half_lo) == (j <= half_hi) else V for j in range(1, k + 1)]
+         for i in range(1, k + 1)]
+    )
 
 
 def _offsets(counts: Sequence[int], a: int) -> tuple[int, ...]:
-    off = [0]
-    for r in counts:
-        off.append(off[-1] + a**r)
-    return tuple(off)
+    return tuple(accumulate((a**r for r in counts), initial=0))
 
 
 def build_mosaic(grid: GridDiagram, a: int) -> tuple[MosaicMatrix, RegionMap]:
@@ -124,15 +115,11 @@ def build_mosaic(grid: GridDiagram, a: int) -> tuple[MosaicMatrix, RegionMap]:
     row_off = _offsets(r_counts, a)
     col_off = _offsets(c_counts, a)
     n_rows, n_cols = row_off[-1], col_off[-1]
-    if n_rows > MAX_DIMENSION or n_cols > MAX_DIMENSION:
-        raise MosaicError("constructed dimensions too large")
+    if n_rows * n_cols > MAX_CELLS:
+        raise MosaicError(f"constructed matrix {n_rows}x{n_cols} exceeds {MAX_CELLS} cells")
 
-    h_columns = tuple(
-        tuple(j for j in range(k) if grid.cells[i][j] == H) for i in range(k)
-    )
-    v_rows = tuple(
-        tuple(i for i in range(k) if grid.cells[i][j] == V) for j in range(k)
-    )
+    h_columns = tuple(tuple(j for j, c in enumerate(row) if c == H) for row in grid.cells)
+    v_rows = tuple(tuple(i for i, c in enumerate(col) if c == V) for col in zip(*grid.cells))
 
     out = np.zeros((n_rows, n_cols), dtype=np.int64)
     for i in range(k):
@@ -159,12 +146,9 @@ def thin_strip(k: int, a: int) -> MosaicMatrix:
     if k < 1:
         raise MosaicError("k must be >= 1")
     words = a**k
-    if k * words > MAX_DIMENSION:
+    if k * k * words > MAX_CELLS:
         raise MosaicError("strip too large")
-    codes = np.arange(words)
-    block = np.stack(
-        [(codes // a ** (k - 1 - t)) % a for t in range(k)], axis=1
-    )
+    block = kernel.row_digits(np.arange(words), k, a)
     return MosaicMatrix.from_numpy(np.tile(block, (k, 1)), a)
 
 
@@ -197,17 +181,18 @@ def locate(rm: RegionMap, grid: GridDiagram, target: MosaicMatrix) -> Placement:
         raise MosaicError(f"target must be {k}x{k}")
     if target.a != rm.a:
         raise MosaicError("alphabet mismatch between target and region map")
+    e, a = target.entries, rm.a
     rows = []
-    for i in range(k):
-        code = 0
-        for j in rm.h_columns[i]:
-            code = code * rm.a + target.at(i, j)
+    for i, h_cols in enumerate(rm.h_columns):
+        row, code = e[i * k : (i + 1) * k], 0
+        for j in h_cols:
+            code = code * a + row[j]
         rows.append(rm.row_offsets[i] + code)
     cols = []
-    for j in range(k):
-        code = 0
-        for i in rm.v_rows[j]:
-            code = code * rm.a + target.at(i, j)
+    for j, v_rows in enumerate(rm.v_rows):
+        col, code = e[j::k], 0
+        for i in v_rows:
+            code = code * a + col[i]
         cols.append(rm.col_offsets[j] + code)
     return Placement(tuple(rows), tuple(cols))
 

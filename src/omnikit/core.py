@@ -8,6 +8,7 @@ presentation concern only.  All types are immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,25 +55,23 @@ class MosaicMatrix:
             raise MosaicError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        for e in self.entries:
-            if not 0 <= e < self.a:
-                raise MosaicError(f"entry {e} outside alphabet [0, {self.a})")
+        if min(self.entries) < 0 or max(self.entries) >= self.a:
+            bad = next(e for e in self.entries if not 0 <= e < self.a)
+            raise MosaicError(f"entry {bad} outside alphabet [0, {self.a})")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], a: int) -> "MosaicMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise MosaicError("ragged rows")
-            flat.extend(int(x) for x in row)
-        return cls(r, c, a, tuple(flat))
+        c = len(rows[0]) if len(rows) else 0
+        if any(len(row) != c for row in rows):
+            raise MosaicError("ragged rows")
+        return cls(len(rows), c, a, tuple(int(x) for row in rows for x in row))
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray, a: int) -> "MosaicMatrix":
         arr = np.asarray(arr)
-        return cls(arr.shape[0], arr.shape[1], a, tuple(int(x) for x in arr.ravel()))
+        if arr.dtype == bool:
+            arr = arr.view(np.uint8)
+        return cls(arr.shape[0], arr.shape[1], a, tuple(arr.ravel().tolist()))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -84,17 +83,21 @@ class MosaicMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
+        """The entries as a read-only int64 array, built on the first call."""
+        return self._array
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        arr = np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
+        arr.flags.writeable = False
+        return arr
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "MosaicMatrix":
-        ri = list(row_idx)
-        ci = list(col_idx)
-        flat = tuple(self.at(i, j) for i in ri for j in ci)
-        return MosaicMatrix(len(ri), len(ci), self.a, flat)
+        sub = self.to_numpy()[np.ix_(list(row_idx), list(col_idx))]
+        return MosaicMatrix.from_numpy(sub, self.a)
 
     def transpose(self) -> "MosaicMatrix":
-        flat = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return MosaicMatrix(self.cols, self.rows, self.a, flat)
+        return MosaicMatrix.from_numpy(self.to_numpy().T, self.a)
 
 
 def target_space(k: int, a: int) -> int:
@@ -120,15 +123,11 @@ def decode_target(code: int, k: int, a: int) -> MosaicMatrix:
     size = target_space(k, a)
     if not 0 <= code < size:
         raise MosaicError(f"target code {code} out of range [0, {size})")
-    digits = []
-    for _ in range(k * k):
-        digits.append(code % a)
+    digits = [0] * (k * k)
+    for i in range(k * k - 1, -1, -1):
+        digits[i] = code % a
         code //= a
-    return MosaicMatrix(k, k, a, tuple(reversed(digits)))
-
-
-def _is_permutation(perm: tuple[int, ...]) -> bool:
-    return sorted(perm) == list(range(len(perm)))
+    return MosaicMatrix(k, k, a, tuple(digits))
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ class SymmetryOp:
             if self.perm is not None:
                 raise MosaicError("transpose takes no permutation")
         else:
-            if self.perm is None or not _is_permutation(self.perm):
+            if self.perm is None or sorted(self.perm) != list(range(len(self.perm))):
                 raise MosaicError("permutation data required and must be a bijection")
 
     def inverse(self) -> "SymmetryOp":
@@ -166,12 +165,11 @@ def apply_symmetry(m: MosaicMatrix, op: SymmetryOp) -> MosaicMatrix:
     if op.kind == "rows":
         if len(op.perm) != m.rows:
             raise MosaicError("row permutation length mismatch")
-        return MosaicMatrix.from_rows([list(m.row(p)) for p in op.perm], m.a)
+        return MosaicMatrix.from_numpy(m.to_numpy()[list(op.perm)], m.a)
     if op.kind == "cols":
         if len(op.perm) != m.cols:
             raise MosaicError("column permutation length mismatch")
-        rows = [[m.at(i, p) for p in op.perm] for i in range(m.rows)]
-        return MosaicMatrix.from_rows(rows, m.a)
+        return MosaicMatrix.from_numpy(m.to_numpy()[:, list(op.perm)], m.a)
     # letters
     if len(op.perm) != m.a:
         raise MosaicError("letter permutation must act on [0, a)")
@@ -182,10 +180,21 @@ def apply_symmetry(m: MosaicMatrix, op: SymmetryOp) -> MosaicMatrix:
 MAGIC = "omnimosaic v1"
 
 
+class _Memo(dict):
+    """fn(key), called once per distinct key: a matrix repeats a few letters."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def serialize_matrix(m: MosaicMatrix) -> str:
+    name = _Memo(str).__getitem__
     lines = [MAGIC, f"{m.rows} {m.cols} {m.a}"]
-    for i in range(m.rows):
-        lines.append(" ".join(str(e) for e in m.row(i)))
+    lines += [" ".join(map(name, m.row(i))) for i in range(m.rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -206,7 +215,18 @@ def parse_matrix(text: str) -> MosaicMatrix:
         raise ParseError("dimensions must be positive", 2)
     if a < 2:
         raise ParseError(f"alphabet size must be >= 2, got {a}", 2)
+
+    def letter(field: str) -> int:
+        try:
+            e = int(field)
+        except ValueError:
+            raise MosaicError(f"bad entry {field!r}") from None
+        if not 0 <= e < a:
+            raise MosaicError(f"entry {e} outside alphabet [0, {a})")
+        return e
+
     entries: list[int] = []
+    letters = _Memo(letter).__getitem__  # each distinct spelling is checked once
     for i in range(rows):
         lineno = 3 + i
         if lineno - 1 >= len(lines):
@@ -214,14 +234,10 @@ def parse_matrix(text: str) -> MosaicMatrix:
         fields = lines[lineno - 1].split()
         if len(fields) != cols:
             raise ParseError(f"expected {cols} entries, got {len(fields)}", lineno)
-        for f in fields:
-            try:
-                e = int(f)
-            except ValueError:
-                raise ParseError(f"bad entry {f!r}", lineno) from None
-            if not 0 <= e < a:
-                raise ParseError(f"entry {e} outside alphabet [0, {a})", lineno)
-            entries.append(e)
+        try:
+            entries += map(letters, fields)
+        except MosaicError as exc:
+            raise ParseError(str(exc), lineno) from None
     tail = lines[2 + rows :]
     if tail != [""]:
         raise ParseError("expected single trailing newline after last row", 3 + rows)

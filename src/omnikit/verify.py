@@ -38,8 +38,7 @@ class CoverageSet:
         return bool(self.bits[code])
 
     def missing_codes(self, limit: int = DEFAULT_MISSING_CAP) -> list[int]:
-        missing = np.flatnonzero(~self.bits)
-        return [int(c) for c in missing[:limit]]
+        return np.flatnonzero(~self.bits)[:limit].tolist()
 
 
 @dataclass
@@ -79,14 +78,12 @@ def is_omnimosaic(
     cov = coverage(m, k, guard=guard)
     total = len(cov.bits)
     covered = cov.popcount
-    n_rows = 0 if k > m.rows else math.comb(m.rows, k)
-    n_cols = 0 if k > m.cols else math.comb(m.cols, k)
     return VerifyReport(
         is_omni=(covered == total),
         covered=covered,
         total_targets=total,
         missing_sample=[] if covered == total else cov.missing_codes(missing_cap),
-        submatrices_enumerated=n_rows * n_cols,
+        submatrices_enumerated=math.comb(m.rows, k) * math.comb(m.cols, k),
         elapsed=time.perf_counter() - start,
     )
 
@@ -94,10 +91,12 @@ def is_omnimosaic(
 def contains_target(m: MosaicMatrix, t: MosaicMatrix) -> Placement | None:
     """Lexicographically least placement of target t in m, or None.
 
-    For each row k-subset in lexicographic order, the target's column words
-    are matched greedily left to right against m's column words restricted to
-    those rows; for fixed rows greedy leftmost matching is exact, since the
-    column choices are order-constrained but otherwise independent.
+    For fixed rows, matching the target's column words greedily left to
+    right against m's column words restricted to those rows is exact, since
+    the column choices are order-constrained but otherwise independent.  A
+    batch of row subsets, in lexicographic order, is matched at once, one
+    target column at a time; subsets with no hit drop out, and the first one
+    left gives the least placement.
     """
     if t.rows != t.cols:
         raise MosaicError("target must be square")
@@ -109,19 +108,18 @@ def contains_target(m: MosaicMatrix, t: MosaicMatrix) -> Placement | None:
     rowpow, _ = kernel.powers(k, m.a)
     arr = m.to_numpy()
     twords = kernel.column_words(t.to_numpy(), kernel.subsets(k, k), rowpow)[:, 0]
+    colidx = np.arange(m.cols)
     for rowsubs in kernel.subset_batches(m.rows, k, max(1, kernel.CHUNK // m.cols)):
-        for rows, words in zip(rowsubs, kernel.column_words(arr, rowsubs, rowpow).T):
-            cols = []
-            pos = 0
-            for j in range(k):
-                hits = np.flatnonzero(words[pos:] == twords[j])
-                if hits.size == 0:
-                    break
-                pos += int(hits[0])
-                cols.append(pos)
-                pos += 1
-            if len(cols) == k:
-                return Placement(tuple(int(r) for r in rows), tuple(cols))
+        words = kernel.column_words(arr, rowsubs, rowpow).T  # [subset, column]
+        live = np.arange(len(rowsubs))
+        cols = np.full((len(rowsubs), 1), -1)  # matched columns after a -1 sentinel
+        for tw in twords:
+            hits = (words[live] == tw) & (colidx > cols[:, -1:])
+            first = hits.argmax(axis=1)  # the leftmost hit, if any
+            keep = np.flatnonzero(hits.any(axis=1))
+            live, cols = live[keep], np.column_stack([cols[keep], first[keep]])
+        if live.size:
+            return Placement(tuple(rowsubs[live[0]].tolist()), tuple(cols[0, 1:].tolist()))
     return None
 
 
@@ -130,8 +128,5 @@ def verify_placement(m: MosaicMatrix, p: Placement, t: MosaicMatrix) -> bool:
         return False
     if p.row_idx[-1] >= m.rows or p.col_idx[-1] >= m.cols:
         raise MosaicError("placement out of bounds")
-    for i, ri in enumerate(p.row_idx):
-        for j, cj in enumerate(p.col_idx):
-            if m.at(ri, cj) != t.at(i, j):
-                return False
-    return True
+    e, n = m.entries, m.cols
+    return [e[r * n + c] for r in p.row_idx for c in p.col_idx] == list(t.entries)

@@ -1,6 +1,10 @@
+import csv
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from omnikit.cli import (
     EXIT_BUDGET,
@@ -247,6 +251,9 @@ class TestSampleExactOned:
         ["oned", "--seq", "abc"],
         ["oned", "--seq", "0101", "--k", "0"],
         ["oned", "--seq", "0101", "--k", "-1"],
+        ["bounds", "--k", "-1", "--a", "0"],
+        ["bounds", "--k", "2", "--a", "-2"],
+        ["oned", "--seq", "", "--a", "0", "--k", "-1"],
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):
@@ -254,3 +261,74 @@ def test_bad_arguments_exit_2(capsys, argv):
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_oned_file_ignores_line_endings(self, capsys, tmp_path, ending):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(f"abab{ending}".encode())
+        code, payload, _ = run_json(capsys, "oned", "--file", str(path), "--k", "2")
+        assert code == EXIT_OK
+        assert payload["a"] == 2
+        assert payload["length"] == 4
+        assert payload["is_omni"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "{path}", "--k", "2"],
+            ["contains", "{path}", "--k", "2", "--target-code", "0"],
+            ["oned", "--file", "{path}", "--k", "2"],
+        ],
+    )
+    def test_non_utf8_input_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:") and "UTF-8" in err and "Traceback" not in err
+
+    def test_construct_over_cell_guard_exits_2(self, capsys):
+        code, out, err = run(capsys, "construct", "--k", "40", "--a", "2")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:") and "cells" in err
+
+
+# Every integer argument ranges over [-2, 5] (construct's k and a up to 4).
+_INT = st.integers(-2, 5).map(str)
+_SMALL = st.integers(-2, 4).map(str)
+_ARGVS = st.one_of(
+    st.builds(lambda k, a, strip: ["construct", "--k", k, "--a", a] + ["--strip"] * strip,
+              _SMALL, _SMALL, st.booleans()),
+    st.builds(lambda k, a, n: ["bounds", "--k", k, "--a", a] + (["--n", n] if n else []),
+              _INT, _INT, st.none() | _INT),
+    st.builds(lambda a, lo, hi: ["sweep", "--a", a, "--k-min", lo, "--k-max", hi],
+              _INT, _INT, _INT),
+    st.builds(lambda n, k, a: ["exact", "--n", n, "--k", k, "--a", a], _INT, _INT, _INT),
+    st.builds(lambda seq, a, k: ["oned", "--seq", seq, "--a", a, "--k", k],
+              st.text("0123456789", max_size=8), _INT, _INT),
+    st.builds(lambda n, k, a: ["search", "--k", k, "--a", a, "--n", n],
+              st.integers(-2, 4).map(str), _INT, _INT),
+)
+
+
+@given(_ARGVS)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_argv_fuzz_exits_with_documented_codes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_FALSE, EXIT_BUDGET), (argv, code)
+    assert "Traceback" not in err
+    if code == EXIT_ERROR:
+        assert out == "" and err.startswith("error:")
+    elif argv[0] == "construct":
+        parse_matrix(out)
+    elif argv[0] == "sweep":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["k", "a", "n", "log_mu", "log_total_bound", "certifies"]
+        assert all(len(r) == 6 for r in rows)
+    else:
+        assert json.loads(out)["schema"] == SCHEMA

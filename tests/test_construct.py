@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from omnikit.construct import (
+    MAX_CELLS,
     GridDiagram,
     build_mosaic,
     canonical_grid,
@@ -13,7 +14,7 @@ from omnikit.construct import (
     square_side,
     thin_strip,
 )
-from omnikit.core import MosaicError, MosaicMatrix, decode_target
+from omnikit.core import MosaicError, MosaicMatrix, decode_target, encode_target
 from omnikit.verify import is_omnimosaic, verify_placement
 
 
@@ -145,6 +146,47 @@ class TestLocate:
         _, rm = build_mosaic(grid, 2)
         with pytest.raises(MosaicError):
             locate(rm, grid, decode_target(0, 2, 3))
+
+    @pytest.mark.parametrize("k,a", [(2, 2), (2, 3), (3, 2)])
+    def test_certificate_path_every_target(self, k, a):
+        """decode_target -> locate -> verify_placement against encode_target
+        and numpy indexing, for every target."""
+        grid = canonical_grid(k)
+        m, rm = build_mosaic(grid, a)
+        arr = m.to_numpy()
+        total = a ** (k * k)
+        weights = a ** np.arange(k * k - 1, -1, -1)
+        for code in range(total):
+            t = decode_target(code, k, a)
+            assert encode_target(t) == code
+            assert t.entries == tuple(((code // weights) % a).tolist())
+            p = locate(rm, grid, t)
+            assert arr[np.ix_(p.row_idx, p.col_idx)].ravel().tolist() == list(t.entries)
+            assert verify_placement(m, p, t)
+            assert not verify_placement(m, p, decode_target((code + 1) % total, k, a))
+
+
+class TestSizeGuard:
+    def test_cell_guard_fires_before_allocation(self, monkeypatch):
+        # each side of the k = 40 construction is under MAX_CELLS, their product is not
+        grid = canonical_grid(40)
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the size guard")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(MosaicError, match="exceeds"):
+            build_mosaic(grid, 2)
+        with pytest.raises(MosaicError, match="exceeds"):
+            square_omnimosaic(40, 2)
+
+    def test_strip_guard_counts_cells(self, monkeypatch):
+        monkeypatch.setattr(np, "arange", None)  # the guard runs before any array
+        with pytest.raises(MosaicError, match="too large"):
+            thin_strip(20, 2)  # 2^20 * 20 rows of 20 cells
+
+    def test_largest_benchmark_size_passes(self):
+        assert square_side(8, 3) ** 2 <= MAX_CELLS
 
 
 class TestPadding:

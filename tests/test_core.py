@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,3 +151,68 @@ class TestMatrixBasics:
     def test_submatrix(self):
         m = MosaicMatrix.from_rows([[0, 1, 2], [3, 4, 5], [6, 7, 8]], a=9)
         assert m.submatrix([0, 2], [1, 2]).to_rows() == [[1, 2], [7, 8]]
+
+
+class TestLetterRange:
+    """Entries of -1 and of a are rejected on every way into a matrix."""
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_constructor_names_first_bad_entry(self, bad):
+        with pytest.raises(MosaicError, match=rf"^entry {bad} outside alphabet \[0, 3\)$"):
+            MosaicMatrix(2, 2, 3, (0, bad, 2, 1))
+        other = 3 if bad == -1 else -1
+        with pytest.raises(MosaicError, match=rf"^entry {bad} outside"):
+            MosaicMatrix(1, 3, 3, (bad, other, 0))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, bool])
+    def test_from_numpy_gives_int_entries(self, dtype):
+        arr = np.array([[0, 1], [1, 0]], dtype=dtype)
+        m = MosaicMatrix.from_numpy(arr, 2)
+        assert m.entries == (0, 1, 1, 0)
+        assert all(type(e) is int for e in m.entries)
+
+    @pytest.mark.parametrize(
+        "dtype,bad", [(np.int64, -1), (np.int64, 3), (np.uint8, 3)]
+    )
+    def test_from_numpy_rejects(self, dtype, bad):
+        arr = np.array([[0, 1, 2], [bad, 0, 1]], dtype=dtype)
+        with pytest.raises(MosaicError, match=rf"^entry {bad} outside alphabet \[0, 3\)$"):
+            MosaicMatrix.from_numpy(arr, 3)
+
+    @pytest.mark.parametrize("bad", ["-1", "3"])
+    def test_parse_names_line_and_entry(self, bad):
+        text = f"omnimosaic v1\n3 3 3\n0 1 2\n2 1 0\n0 {bad} x\n"
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(text)
+        assert exc.value.line == 5
+        assert str(exc.value) == f"line 5: entry {bad} outside alphabet [0, 3)"
+
+    def test_parse_bad_field_before_range(self):
+        with pytest.raises(ParseError, match=r"^line 4: bad entry 'x'$"):
+            parse_matrix("omnimosaic v1\n2 3 3\n0 1 2\n1 x 9\n")
+
+    def test_parse_same_spelling_on_a_later_line(self):
+        # a spelling seen valid on one line stays valid; a bad one fails anew
+        m = parse_matrix("omnimosaic v1\n3 2 3\n+1 01\n+1 2\n01 0\n")
+        assert m.entries == (1, 1, 1, 2, 1, 0)
+        with pytest.raises(ParseError, match="^line 5: entry 7"):
+            parse_matrix("omnimosaic v1\n3 2 3\n0 1\n1 2\n2 7\n")
+
+
+class TestToNumpy:
+    def test_read_only_and_cached(self):
+        m = MosaicMatrix.from_rows([[0, 1, 2], [2, 1, 0]], a=3)
+        arr = m.to_numpy()
+        assert arr.dtype == np.int64 and arr.shape == (2, 3)
+        assert not arr.flags.writeable
+        assert m.to_numpy() is arr
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+
+    def test_copy_mutation_leaves_matrix(self):
+        m = MosaicMatrix.from_rows([[0, 1, 2], [2, 1, 0]], a=3)
+        copy = m.to_numpy().copy()
+        copy[:] = 0
+        assert m.entries == (0, 1, 2, 2, 1, 0)
+        assert m.to_numpy().tolist() == [[0, 1, 2], [2, 1, 0]]
+        assert m == MosaicMatrix.from_rows([[0, 1, 2], [2, 1, 0]], a=3)

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from omnikit import kernel
 from omnikit.construct import Placement, square_omnimosaic
 from omnikit.core import (
     MosaicError,
@@ -183,3 +186,53 @@ class TestMonotonicity:
         grown = np.vstack([arr, rng.integers(0, 2, size=(2, 4))])
         grown = np.hstack([grown, rng.integers(0, 2, size=(6, 1))])
         assert is_omnimosaic(MosaicMatrix.from_numpy(grown, 2), 2).is_omni
+
+
+def brute_least_placement(arr, t):
+    """Least (rows, cols) over every placement in lexicographic order, or None."""
+    k = len(t)
+    for rows in combinations(range(arr.shape[0]), k):
+        for cols in combinations(range(arr.shape[1]), k):
+            if (arr[np.ix_(rows, cols)] == t).all():
+                return rows, cols
+    return None
+
+
+class TestContainsTargetBruteForce:
+    """The batched match against an independent brute force, host by host."""
+
+    # (rows, cols, a, k): k = 1, k = rows, k = cols, square and non-square hosts
+    HOSTS = [
+        (5, 5, 2, 1),
+        (4, 6, 3, 1),
+        (3, 6, 2, 3),
+        (6, 4, 2, 2),
+        (5, 7, 3, 2),
+        (7, 3, 2, 3),
+        (6, 6, 2, 3),
+        (4, 4, 2, 4),
+    ]
+
+    @pytest.mark.parametrize("chunk", [None, 8], ids=["one-batch", "many-batches"])
+    @pytest.mark.parametrize("rows,cols,a,k", HOSTS)
+    def test_agrees_with_brute_force(self, monkeypatch, rows, cols, a, k, chunk):
+        if chunk is not None:  # batches of CHUNK // cols row subsets: one to two
+            monkeypatch.setattr(kernel, "CHUNK", chunk)
+        rng = np.random.default_rng([rows, cols, a, k])
+        total = a ** (k * k)
+        outcomes = set()
+        for letters in (a, a, a - 1):  # the last host lacks letter a - 1
+            arr = rng.integers(0, letters, size=(rows, cols))
+            m = MosaicMatrix.from_numpy(arr, a)
+            codes = list(range(total) if total <= 32 else rng.choice(total, 24, replace=False))
+            for _ in range(8):  # targets taken from the host itself
+                r = np.sort(rng.choice(rows, k, replace=False))
+                c = np.sort(rng.choice(cols, k, replace=False))
+                codes.append(encode_target(MosaicMatrix.from_numpy(arr[np.ix_(r, c)], a)))
+            for code in codes:
+                t = decode_target(int(code), k, a)
+                want = brute_least_placement(arr, t.to_numpy())
+                got = contains_target(m, t)
+                assert (None if got is None else (got.row_idx, got.col_idx)) == want
+                outcomes.add(want is None)
+        assert outcomes == {True, False}  # both absent and present targets were seen

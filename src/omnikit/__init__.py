@@ -1,7 +1,6 @@
 """omnikit: universal-matrix (omnimosaic) construction, verification, search and bounds."""
 
 from omnikit.core import (
-    Alphabet,
     MosaicError,
     MosaicMatrix,
     ParseError,
@@ -32,7 +31,6 @@ from omnikit.verify import (
 )
 
 __all__ = [
-    "Alphabet",
     "MosaicError",
     "MosaicMatrix",
     "ParseError",

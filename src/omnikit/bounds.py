@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from omnikit.core import MosaicError
+from omnikit.core import MosaicError, check_sizes
 
 E = math.e
 
@@ -149,10 +149,9 @@ class ThresholdEstimate:
 
 
 def suen_threshold_n(k: int, a: int) -> ThresholdEstimate:
+    check_sizes(a=a)
     if k < 2:
         raise MosaicError("k must be >= 2")
-    if a < 2:
-        raise MosaicError("a must be >= 2")
     base = asymptotic_lower(k, a)
     # ln ln a is negative for a=2; that is fine, it is just a real number.
     refined = k + base * (
@@ -295,8 +294,7 @@ def check_lemma_properties(n: int, k: int, a: int) -> LemmaVerdicts:
 
 def oneD_threshold(a: int) -> Fraction:
     """a * H(1..a): the n/k ratio at which random sequences become k-omni."""
-    if a < 2:
-        raise MosaicError("a must be >= 2")
+    check_sizes(a=a)
     return a * sum(Fraction(1, i) for i in range(1, a + 1))
 
 
@@ -323,8 +321,7 @@ def _kl(x: float, p: float) -> float:
 def oneD_EX_threshold_ratio(a: int, tol: float = 1e-6) -> float:
     """The n/k ratio at which the expected missing count flips from divergent
     to vanishing: the root r > a of ln a = r * D(1/r || 1/a)."""
-    if a < 2:
-        raise MosaicError("a must be >= 2")
+    check_sizes(a=a)
     target = math.log(a)
 
     def f(r: float) -> float:

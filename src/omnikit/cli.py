@@ -16,7 +16,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from omnikit import bounds, construct, experiments, search
-from omnikit.core import MosaicError, parse_matrix, serialize_matrix, decode_target
+from omnikit.core import MosaicError, check_sizes, parse_matrix, serialize_matrix, decode_target
 from omnikit.verify import contains_target, is_omnimosaic, verify_placement
 
 SCHEMA = "omnikit/1"
@@ -158,8 +158,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.k < 1 or args.a < 2:
-        raise MosaicError(f"need k >= 1 and a >= 2, got k={args.k}, a={args.a}")
+    check_sizes(k=args.k, a=args.a)
     payload = {
         "command": "bounds",
         "k": args.k,
@@ -247,8 +246,7 @@ def _read_oned_sequence(args) -> tuple[list[int], int]:
         return [index[s] for s in text], max(2, len(symbols))
     if not all(c in "0123456789" for c in args.seq):
         raise MosaicError(f"--seq must be decimal digits, got {args.seq!r}")
-    if args.a < 2:
-        raise MosaicError(f"alphabet size must be >= 2, got {args.a}")
+    check_sizes(a=args.a)
     seq = [int(c) for c in args.seq]
     return seq, args.a
 

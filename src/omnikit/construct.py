@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from omnikit import kernel
-from omnikit.core import MosaicError, MosaicMatrix
+from omnikit import bounds, kernel
+from omnikit.core import MosaicError, MosaicMatrix, check_sizes
 
 H = "H"
 V = "V"
@@ -87,8 +87,7 @@ class Placement:
 
 def canonical_grid(k: int) -> GridDiagram:
     """The balanced diagram: H where (i <= floor(k/2)) == (j <= ceil(k/2)), 1-based."""
-    if k < 1:
-        raise MosaicError("k must be >= 1")
+    check_sizes(k=k)
     half_lo, half_hi = k // 2, k - k // 2
     return GridDiagram.from_rows(
         [[H if (i <= half_lo) == (j <= half_hi) else V for j in range(1, k + 1)]
@@ -107,8 +106,7 @@ def build_mosaic(grid: GridDiagram, a: int) -> tuple[MosaicMatrix, RegionMap]:
     the base-a word indexing the local row, where j is the t-th H column of
     grid row i; V cells are filled symmetrically by local column.
     """
-    if a < 2:
-        raise MosaicError(f"alphabet size must be >= 2, got {a}")
+    check_sizes(a=a)
     k = grid.k
     r_counts = grid.row_counts()
     c_counts = grid.col_counts()
@@ -141,10 +139,7 @@ def build_mosaic(grid: GridDiagram, a: int) -> tuple[MosaicMatrix, RegionMap]:
 
 def thin_strip(k: int, a: int) -> MosaicMatrix:
     """(k * a^k) x k matrix: all length-k words in code order, listed k times."""
-    if a < 2:
-        raise MosaicError(f"alphabet size must be >= 2, got {a}")
-    if k < 1:
-        raise MosaicError("k must be >= 1")
+    check_sizes(k=k, a=a)
     words = a**k
     if k * k * words > MAX_CELLS:
         raise MosaicError("strip too large")
@@ -152,15 +147,10 @@ def thin_strip(k: int, a: int) -> MosaicMatrix:
     return MosaicMatrix.from_numpy(np.tile(block, (k, 1)), a)
 
 
-def square_side(k: int, a: int) -> int:
-    lo, hi = k // 2, k - k // 2
-    return hi * a**hi + lo * a**lo
-
-
 def square_omnimosaic(k: int, a: int) -> MosaicMatrix:
     """Canonical-grid mosaic padded with duplicate last rows up to square shape."""
     m, _ = build_mosaic(canonical_grid(k), a)
-    n = square_side(k, a)
+    n = bounds.construction_upper(k, a)
     if m.cols != n:
         raise AssertionError("canonical grid column total disagrees with formula")
     if m.rows == n:

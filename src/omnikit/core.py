@@ -1,4 +1,4 @@
-"""Domain types shared by every module: alphabets, matrices, target codes,
+"""Domain types shared by every module: size checks, matrices, target codes,
 symmetry operations and the on-disk v1 matrix format.
 
 Letters are 0-based internally ({0, ..., a-1}); any 1-based display is a
@@ -28,13 +28,11 @@ class ParseError(MosaicError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    size: int
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise MosaicError(f"alphabet size must be >= 2, got {self.size}")
+def check_sizes(n: int | None = None, k: int | None = None, a: int | None = None) -> None:
+    """Raise MosaicError unless each size given is valid: n >= 1, k >= 1, a >= 2."""
+    for name, value, least in (("n", n, 1), ("k", k, 1), ("a", a, 2)):
+        if value is not None and value < least:
+            raise MosaicError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ Exact probabilities are kept as integer counts over a^(n*n) until display.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from omnikit import kernel
-from omnikit.core import MosaicError, target_space
+from omnikit.core import MosaicError, check_sizes, target_space
 
 ENUMERATION_GUARD = 2**25
 _MASK_BITS = 64
@@ -34,8 +35,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise MosaicError("trials must be >= 1")
-        if self.n < 1 or self.k < 1 or self.a < 2:
-            raise MosaicError("invalid n/k/a: need n >= 1, k >= 1, a >= 2")
+        check_sizes(self.n, self.k, self.a)
         target_space(self.k, self.a)
 
 
@@ -81,8 +81,12 @@ def _run_trials(config: ExperimentConfig, lo: int, hi: int) -> tuple[int, int, i
 
 
 def estimate(config: ExperimentConfig, workers: int = 1) -> MissingStats:
-    """Monte-Carlo estimate of P(omni) and E(missing targets) over random matrices."""
+    """Monte-Carlo estimate of P(omni) and E(missing targets) over random matrices.
+
+    At most one worker per CPU runs; the counts do not depend on the worker count.
+    """
     t = config.trials
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or t < 2 * workers:
         parts = [_run_trials(config, 0, t)]
     else:
@@ -114,8 +118,7 @@ def estimate(config: ExperimentConfig, workers: int = 1) -> MissingStats:
 
 def _check_enumeration_guard(n: int, k: int, a: int) -> int:
     """Number of matrices to enumerate; raises before anything is allocated."""
-    if n < 1 or k < 1 or a < 2:
-        raise MosaicError("invalid n/k/a: need n >= 1, k >= 1, a >= 2")
+    check_sizes(n, k, a)
     total_matrices = a ** (n * n)
     if total_matrices > ENUMERATION_GUARD:
         raise MosaicError(
@@ -275,8 +278,7 @@ def _word_missing(seq, word) -> bool:
 
 def oneD_missing_count(seq, k: int, a: int) -> int:
     """Number of length-k words not embeddable as subsequences."""
-    if k < 1:
-        raise MosaicError(f"k must be >= 1, got {k}")
+    check_sizes(k=k)
     seq = list(seq)
     missing = 0
     for code in range(a**k):

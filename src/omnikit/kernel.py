@@ -23,7 +23,6 @@ induces, most significant entry first (``core.encode_target``).
 from __future__ import annotations
 
 import math
-from functools import reduce
 from itertools import combinations, islice
 
 import numpy as np
@@ -100,13 +99,6 @@ def row_digits(values: np.ndarray, n: int, a: int) -> np.ndarray:
     return (np.asarray(values)[..., None] // a ** np.arange(n - 1, -1, -1)) % a
 
 
-def _row_words(digits: np.ndarray, k: int, a: int) -> np.ndarray:
-    """[..., c]: the k-digit base-a word of each row (..., n) at column subset c."""
-    _, colpow = powers(k, a)
-    subs = subsets(digits.shape[-1], k)
-    return sum(colpow[j] * digits[..., subs[:, j]] for j in range(k))
-
-
 def tuple_masks(rows: np.ndarray, a: int) -> list[int]:
     """Coverage masks of k-tuples of rows, rows[s, i] holding row i's entries.
 
@@ -116,12 +108,11 @@ def tuple_masks(rows: np.ndarray, a: int) -> list[int]:
     needs more, BITSET_LIMIT bits.
     """
     m, k, n = rows.shape
-    rowpow, _ = powers(k, a)
+    rowsubs, colsubs = subsets(k, k), subsets(n, k)
     step = max(1, min(CHUNK // math.comb(n, k), BITSET_LIMIT // a ** (k * k)))
     out = []
     for lo in range(0, m, step):
-        words = _row_words(rows[lo : lo + step], k, a)
-        codes = sum(rowpow[i] * words[:, i] for i in range(k))  # [s, c]
+        codes = placement_codes(rows[lo : lo + step], k, a, rowsubs, colsubs)[..., 0].T  # [s, c]
         bits = np.zeros((len(codes), (int(codes.max()) // 64 + 1) * 64), dtype=bool)
         bits[np.arange(len(codes))[:, None], codes] = True
         limbs = np.packbits(bits, axis=1, bitorder="little").view("<u8").T.tolist()
@@ -136,18 +127,18 @@ def _tuple_table(rowwords, lead, k: int, a: int, target, dtype) -> np.ndarray:
     """T over k-tuples of rows whose first row is in ``lead``.
 
     With target None, T is the mask of the codes the k×n strip covers; else
-    T says whether the target, given as its k row words, occurs in it.
+    T says whether the target code occurs in it.
     """
     width = rowwords.shape[1]
     out = np.zeros((len(lead),) + (width,) * (k - 1), dtype=dtype)
     rowpow, _ = powers(k, a)
     for words in rowwords:
         axes = np.ix_(words[lead], *[words] * (k - 1))
+        code = sum(rowpow[i] * axes[i] for i in range(k))
         if target is None:
-            code = sum(rowpow[i] * axes[i] for i in range(k))
             out |= np.left_shift(dtype.type(1), code.astype(dtype))
         else:
-            out |= reduce(np.logical_and, [axes[i] == target[i] for i in range(k)])
+            out |= code == target
     return out
 
 
@@ -160,12 +151,13 @@ def enumerate_coverage(n: int, k: int, a: int, target: int | None = None):
     (at most 64 targets); else it says whether that one target occurs.
     """
     width = a**n
-    rowwords = _row_words(row_digits(np.arange(width), n, a), k, a).T
+    _, colpow = powers(k, a)
+    # [c, v]: the word of row value v at column subset c
+    rowwords = column_words(row_digits(np.arange(width), n, a).T, subsets(n, k), colpow).T
     if target is None:
         dtype = np.min_scalar_type((1 << a ** (k * k)) - 1)  # a bit per target
     else:
         dtype = np.dtype(bool)
-        target = [(target // a ** (k * (k - 1 - i))) % a**k for i in range(k)]
     rowsubs = subsets(n, k)
     rest = width ** (n - 1)
     step = max(1, CHUNK // rest)
@@ -176,8 +168,8 @@ def enumerate_coverage(n: int, k: int, a: int, target: int | None = None):
         lead = np.arange(lo, min(lo + step, width))
         if k < n:
             head = full[lo : lo + step]
-        elif k == n:
-            head = _tuple_table(rowwords, lead, k, a, target, dtype)
+        else:  # k > n has no row subsets, hence no table
+            head = _tuple_table(rowwords, lead, k, a, target, dtype) if k == n else None
         acc = np.zeros((len(lead),) + (width,) * (n - 1), dtype=dtype)
         for rows in rowsubs:
             shape = [1] * n

@@ -5,8 +5,7 @@ order and visits only matrices that satisfy:
 
 * letter canonicalization: the first occurrences of letters in reading
   order are 0, 1, 2, ...;
-* rows nondecreasing lexicographically;
-* when ``require_all_letters`` is on, every row holding every letter.
+* rows nondecreasing lexicographically.
 
 A ``found`` verdict is a proof: its witness is checked with
 ``verify.is_omnimosaic``.  An ``exhausted_none`` verdict is not yet a proof
@@ -14,8 +13,7 @@ of nonexistence.  Letter canonicalization is sound, but the row order is
 not: submatrix rows must be increasing, so permuting the rows of an
 omnimosaic can lose the property (10 of the 24 row permutations of the
 (4,2,2) witness do), and an orbit may have no sorted member that is omni.
-The all-letters constraint rests on ``row_letter_necessity``, whose count is
-not a proof either.  Making the symmetry breaking sound is open work.
+Making the symmetry breaking sound is open work.
 
 Pruning: placements lying entirely inside the filled rows are final, so a
 branch dies as soon as the codes covered so far plus the number of
@@ -31,12 +29,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
 from omnikit import bounds, kernel
-from omnikit.core import MosaicError, MosaicMatrix
+from omnikit.core import MosaicError, MosaicMatrix, check_sizes
 from omnikit.verify import is_omnimosaic
 
 FOUND = "found"
@@ -77,25 +75,10 @@ class _Budget(Exception):
     pass
 
 
-def row_letter_necessity(n: int, k: int, a: int) -> bool:
-    """Counting argument: must every row of an O(n,k,a) contain all letters?
-
-    True iff the targets using a given letter outnumber the submatrix
-    capacity of the matrix minus one row:
-    a^(k*k) - (a-1)^(k*k) > C(n-1,k) * C(n,k).
-    The argument is exact for k=2; for larger k it is the same arithmetic
-    and remains a valid sufficient condition.
-    """
-    lhs = a ** (k * k) - (a - 1) ** (k * k)
-    rhs = math.comb(n - 1, k) * math.comb(n, k)
-    return lhs > rhs
-
-
 class _Searcher:
-    def __init__(self, n, k, a, budget, require_all_letters):
+    def __init__(self, n, k, a, budget):
         self.n, self.k, self.a = n, k, a
         self.budget = budget or SearchBudget()
-        self.require_all_letters = require_all_letters
         self.nodes = 0
         self.start = time.perf_counter()
         self.total_targets = a ** (k * k)
@@ -175,8 +158,6 @@ class _Searcher:
     def _fill(self, i, j, used, tie, covered) -> bool:
         n, a = self.n, self.a
         if j == n:
-            if self.require_all_letters and len(set(self.grid[i])) != a:
-                return False
             covered |= self._new_mask(i)
             count = covered.bit_count()
             if count + (self.total_placements - self.inside[i + 1]) < self.total_targets:
@@ -201,10 +182,7 @@ class _Searcher:
 
 
 def _check_args(k: int, a: int, n: int | None = None) -> None:
-    if k < 1:
-        raise MosaicError(f"k must be >= 1, got {k}")
-    if a < 2:
-        raise MosaicError(f"alphabet size must be >= 2, got {a}")
+    check_sizes(k=k, a=a)
     if n is not None and n < k:
         raise MosaicError("n must be >= k")
     if n is not None and n > MAX_N:
@@ -216,18 +194,13 @@ def exists_omnimosaic(
     k: int,
     a: int,
     budget: SearchBudget | None = None,
-    require_all_letters: bool | None = None,
 ) -> SearchResult:
     """Decide whether an O(n,k,a) omnimosaic exists, by canonical DFS.
 
-    require_all_letters defaults to row_letter_necessity(n,k,a), i.e. the
-    per-row constraint is applied only when the counting argument holds.
     Requires k >= 1, a >= 2 and k <= n <= MAX_N.
     """
     _check_args(k, a, n)
-    if require_all_letters is None:
-        require_all_letters = row_letter_necessity(n, k, a)
-    s = _Searcher(n, k, a, budget, require_all_letters)
+    s = _Searcher(n, k, a, budget)
     try:
         found = s.search()
     except _Budget:
@@ -261,25 +234,3 @@ def min_omnimosaic_n(
         if result.status != EXHAUSTED_NONE or n >= last:
             return trace
         n += 1
-
-
-_CANONICALIZE_MAX_A = 8
-
-
-def canonicalize(m: MosaicMatrix) -> MosaicMatrix:
-    """Orbit representative under row permutations and letter permutations.
-
-    Returns the minimum, over all letter permutations, of the row-sorted
-    relabeled matrix; minimum is taken in row-major reading order.  This is
-    idempotent and constant on orbits.  Guarded to a <= 8 (a! candidates).
-    """
-    if m.a > _CANONICALIZE_MAX_A:
-        raise MosaicError(f"canonicalize supports a <= {_CANONICALIZE_MAX_A}")
-    best: tuple[tuple[int, ...], ...] | None = None
-    rows = m.to_rows()
-    for perm in permutations(range(m.a)):
-        relabeled = sorted(tuple(perm[e] for e in row) for row in rows)
-        candidate = tuple(relabeled)
-        if best is None or candidate < best:
-            best = candidate
-    return MosaicMatrix.from_rows(best, m.a)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from omnikit import kernel
-from omnikit.core import MosaicError, MosaicMatrix, target_space
+from omnikit.core import MosaicError, MosaicMatrix, check_sizes, target_space
 from omnikit.construct import Placement
 
 DEFAULT_COVERAGE_GUARD = 2**32
@@ -54,8 +54,7 @@ class VerifyReport:
 def coverage(
     m: MosaicMatrix, k: int, guard: int = DEFAULT_COVERAGE_GUARD
 ) -> CoverageSet:
-    if k < 1:
-        raise MosaicError("k must be >= 1")
+    check_sizes(k=k)
     size = target_space(k, m.a)
     if size > guard:
         raise MosaicError(

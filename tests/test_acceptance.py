@@ -57,7 +57,6 @@ def test_criterion_02_exact_values():
     counting_ok = (
         3**4 - 2**4 == 65
         and math.comb(4, 2) * math.comb(5, 2) == 60
-        and search.row_letter_necessity(5, 2, 3)
     )
     upper_ok = is_omnimosaic(construct.square_omnimosaic(2, 3), 2).is_omni
     ok = none_at_3 and witness_ok and pigeonhole_ok and counting_ok and upper_ok
@@ -69,7 +68,7 @@ def test_criterion_02_exact_values():
         ok = False  # would contradict nothing, but must then be a valid omni
         detail = "unexpected witness at n=5"
     elif stretch.status == search.EXHAUSTED_NONE:
-        detail = "omega(2,3)=6 settled by exhaustion at n=5"
+        detail = "n=5 exhausted under row-sort symmetry breaking, not a proof"
     else:
         detail = (
             f"bracket 5<=omega(2,3)<=6 stands; n=5 exhaustion exceeded "
@@ -230,7 +229,7 @@ def test_criterion_09_monte_carlo_calibration():
 
 
 def test_criterion_10_property_suites():
-    """Symmetry invariance, padding monotonicity, roundtrip, canonical form."""
+    """Symmetry invariance, padding monotonicity, encode/decode roundtrip."""
     start = time.perf_counter()
     rng = np.random.default_rng(10)
     ok = True
@@ -264,21 +263,6 @@ def test_criterion_10_property_suites():
         space = a ** (k * k)
         for code in rng.integers(0, space, size=200):
             ok = ok and encode_target(decode_target(int(code), k, a)) == int(code)
-
-    # canonical form: idempotent and constant on orbits
-    for _ in range(50):
-        n = int(rng.integers(2, 5))
-        a = int(rng.integers(2, 4))
-        m = MosaicMatrix.from_numpy(rng.integers(0, a, size=(n, n)), a)
-        c = search.canonicalize(m)
-        ok = ok and search.canonicalize(c) == c
-        moved = apply_symmetry(
-            m, SymmetryOp("rows", tuple(rng.permutation(n)))
-        )
-        moved = apply_symmetry(
-            moved, SymmetryOp("letters", tuple(rng.permutation(a)))
-        )
-        ok = ok and search.canonicalize(moved) == c
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60
     _report(10, ok, f"{elapsed:.1f}s")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from omnikit import bounds
 from omnikit.construct import (
     MAX_CELLS,
     GridDiagram,
@@ -11,7 +12,6 @@ from omnikit.construct import (
     higher_dim_side_estimate,
     locate,
     square_omnimosaic,
-    square_side,
     thin_strip,
 )
 from omnikit.core import MosaicError, MosaicMatrix, decode_target, encode_target
@@ -111,7 +111,7 @@ class TestSquareOmnimosaic:
         for k in range(1, 9):
             for a in range(2, 5):
                 lo, hi = k // 2, k - k // 2
-                assert square_side(k, a) == hi * a**hi + lo * a**lo
+                assert bounds.construction_upper(k, a) == hi * a**hi + lo * a**lo
 
     @pytest.mark.parametrize("k,a", [(2, 2), (2, 3), (3, 2)])
     def test_padded_is_omni(self, k, a):
@@ -186,7 +186,7 @@ class TestSizeGuard:
             thin_strip(20, 2)  # 2^20 * 20 rows of 20 cells
 
     def test_largest_benchmark_size_passes(self):
-        assert square_side(8, 3) ** 2 <= MAX_CELLS
+        assert bounds.construction_upper(8, 3) ** 2 <= MAX_CELLS
 
 
 class TestPadding:

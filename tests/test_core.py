@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnikit.core import (
-    Alphabet,
     MosaicError,
     MosaicMatrix,
     ParseError,
     SymmetryOp,
     apply_symmetry,
     decode_target,
+    check_sizes,
     encode_target,
     parse_matrix,
     serialize_matrix,
@@ -24,13 +24,15 @@ def M(rows, a=2):
     return MosaicMatrix.from_rows(rows, a)
 
 
-class TestAlphabet:
-    def test_rejects_unary(self):
-        with pytest.raises(MosaicError):
-            Alphabet(1)
+class TestCheckSizes:
+    @pytest.mark.parametrize("name,value", [("n", 0), ("k", 0), ("k", -1), ("a", 1), ("a", -2)])
+    def test_rejects(self, name, value):
+        with pytest.raises(MosaicError, match=f"^{name} must be >= "):
+            check_sizes(**{name: value})
 
-    def test_accepts_binary(self):
-        assert Alphabet(2).size == 2
+    def test_accepts_smallest_and_omitted(self):
+        check_sizes(1, 1, 2)
+        check_sizes()
 
 
 class TestEncodeDecode:

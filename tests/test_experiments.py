@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +210,30 @@ class TestMonteCarlo:
         one = estimate(config, workers=1)
         four = estimate(config, workers=4)
         assert one == four
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # a pool starts all its workers at once; this fake one records how
+        # many were asked for and runs the parts in this process
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        config = ExperimentConfig(n=4, k=2, a=2, trials=200, seed=7)
+        assert estimate(config, workers=100) == estimate(config, workers=1)
+        assert asked == [3]
 
     # recorded with the per-trial np.unique implementation; batching and
     # bitset dedup must reproduce every count

@@ -1,24 +1,19 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from omnikit import search
-from omnikit.core import MosaicMatrix, MosaicError, SymmetryOp, apply_symmetry
+from omnikit.core import MosaicMatrix, MosaicError
 from omnikit.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED_NONE,
     FOUND,
     MAX_N,
     SearchBudget,
-    canonicalize,
     exists_omnimosaic,
     min_omnimosaic_n,
-    row_letter_necessity,
 )
 from omnikit.verify import is_omnimosaic
-from conftest import matrices
 
 
 def brute_force_exists(n, k, a):
@@ -104,58 +99,6 @@ class TestBudget:
             SearchBudget(max_nodes=0)
         with pytest.raises(MosaicError):
             SearchBudget(max_seconds=0.0)
-
-
-class TestRowLetterNecessity:
-    def test_5_2_3_holds(self):
-        # 3^4 - 2^4 = 65 > C(4,2)*C(5,2) = 60
-        assert row_letter_necessity(5, 2, 3)
-
-    def test_4_2_2_fails(self):
-        # 2^4 - 1 = 15 <= C(3,2)*C(4,2) = 18
-        assert not row_letter_necessity(4, 2, 2)
-
-    def test_6_2_3_fails(self):
-        # 65 <= C(5,2)*C(6,2) = 150
-        assert not row_letter_necessity(6, 2, 3)
-
-    def test_pruning_preserves_verdicts(self):
-        # forcing the constraint off must not change a sound verdict
-        on = exists_omnimosaic(4, 2, 2, require_all_letters=False)
-        assert on.status == FOUND
-        assert exists_omnimosaic(3, 2, 2, require_all_letters=False).status == (
-            EXHAUSTED_NONE
-        )
-
-
-class TestCanonicalize:
-    def test_sorts_rows(self):
-        m = MosaicMatrix.from_rows([[1, 1], [0, 0]], a=2)
-        assert canonicalize(m).to_rows() == [[0, 0], [1, 1]]
-
-    def test_relabels_letters(self):
-        m = MosaicMatrix.from_rows([[2, 2], [2, 1]], a=3)
-        assert canonicalize(m).to_rows() == [[0, 0], [0, 1]]
-
-    def test_guard(self):
-        m = MosaicMatrix(1, 1, 9, (0,))
-        with pytest.raises(MosaicError):
-            canonicalize(m)
-
-    @given(matrices(max_side=4))
-    @settings(max_examples=80)
-    def test_idempotent(self, m):
-        c = canonicalize(m)
-        assert canonicalize(c) == c
-
-    @given(matrices(max_side=4), st.data())
-    @settings(max_examples=80)
-    def test_constant_on_orbits(self, m, data):
-        rows = tuple(data.draw(st.permutations(range(m.rows))))
-        letters = tuple(data.draw(st.permutations(range(m.a))))
-        moved = apply_symmetry(m, SymmetryOp("rows", rows))
-        moved = apply_symmetry(moved, SymmetryOp("letters", letters))
-        assert canonicalize(moved) == canonicalize(m)
 
 
 class TestWitnessQuality:

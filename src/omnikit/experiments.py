@@ -1,10 +1,17 @@
 """Monte-Carlo estimation, exact small-case enumeration oracles, and 1-D
 omni sequence tooling.
 
-Reproducibility: trial t of a run seeded with s draws from
-default_rng(SeedSequence([s, t])).  Results are aggregated as integer
-counts, so estimates are identical for any worker count and partitioning.
-Exact probabilities are kept as integer counts over a^(n*n) until display.
+Reproducibility: trial t of a run seeded with s draws its matrix with
+``trial_rng(s, t).integers(0, a, size=(n, n))``, i.e. from
+default_rng(SeedSequence([s, t])).  ``trial_matrices`` computes that stream
+for a block of trials at once, bit for bit: numpy's SeedSequence hashing,
+PCG64 seeding and output, and Lemire's bounded integers, vectorized over t.
+It falls back to ``trial_rng`` per trial where numpy takes another path:
+a > 2^32 (64-bit bounded integers), t >= 2^32 (two entropy words), and any
+trial in which Lemire's method rejects a draw.  Results are aggregated as
+integer counts, so estimates are identical for any worker count and
+partitioning.  Exact probabilities are kept as integer counts over a^(n*n)
+until display.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise MosaicError("trials must be >= 1")
+        if self.seed < 0:
+            raise MosaicError(f"seed must be >= 0, got {self.seed}")
         check_sizes(self.n, self.k, self.a)
         target_space(self.k, self.a)
 
@@ -53,7 +62,102 @@ class MissingStats:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The generator of trial ``trial``; defines the stream ``trial_matrices`` computes."""
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 (XSL-RR 128/64)
+_M32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_HI, _PCG_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_PCG_LO0, _PCG_LO1 = _PCG_LO & _M32, _PCG_LO >> 32
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix; each call advances the hash constant."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _M32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ r >> 16
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + inc mod 2^128, on (high, low) uint64 word arrays."""
+    # high word of lo * _PCG_LO, from 32-bit halves
+    x0, x1 = lo & _M32, lo >> 32
+    p00, p01, p10 = x0 * _PCG_LO0, x0 * _PCG_LO1, x1 * _PCG_LO0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = x1 * _PCG_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    prod_lo = lo * _PCG_LO
+    new_lo = prod_lo + inc_lo
+    new_hi = carry + lo * _PCG_HI + hi * _PCG_LO + inc_hi
+    return new_hi + (new_lo < prod_lo), new_lo
+
+
+def trial_matrices(seed: int, lo: int, hi: int, n: int, a: int) -> np.ndarray:
+    """[hi - lo, n, n] int64 stack of trial_rng(seed, t).integers(0, a, size=(n, n))
+    for t in [lo, hi), computed across t with numpy and bit-identical to it."""
+    count = hi - lo
+    if seed < 0 or a > 1 << 32 or hi > 1 << 32:
+        return np.array(
+            [trial_rng(seed, t).integers(0, a, size=(n, n)) for t in range(lo, hi)],
+            dtype=np.int64,
+        ).reshape(count, n, n)
+    # SeedSequence([seed, t]): entropy words mixed into the pool, then
+    # generate_state(4, uint64) = (initstate high, low, initseq high, low)
+    entropy = [
+        np.full(count, seed >> shift & _M32, np.uint32)
+        for shift in range(0, max(seed.bit_length(), 1), 32)
+    ] + [np.arange(lo, hi, dtype=np.uint32)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(count, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(2 * _POOL)]
+    init_hi, init_lo, seq_hi, seq_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    # PCG64 srandom_r: inc = initseq << 1 | 1; state = inc + initstate; step
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    st_lo = inc_lo + init_lo
+    st_hi = inc_hi + init_hi + (st_lo < inc_lo)
+    st_hi, st_lo = _pcg_step(st_hi, st_lo, inc_hi, inc_lo)
+    steps = (n * n + 1) // 2
+    out = np.empty((count, steps, 2), dtype=np.uint64)
+    for j in range(steps):
+        st_hi, st_lo = _pcg_step(st_hi, st_lo, inc_hi, inc_lo)
+        x = st_hi ^ st_lo
+        rot = st_hi >> 58
+        x = x >> rot | x << (-rot & 63)
+        out[:, j, 0] = x & _M32  # next_uint32 returns the low half first
+        out[:, j, 1] = x >> 32
+    # Generator.integers: Lemire's multiply-shift; a draw whose low word is
+    # below 2^32 mod a is rejected and redrawn, so that trial is redone whole
+    scaled = out.reshape(count, 2 * steps)[:, : n * n] * np.uint64(a)
+    cells = (scaled >> 32).astype(np.int64).reshape(count, n, n)
+    threshold = (1 << 32) % a
+    if threshold:
+        for i in np.flatnonzero(((scaled & _M32) < threshold).any(axis=1)).tolist():
+            cells[i] = trial_rng(seed, lo + i).integers(0, a, size=(n, n))
+    return cells
 
 
 def _run_trials(config: ExperimentConfig, lo: int, hi: int) -> tuple[int, int, int]:
@@ -63,20 +167,22 @@ def _run_trials(config: ExperimentConfig, lo: int, hi: int) -> tuple[int, int, i
     subsets = kernel.subsets(n, k)
     # codes and bitset bytes of one trial bound how many trials share a step
     batch = max(1, kernel.CHUNK // max(len(subsets) ** 2, min(total, kernel.BITSET_LIMIT)))
+    # trials drawn at once: about CHUNK cells, apart from the kernel batch,
+    # which can be a single trial
+    draw = max(1, kernel.CHUNK // (n * n))
     omni = 0
     s1 = 0
     s2 = 0
-    for start in range(lo, hi, batch):
-        arrs = np.stack([
-            trial_rng(config.seed, t).integers(0, a, size=(n, n))
-            for t in range(start, min(start + batch, hi))
-        ])
-        codes = kernel.placement_codes(arrs, k, a, subsets, subsets)
-        for distinct in kernel.distinct_counts(codes, total).tolist():
-            miss = total - distinct  # Python ints: miss^2 can pass 2^64
-            omni += miss == 0
-            s1 += miss
-            s2 += miss * miss
+    for block_lo in range(lo, hi, draw):
+        block = trial_matrices(config.seed, block_lo, min(block_lo + draw, hi), n, a)
+        for start in range(0, len(block), batch):
+            arrs = block[start : start + batch]
+            codes = kernel.placement_codes(arrs, k, a, subsets, subsets)
+            for distinct in kernel.distinct_counts(codes, total).tolist():
+                miss = total - distinct  # Python ints: miss^2 can pass 2^64
+                omni += miss == 0
+                s1 += miss
+                s2 += miss * miss
     return omni, s1, s2
 
 

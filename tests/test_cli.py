@@ -254,6 +254,7 @@ class TestSampleExactOned:
         ["bounds", "--k", "-1", "--a", "0"],
         ["bounds", "--k", "2", "--a", "-2"],
         ["oned", "--seq", "", "--a", "0", "--k", "-1"],
+        ["sample", "--n", "4", "--k", "2", "--a", "2", "--trials", "10", "--seed", "-1"],
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):
@@ -312,6 +313,10 @@ _ARGVS = st.one_of(
               st.text("0123456789", max_size=8), _INT, _INT),
     st.builds(lambda n, k, a: ["search", "--k", k, "--a", a, "--n", n],
               st.integers(-2, 4).map(str), _INT, _INT),
+    # no --workers: a pool is covered by test_workers_capped_at_cpu_count
+    st.builds(lambda n, k, a, t, s: ["sample", "--n", n, "--k", k, "--a", a,
+                                     "--trials", t, "--seed", s],
+              _INT, _INT, _INT, _INT, _INT),
 )
 
 

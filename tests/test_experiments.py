@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnikit import bounds, experiments
 from omnikit.core import MosaicError, MosaicMatrix
@@ -19,6 +21,7 @@ from omnikit.experiments import (
     oneD_exhaustive_mean_missing,
     oneD_is_omni,
     oneD_missing_count,
+    trial_matrices,
     trial_rng,
 )
 from omnikit.verify import coverage, is_omnimosaic
@@ -290,6 +293,74 @@ class TestMonteCarlo:
     def test_rejects_zero_trials(self):
         with pytest.raises(MosaicError):
             ExperimentConfig(n=4, k=2, a=2, trials=0)
+
+    @given(n=st.integers(1, 5), k=st.integers(1, 3), a=st.integers(2, 5),
+           trials=st.integers(1, 40), seed=st.integers(0, 2**130))
+    @settings(max_examples=15, deadline=None)
+    def test_estimate_matches_per_trial_draws(self, n, k, a, trials, seed):
+        # the reference draws each trial from its own trial_rng, one at a time
+        config = ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=seed)
+        got = [estimate(config, workers=w) for w in (1, 2)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "trial_matrices", _stacked_trial_rng)
+            assert got == [estimate(config, workers=1)] * 2
+
+
+def _stacked_trial_rng(seed, lo, hi, n, a):
+    """The stream's definition: one generator per trial."""
+    draws = [trial_rng(seed, t).integers(0, a, size=(n, n)) for t in range(lo, hi)]
+    return np.array(draws, dtype=np.int64).reshape(hi - lo, n, n)
+
+
+def _missing_targets(arr, k, a):
+    n = len(arr)
+    seen = {
+        tuple(arr[r][c] for r in rows for c in cols)
+        for rows in itertools.combinations(range(n), k)
+        for cols in itertools.combinations(range(n), k)
+    }
+    return a ** (k * k) - len(seen)
+
+
+class TestTrialMatrices:
+    # 2^128 + 7 has five entropy words, more than the pool of four
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7])
+    @pytest.mark.parametrize("a", [2, 3, 5, 17, 255, 2**32, 2**32 + 1])
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_matches_trial_rng(self, seed, a, n):
+        for lo, hi in [(0, 7), (2**32 - 3, 2**32)]:
+            got = trial_matrices(seed, lo, hi, n, a)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _stacked_trial_rng(seed, lo, hi, n, a))
+
+    @pytest.mark.parametrize("lo,hi", [(0, 40), (2**32 - 2, 2**32 + 2)])
+    def test_run_trials_across_two_entropy_words(self, lo, hi):
+        # t >= 2^32 falls back to trial_rng; counts come from a pure-Python oracle
+        config = ExperimentConfig(n=4, k=2, a=3, trials=1, seed=2**32)
+        misses = [
+            _missing_targets(m.tolist(), 2, 3)
+            for m in _stacked_trial_rng(config.seed, lo, hi, 4, 3)
+        ]
+        expected = (sum(m == 0 for m in misses), sum(misses), sum(m * m for m in misses))
+        assert experiments._run_trials(config, lo, hi) == expected
+
+    def test_lemire_rejections_are_redrawn(self, monkeypatch):
+        # 2^32 mod 3*2^30 = 2^30: a quarter of the draws are rejected (sample
+        # allows this a at k = 1)
+        a = 3 * 2**30
+        expected = _stacked_trial_rng(11, 0, 20, 3, a)
+        redrawn = []
+
+        def counting_rng(seed, trial):
+            redrawn.append(trial)
+            return trial_rng(seed, trial)
+
+        monkeypatch.setattr(experiments, "trial_rng", counting_rng)
+        assert np.array_equal(trial_matrices(11, 0, 20, 3, a), expected)
+        assert 0 < len(redrawn) < 20
+        redrawn.clear()
+        trial_matrices(11, 0, 20, 3, 2**31)  # a power of 2 never rejects
+        assert redrawn == []
 
 
 class TestOneD:

@@ -8,10 +8,11 @@ for a block of trials at once, bit for bit: numpy's SeedSequence hashing,
 PCG64 seeding and output, and Lemire's bounded integers, vectorized over t.
 It falls back to ``trial_rng`` per trial where numpy takes another path:
 a > 2^32 (64-bit bounded integers), t >= 2^32 (two entropy words), and any
-trial in which Lemire's method rejects a draw.  Results are aggregated as
-integer counts, so estimates are identical for any worker count and
-partitioning.  Exact probabilities are kept as integer counts over a^(n*n)
-until display.
+trial in which Lemire's method rejects a draw; and for n > 16, where one
+generator per trial is faster than emulating PCG64 cell by cell.  Results
+are aggregated as integer counts, so estimates are identical for any worker
+count and partitioning.  Exact probabilities are kept as integer counts over
+a^(n*n) until display.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_HI, _PCG_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
 _PCG_LO0, _PCG_LO1 = _PCG_LO & _M32, _PCG_LO >> 32
+# the emulated PCG64 takes ~35 numpy operations per two cells, so its cost per
+# trial grows with n^2 while trial_rng's stays near 30 us; they meet near n = 16
+_VECTOR_CELLS = 256
 
 
 def _hasher(const: int, mult: int):
@@ -111,7 +115,7 @@ def trial_matrices(seed: int, lo: int, hi: int, n: int, a: int) -> np.ndarray:
     """[hi - lo, n, n] int64 stack of trial_rng(seed, t).integers(0, a, size=(n, n))
     for t in [lo, hi), computed across t with numpy and bit-identical to it."""
     count = hi - lo
-    if seed < 0 or a > 1 << 32 or hi > 1 << 32:
+    if seed < 0 or a > 1 << 32 or hi > 1 << 32 or n * n > _VECTOR_CELLS:
         return np.array(
             [trial_rng(seed, t).integers(0, a, size=(n, n)) for t in range(lo, hi)],
             dtype=np.int64,

@@ -326,7 +326,7 @@ class TestTrialMatrices:
     # 2^128 + 7 has five entropy words, more than the pool of four
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7])
     @pytest.mark.parametrize("a", [2, 3, 5, 17, 255, 2**32, 2**32 + 1])
-    @pytest.mark.parametrize("n", [1, 4, 12])
+    @pytest.mark.parametrize("n", [1, 4, 12, 16])
     def test_matches_trial_rng(self, seed, a, n):
         for lo, hi in [(0, 7), (2**32 - 3, 2**32)]:
             got = trial_matrices(seed, lo, hi, n, a)
@@ -361,6 +361,24 @@ class TestTrialMatrices:
         redrawn.clear()
         trial_matrices(11, 0, 20, 3, 2**31)  # a power of 2 never rejects
         assert redrawn == []
+
+    def test_large_n_draws_per_trial(self, monkeypatch):
+        # the emulated stream costs O(n^2) numpy operations per block, so past
+        # the crossover each trial is drawn by its own generator
+        drawn = []
+
+        def counting_rng(seed, trial):
+            drawn.append(trial)
+            return trial_rng(seed, trial)
+
+        monkeypatch.setattr(experiments, "trial_rng", counting_rng)
+        side = math.isqrt(experiments._VECTOR_CELLS)
+        trial_matrices(5, 0, 3, side, 2)
+        assert drawn == []
+        expected = _stacked_trial_rng(5, 0, 3, side + 1, 2)
+        drawn.clear()
+        assert np.array_equal(trial_matrices(5, 0, 3, side + 1, 2), expected)
+        assert drawn == [0, 1, 2]
 
 
 class TestOneD:

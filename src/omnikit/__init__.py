@@ -4,6 +4,7 @@ from omnikit.core import (
     MosaicError,
     MosaicMatrix,
     ParseError,
+    Placement,
     SymmetryOp,
     apply_symmetry,
     decode_target,
@@ -13,7 +14,6 @@ from omnikit.core import (
 )
 from omnikit.construct import (
     GridDiagram,
-    Placement,
     RegionMap,
     build_mosaic,
     canonical_grid,
@@ -34,6 +34,7 @@ __all__ = [
     "MosaicError",
     "MosaicMatrix",
     "ParseError",
+    "Placement",
     "SymmetryOp",
     "apply_symmetry",
     "decode_target",
@@ -41,7 +42,6 @@ __all__ = [
     "parse_matrix",
     "serialize_matrix",
     "GridDiagram",
-    "Placement",
     "RegionMap",
     "build_mosaic",
     "canonical_grid",

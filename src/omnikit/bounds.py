@@ -318,7 +318,7 @@ def _kl(x: float, p: float) -> float:
     return x * math.log(x / p) + (1 - x) * math.log((1 - x) / (1 - p))
 
 
-def oneD_EX_threshold_ratio(a: int, tol: float = 1e-6) -> float:
+def oneD_EX_threshold_ratio(a: int) -> float:
     """The n/k ratio at which the expected missing count flips from divergent
     to vanishing: the root r > a of ln a = r * D(1/r || 1/a)."""
     check_sizes(a=a)
@@ -327,6 +327,7 @@ def oneD_EX_threshold_ratio(a: int, tol: float = 1e-6) -> float:
     def f(r: float) -> float:
         return r * _kl(1 / r, 1 / a) - target
 
+    tol = 1e-6
     lo = a + tol
     hi = float(a + 1)
     while f(hi) < 0:

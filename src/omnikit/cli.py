@@ -65,7 +65,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     m = _read_matrix(args.file)
-    report = is_omnimosaic(m, args.k, guard=args.guard)
+    report = is_omnimosaic(m, args.k)
     _emit(
         {
             "command": "verify",
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a v1 matrix file for the omni property")
     p.add_argument("file", help="path to v1 matrix, or - for stdin")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--guard", type=int, default=2**32)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("locate", help="place a target in the canonical construction")

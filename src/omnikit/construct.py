@@ -13,7 +13,6 @@ ascending order; outputs are therefore byte-for-byte reproducible.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -21,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from omnikit import bounds, kernel
-from omnikit.core import MosaicError, MosaicMatrix, check_sizes
+from omnikit.core import MosaicError, MosaicMatrix, Placement, check_sizes
 
 H = "H"
 V = "V"
@@ -68,21 +67,6 @@ class RegionMap:
     col_offsets: tuple[int, ...]
     h_columns: tuple[tuple[int, ...], ...]
     v_rows: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Strictly increasing row and column indices selecting a submatrix."""
-
-    row_idx: tuple[int, ...]
-    col_idx: tuple[int, ...]
-
-    def __post_init__(self):
-        for idx in (self.row_idx, self.col_idx):
-            if not all(map(operator.lt, idx, idx[1:])):
-                raise MosaicError("placement indices must be strictly increasing")
-            if idx and idx[0] < 0:
-                raise MosaicError("placement indices must be non-negative")
 
 
 def canonical_grid(k: int) -> GridDiagram:

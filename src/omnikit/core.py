@@ -7,6 +7,7 @@ presentation concern only.  All types are immutable and safe to share.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -71,9 +72,6 @@ class MosaicMatrix:
             arr = arr.view(np.uint8)
         return cls(arr.shape[0], arr.shape[1], a, tuple(arr.ravel().tolist()))
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -96,6 +94,21 @@ class MosaicMatrix:
 
     def transpose(self) -> "MosaicMatrix":
         return MosaicMatrix.from_numpy(self.to_numpy().T, self.a)
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Strictly increasing row and column indices selecting a submatrix."""
+
+    row_idx: tuple[int, ...]
+    col_idx: tuple[int, ...]
+
+    def __post_init__(self):
+        for idx in (self.row_idx, self.col_idx):
+            if not all(map(operator.lt, idx, idx[1:])):
+                raise MosaicError("placement indices must be strictly increasing")
+            if idx and idx[0] < 0:
+                raise MosaicError("placement indices must be non-negative")
 
 
 def target_space(k: int, a: int) -> int:

@@ -215,22 +215,21 @@ def exists_omnimosaic(
 
 
 def min_omnimosaic_n(
-    k: int, a: int, budget: SearchBudget | None = None, max_n: int | None = None
+    k: int, a: int, budget: SearchBudget | None = None
 ) -> list[tuple[int, SearchResult]]:
     """Trace of exists_omnimosaic from the pigeonhole bound upward.
 
     Stops at the first found size (that size is omega(k,a) once every
     earlier exhausted_none is a proof; see the module docstring), on budget
-    exhaustion, or at max_n, which is at most MAX_N.
+    exhaustion, or at MAX_N.
     """
     _check_args(k, a)
     trace: list[tuple[int, SearchResult]] = []
     n = bounds.pigeonhole_min_n(k, a)
     _check_args(k, a, n)
-    last = MAX_N if max_n is None else min(max_n, MAX_N)
     while True:
         result = exists_omnimosaic(n, k, a, budget=budget)
         trace.append((n, result))
-        if result.status != EXHAUSTED_NONE or n >= last:
+        if result.status != EXHAUSTED_NONE or n >= MAX_N:
             return trace
         n += 1

@@ -15,30 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from omnikit import kernel
-from omnikit.core import MosaicError, MosaicMatrix, check_sizes, target_space
-from omnikit.construct import Placement
+from omnikit.core import MosaicError, MosaicMatrix, Placement, check_sizes, target_space
 
-DEFAULT_COVERAGE_GUARD = 2**32
-DEFAULT_MISSING_CAP = 32
-
-
-@dataclass
-class CoverageSet:
-    """Bitset over target codes; bit c is set iff target c occurs as a submatrix."""
-
-    k: int
-    a: int
-    bits: np.ndarray
-
-    @property
-    def popcount(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
-    def covered(self, code: int) -> bool:
-        return bool(self.bits[code])
-
-    def missing_codes(self, limit: int = DEFAULT_MISSING_CAP) -> list[int]:
-        return np.flatnonzero(~self.bits)[:limit].tolist()
+COVERAGE_GUARD = 2**32  # largest target space coverage() bitsets
+MISSING_SAMPLE = 32  # missing codes a report lists
 
 
 @dataclass
@@ -51,37 +31,31 @@ class VerifyReport:
     elapsed: float = 0.0
 
 
-def coverage(
-    m: MosaicMatrix, k: int, guard: int = DEFAULT_COVERAGE_GUARD
-) -> CoverageSet:
+def coverage(m: MosaicMatrix, k: int) -> np.ndarray:
+    """Bitset over target codes: entry c is True iff target c occurs in m."""
     check_sizes(k=k)
     size = target_space(k, m.a)
-    if size > guard:
+    if size > COVERAGE_GUARD:
         raise MosaicError(
-            f"target space {size} exceeds coverage guard {guard}; "
+            f"target space {size} exceeds coverage guard {COVERAGE_GUARD}; "
             "check individual targets with contains_target instead"
         )
     bits = np.zeros(size, dtype=bool)
     for codes in kernel.code_batches(m.to_numpy(), k, m.a):
         bits[codes] = True
-    return CoverageSet(k, m.a, bits)
+    return bits
 
 
-def is_omnimosaic(
-    m: MosaicMatrix,
-    k: int,
-    guard: int = DEFAULT_COVERAGE_GUARD,
-    missing_cap: int = DEFAULT_MISSING_CAP,
-) -> VerifyReport:
+def is_omnimosaic(m: MosaicMatrix, k: int) -> VerifyReport:
     start = time.perf_counter()
-    cov = coverage(m, k, guard=guard)
-    total = len(cov.bits)
-    covered = cov.popcount
+    bits = coverage(m, k)
+    total = len(bits)
+    covered = int(np.count_nonzero(bits))
     return VerifyReport(
         is_omni=(covered == total),
         covered=covered,
         total_targets=total,
-        missing_sample=[] if covered == total else cov.missing_codes(missing_cap),
+        missing_sample=[] if covered == total else np.flatnonzero(~bits)[:MISSING_SAMPLE].tolist(),
         submatrices_enumerated=math.comb(m.rows, k) * math.comb(m.cols, k),
         elapsed=time.perf_counter() - start,
     )

@@ -89,7 +89,7 @@ class TestExactEnumeration:
         # independent oracle: verify.coverage of every matrix, one at a time
         missing = dict.fromkeys(range(a ** (k * k)), 0)
         for e in itertools.product(range(a), repeat=n * n):
-            bits = coverage(MosaicMatrix(n, n, a, e), k).bits
+            bits = coverage(MosaicMatrix(n, n, a, e), k)
             for code in missing:
                 missing[code] += not bits[code]
         total = a ** (n * n)
@@ -106,7 +106,7 @@ class TestExactEnumeration:
         for n, k, a, codes in [(3, 2, 3, (0, 17, 41)), (3, 3, 2, (0, 100, 511))]:
             missing = dict.fromkeys(codes, 0)
             for e in itertools.product(range(a), repeat=n * n):
-                bits = coverage(MosaicMatrix(n, n, a, e), k).bits
+                bits = coverage(MosaicMatrix(n, n, a, e), k)
                 for code in codes:
                     missing[code] += not bits[code]
             for code in codes:

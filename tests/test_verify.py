@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from omnikit import kernel
+from omnikit import kernel, verify
 from omnikit.construct import Placement, square_omnimosaic
 from omnikit.core import (
     MosaicError,
@@ -28,23 +28,30 @@ def random_matrix(n, a, rng):
 
 class TestCoverage:
     def test_witness_matrix_covers_everything(self):
-        cov = coverage(WITNESS_4X4, 2)
-        assert cov.popcount == 16
+        bits = coverage(WITNESS_4X4, 2)
+        assert bits.dtype == bool and bits.shape == (16,)
+        assert bits.all()
 
     def test_all_zero_covers_one(self):
         m = MosaicMatrix.from_rows([[0] * 3] * 3, a=2)
-        cov = coverage(m, 2)
-        assert cov.popcount == 1
-        assert cov.covered(0)
+        bits = coverage(m, 2)
+        assert np.count_nonzero(bits) == 1
+        assert bits[0]
 
     def test_popcount_capped_by_placements(self, rng):
         m = random_matrix(3, 2, rng)
-        assert coverage(m, 2).popcount <= 9
+        assert np.count_nonzero(coverage(m, 2)) <= 9
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         m = MosaicMatrix.from_rows([[0] * 6] * 6, a=3)
+        monkeypatch.setattr(verify, "COVERAGE_GUARD", 50)
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the coverage guard")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
         with pytest.raises(MosaicError, match="contains_target"):
-            coverage(m, 2, guard=50)
+            coverage(m, 2)
 
 
 class TestIsOmnimosaic:
@@ -110,7 +117,7 @@ class TestContainsTarget:
             m = random_matrix(n, 2, rng)
             t = decode_target(int(rng.integers(2 ** (k * k))), k, 2)
             present = contains_target(m, t) is not None
-            assert present == coverage(m, k).covered(encode_target(t))
+            assert present == coverage(m, k)[encode_target(t)]
 
 
 class TestVerifyPlacement:

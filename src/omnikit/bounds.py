@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from omnikit.core import MosaicError, check_sizes
+from omnikit.core import MosaicError, check_sizes, power_exceeds
 
 E = math.e
 
@@ -25,17 +25,39 @@ def log_binom(n: int, k: int) -> float:
 
 
 def pigeonhole_min_n(k: int, a: int) -> int:
-    """Smallest n with C(n,k)^2 >= a^(k*k); exact integers."""
+    """Smallest n with C(n,k)^2 >= a^(k*k); exact integers.
+
+    C(n,k) does not decrease as n grows, so n doubles until the inequality
+    holds and the answer is bisected between the last two sizes.
+    """
     need = a ** (k * k)
-    n = k
-    while math.comb(n, k) ** 2 < need:
-        n += 1
-    return n
+
+    def enough(n: int) -> bool:
+        return math.comb(n, k) ** 2 >= need
+
+    lo, hi = k - 1, k  # C(k-1, k) = 0: lo never suffices
+    while not enough(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
+
+
+def _finite(name: str, compute) -> float:
+    """compute(), or MosaicError where that float overflows."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise MosaicError(f"{name} overflows a float")
+    return value
 
 
 def asymptotic_lower(k: int, a: int) -> float:
     """Stirling form of the pigeonhole bound: k * a^(k/2) / e."""
-    return k * a ** (k / 2) / E
+    return _finite("k * a^(k/2) / e", lambda: k * a ** (k / 2) / E)
 
 
 def construction_upper(k: int, a: int) -> int:
@@ -46,7 +68,7 @@ def construction_upper(k: int, a: int) -> int:
 
 def ramsey_n0(k: int) -> float:
     """(sqrt2/e) * k * 2^(k/2): the graph-analog counting bound."""
-    return math.sqrt(2) / E * k * 2 ** (k / 2)
+    return _finite("(sqrt2/e) * k * 2^(k/2)", lambda: math.sqrt(2) / E * k * 2 ** (k / 2))
 
 
 def phi_log(r: int, c: int, n: int, k: int, a: int) -> float:
@@ -102,7 +124,7 @@ def suen_report(n: int, k: int, a: int) -> BoundsReport:
     if n < k:
         raise MosaicError("n must be >= k")
     ln_a = math.log(a)
-    log_mu = 2 * log_binom(n, k) - k * k * ln_a
+    log_mu = _finite("ln C(n,k)", lambda: 2 * log_binom(n, k) - k * k * ln_a)
     log_delta_cap = log_mu + math.log(n) + 3 * math.log(k) - k * ln_a
     log_delta_small = log_mu + math.log(2) + 4 * math.log(k) - 2 * math.log(n)
     delta_small = _exp_guarded(log_delta_small)
@@ -117,7 +139,7 @@ def suen_report(n: int, k: int, a: int) -> BoundsReport:
     log_missing = min(0.0, exponent)
     log_total = k * k * ln_a + log_missing
     small_ok = n >= k * k * a / 2 + k - 2
-    large_ok = n <= a**k / k
+    large_ok = power_exceeds(a, k, n * k - 1)  # n <= a^k / k, exactly
     return BoundsReport(
         n=n,
         k=k,
@@ -154,12 +176,12 @@ def suen_threshold_n(k: int, a: int) -> ThresholdEstimate:
         raise MosaicError("k must be >= 2")
     base = asymptotic_lower(k, a)
     # ln ln a is negative for a=2; that is fine, it is just a real number.
-    refined = k + base * (
+    refined = _finite("the refined threshold", lambda: k + base * (
         (2 * math.pi * k) ** (1 / (2 * k))
         * (1 + 1 / (12 * k)) ** (1 / k)
         * math.exp(math.log(k) / k + math.log(math.log(a)) / (2 * k))
-    )
-    theorem = base * (1 + 2 * math.log(k) / k)
+    ))
+    theorem = _finite("the theorem-form threshold", lambda: base * (1 + 2 * math.log(k) / k))
     return ThresholdEstimate(refined=math.ceil(refined), theorem_form=math.ceil(theorem))
 
 

@@ -16,7 +16,9 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from omnikit import bounds, construct, experiments, search
-from omnikit.core import MosaicError, check_sizes, parse_matrix, serialize_matrix, decode_target
+from omnikit.core import (
+    MosaicError, check_sizes, decode_target, parse_matrix, power_exceeds, serialize_matrix,
+)
 from omnikit.verify import contains_target, is_omnimosaic, verify_placement
 
 SCHEMA = "omnikit/1"
@@ -80,6 +82,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_locate(args) -> int:
+    construct.check_construction(args.k, args.a)
     grid = construct.canonical_grid(args.k)
     mosaic, rm = construct.build_mosaic(grid, args.a)
     target = decode_target(args.target_code, args.k, args.a)
@@ -159,12 +162,13 @@ def _cmd_search(args) -> int:
 
 def _cmd_bounds(args) -> int:
     check_sizes(k=args.k, a=args.a)
+    lower = bounds.asymptotic_lower(args.k, args.a)  # refuses sizes past float range
     payload = {
         "command": "bounds",
         "k": args.k,
         "a": args.a,
         "pigeonhole_min_n": bounds.pigeonhole_min_n(args.k, args.a),
-        "asymptotic_lower": bounds.asymptotic_lower(args.k, args.a),
+        "asymptotic_lower": lower,
         "construction_upper": bounds.construction_upper(args.k, args.a),
         "ramsey_n0": bounds.ramsey_n0(args.k),
         "oneD_threshold": float(bounds.oneD_threshold(args.a)),
@@ -264,7 +268,7 @@ def _cmd_oned(args) -> int:
     if args.k is not None:
         payload["k"] = args.k
         payload["is_omni"] = experiments.oneD_is_omni(seq, args.k, a)
-        if a**args.k <= 2**20:
+        if not power_exceeds(a, args.k, 2**20):
             payload["missing_words"] = experiments.oneD_missing_count(seq, args.k, a)
     _emit(payload)
     if args.k is not None and not payload["is_omni"]:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from omnikit import bounds, kernel
-from omnikit.core import MosaicError, MosaicMatrix, Placement, check_sizes
+from omnikit.core import MosaicError, MosaicMatrix, Placement, check_sizes, power_exceeds
 
 H = "H"
 V = "V"
@@ -98,7 +98,7 @@ def build_mosaic(grid: GridDiagram, a: int) -> tuple[MosaicMatrix, RegionMap]:
     col_off = _offsets(c_counts, a)
     n_rows, n_cols = row_off[-1], col_off[-1]
     if n_rows * n_cols > MAX_CELLS:
-        raise MosaicError(f"constructed matrix {n_rows}x{n_cols} exceeds {MAX_CELLS} cells")
+        raise MosaicError(f"constructed matrix exceeds {MAX_CELLS} cells")
 
     h_columns = tuple(tuple(j for j, c in enumerate(row) if c == H) for row in grid.cells)
     v_rows = tuple(tuple(i for i, c in enumerate(col) if c == V) for col in zip(*grid.cells))
@@ -124,17 +124,27 @@ def build_mosaic(grid: GridDiagram, a: int) -> tuple[MosaicMatrix, RegionMap]:
 def thin_strip(k: int, a: int) -> MosaicMatrix:
     """(k * a^k) x k matrix: all length-k words in code order, listed k times."""
     check_sizes(k=k, a=a)
-    words = a**k
-    if k * k * words > MAX_CELLS:
+    if power_exceeds(a, k, MAX_CELLS // (k * k)):  # k * k * a^k cells
         raise MosaicError("strip too large")
-    block = kernel.row_digits(np.arange(words), k, a)
+    block = kernel.row_digits(np.arange(a**k), k, a)
     return MosaicMatrix.from_numpy(np.tile(block, (k, 1)), a)
+
+
+def check_construction(k: int, a: int) -> None:
+    """Raise MosaicError, before the k-by-k grid is built, when the canonical
+    construction cannot fit MAX_CELLS: it has at least a^k cells."""
+    check_sizes(k=k, a=a)
+    if power_exceeds(a, k, MAX_CELLS):
+        raise MosaicError(f"constructed matrix exceeds {MAX_CELLS} cells")
 
 
 def square_omnimosaic(k: int, a: int) -> MosaicMatrix:
     """Canonical-grid mosaic padded with duplicate last rows up to square shape."""
-    m, _ = build_mosaic(canonical_grid(k), a)
+    check_construction(k, a)
     n = bounds.construction_upper(k, a)
+    if n * n > MAX_CELLS:  # the padding can pass MAX_CELLS where the mosaic does not
+        raise MosaicError(f"constructed square matrix exceeds {MAX_CELLS} cells")
+    m, _ = build_mosaic(canonical_grid(k), a)
     if m.cols != n:
         raise AssertionError("canonical grid column total disagrees with formula")
     if m.rows == n:

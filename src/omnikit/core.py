@@ -36,6 +36,15 @@ def check_sizes(n: int | None = None, k: int | None = None, a: int | None = None
             raise MosaicError(f"{name} must be >= {least}, got {value}")
 
 
+def power_exceeds(a: int, e: int, limit: int) -> bool:
+    """Whether a**e > limit, for a, e >= 0; a**e is built only when it has at
+    most about twice limit's bits, so a size check costs nothing however
+    large the size it refuses."""
+    if e * (a.bit_length() - 1) > limit.bit_length():
+        return True  # a**e >= 2**(e * (bits(a) - 1)) > limit
+    return a**e > limit
+
+
 @dataclass(frozen=True)
 class MosaicMatrix:
     """Dense rectangular matrix over letters [0, a)."""
@@ -113,10 +122,9 @@ class Placement:
 
 def target_space(k: int, a: int) -> int:
     """Number of k-by-k targets, a**(k*k); rejects spaces beyond 2**63 codes."""
-    size = a ** (k * k)
-    if size > MAX_TARGET_SPACE:
-        raise MosaicError("target space too large")
-    return size
+    if power_exceeds(a, k * k, MAX_TARGET_SPACE):
+        raise MosaicError(f"target space {a}^{k * k} too large, over 2^63 codes")
+    return a ** (k * k)
 
 
 def encode_target(t: MosaicMatrix) -> int:

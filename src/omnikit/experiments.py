@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from omnikit import kernel
-from omnikit.core import MosaicError, check_sizes, target_space
+from omnikit.core import MosaicError, check_sizes, power_exceeds, target_space
 
 ENUMERATION_GUARD = 2**25
 _MASK_BITS = 64
@@ -47,6 +47,11 @@ class ExperimentConfig:
             raise MosaicError(f"seed must be >= 0, got {self.seed}")
         check_sizes(self.n, self.k, self.a)
         target_space(self.k, self.a)
+        # a trial's codes are held at once, so they share the enumeration guard
+        if math.comb(self.n, self.k) ** 2 > ENUMERATION_GUARD:
+            raise MosaicError(
+                f"C({self.n},{self.k})^2 placements per trial exceed guard {ENUMERATION_GUARD}"
+            )
 
 
 @dataclass
@@ -229,12 +234,9 @@ def estimate(config: ExperimentConfig, workers: int = 1) -> MissingStats:
 def _check_enumeration_guard(n: int, k: int, a: int) -> int:
     """Number of matrices to enumerate; raises before anything is allocated."""
     check_sizes(n, k, a)
-    total_matrices = a ** (n * n)
-    if total_matrices > ENUMERATION_GUARD:
-        raise MosaicError(
-            f"enumeration space {total_matrices} exceeds guard {ENUMERATION_GUARD}"
-        )
-    return total_matrices
+    if power_exceeds(a, n * n, ENUMERATION_GUARD):
+        raise MosaicError(f"enumeration space {a}^{n * n} exceeds guard {ENUMERATION_GUARD}")
+    return a ** (n * n)
 
 
 def exact_enumeration(n: int, k: int, a: int) -> MissingStats:

@@ -157,7 +157,7 @@ def enumerate_coverage(n: int, k: int, a: int, target: int | None = None):
     if target is None:
         dtype = np.min_scalar_type((1 << a ** (k * k)) - 1)  # a bit per target
     else:
-        dtype = np.dtype(bool)
+        dtype = np.dtype(np.uint8)  # 0 or 1: ORs faster than bool
     rowsubs = subsets(n, k)
     rest = width ** (n - 1)
     step = max(1, CHUNK // rest)

@@ -185,8 +185,10 @@ def _check_args(k: int, a: int, n: int | None = None) -> None:
     check_sizes(k=k, a=a)
     if n is not None and n < k:
         raise MosaicError("n must be >= k")
-    if n is not None and n > MAX_N:
-        raise MosaicError(f"search supports n <= {MAX_N}, got {n}")
+    # n >= k, so a k past MAX_N is refused before min_omnimosaic_n computes a start n
+    for name, value in (("k", k), ("n", n)):
+        if value is not None and value > MAX_N:
+            raise MosaicError(f"search supports {name} <= {MAX_N}, got {value}")
 
 
 def exists_omnimosaic(

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from omnikit import bounds
+from omnikit.core import MosaicError
 
 
 class TestCountingBounds:
@@ -19,6 +20,36 @@ class TestCountingBounds:
                 assert math.comb(n, k) ** 2 >= a ** (k * k)
                 if n > k:
                     assert math.comb(n - 1, k) ** 2 < a ** (k * k)
+
+    def test_pigeonhole_bisection_matches_scan(self):
+        for a in (2, 3, 5):
+            for k in range(1, 14):
+                need, n = a ** (k * k), k
+                while math.comb(n, k) ** 2 < need:
+                    n += 1
+                assert bounds.pigeonhole_min_n(k, a) == n, (k, a)
+
+    def test_pigeonhole_at_paper_scale(self):
+        # about 1.65e7 sizes below the answer; a scan of them takes minutes
+        n = bounds.pigeonhole_min_n(40, 2)
+        assert n == 16534519
+        assert math.comb(n - 1, 40) ** 2 < 2**1600 <= math.comb(n, 40) ** 2
+
+    @pytest.mark.parametrize("k,a", [(2100, 2), (1300, 3), (2, 10**400)])
+    def test_float_overflow_is_a_mosaic_error(self, k, a):
+        for bound in (bounds.asymptotic_lower, bounds.suen_threshold_n):
+            with pytest.raises(MosaicError, match="overflows a float"):
+                bound(k, a)
+
+    def test_float_overflow_past_a_finite_base(self):
+        assert bounds.asymptotic_lower(2, 2**1021) < math.inf
+        with pytest.raises(MosaicError, match="refined threshold overflows"):
+            bounds.suen_threshold_n(2, 2**1021)
+        with pytest.raises(MosaicError, match="overflows a float"):
+            bounds.ramsey_n0(2047)
+        for n in (10**306, 10**400):  # ln C(n,k) overflows, then n itself
+            with pytest.raises(MosaicError, match="overflows a float"):
+                bounds.suen_report(n, 2, 2)
 
     def test_asymptotic_matches_stirling(self):
         assert bounds.asymptotic_lower(2, 2) == pytest.approx(4 / math.e)

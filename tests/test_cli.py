@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -298,6 +299,38 @@ class TestInputFiles:
         assert err.startswith("error:") and "cells" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--k", "50", "--a", "2"],  # k > search.MAX_N, before the pigeonhole bound
+        ["exact", "--n", "100", "--k", "1", "--a", "3"],  # 3^10000 matrices
+        ["sweep", "--a", "2", "--k-min", "2100", "--k-max", "2100"],  # a float overflows
+        ["sweep", "--a", "3", "--k-min", "1300", "--k-max", "1300"],
+        ["bounds", "--k", "2100", "--a", "2"],
+        ["sample", "--n", "2", "--k", "3000", "--a", "3", "--trials", "1"],  # 3^9000000 targets
+        ["sample", "--n", "200", "--k", "5", "--a", "2", "--trials", "1"],  # C(200,5)^2 codes
+        ["sample", "--n", "100", "--k", "3", "--a", "2", "--trials", "1"],
+        ["construct", "--k", "30000", "--a", "2"],  # a 30000x30000 grid
+        ["locate", "--k", "30000", "--a", "2", "--target-code", "0"],
+    ],
+)
+def test_oversized_arguments_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_bounds_at_paper_scale(capsys):
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, "bounds", "--k", "40", "--a", "2")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_OK
+    assert payload["pigeonhole_min_n"] == 16534519
+
+
 # Every integer argument ranges over [-2, 5] (construct's k and a up to 4).
 _INT = st.integers(-2, 5).map(str)
 _SMALL = st.integers(-2, 4).map(str)
@@ -318,9 +351,25 @@ _ARGVS = st.one_of(
                                      "--trials", t, "--seed", s],
               _INT, _INT, _INT, _INT, _INT),
 )
+# Sizes at and past the paper's scale, where a size check must refuse before
+# any work.  sample is left to the targeted tests: a legal large sample runs long.
+_BIG = st.sampled_from(["40", "60", "2100", "30000"])
+_BIG_ARGVS = st.one_of(
+    st.builds(lambda k, a, strip: ["construct", "--k", k, "--a", a] + ["--strip"] * strip,
+              _BIG, _BIG, st.booleans()),
+    st.builds(lambda k, a, n: ["bounds", "--k", k, "--a", a] + (["--n", n] if n else []),
+              _BIG, _BIG, st.none() | _BIG),
+    st.builds(lambda a, lo, hi: ["sweep", "--a", a, "--k-min", lo, "--k-max", hi],
+              _BIG, _BIG, _BIG),
+    st.builds(lambda n, k, a: ["exact", "--n", n, "--k", k, "--a", a], _BIG, _BIG, _BIG),
+    st.builds(lambda n, k, a: ["search", "--k", k, "--a", a] + (["--n", n] if n else []),
+              st.none() | _BIG, _BIG, _BIG),
+    st.builds(lambda seq, a, k: ["oned", "--seq", seq, "--a", a, "--k", k],
+              st.text("0123456789", max_size=8), _BIG, _BIG),
+)
 
 
-@given(_ARGVS)
+@given(_ARGVS | _BIG_ARGVS)
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_argv_fuzz_exits_with_documented_codes(capsys, argv):

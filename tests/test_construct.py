@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from omnikit import bounds
+from omnikit import bounds, construct
 from omnikit.construct import (
     MAX_CELLS,
     GridDiagram,
@@ -179,6 +179,18 @@ class TestSizeGuard:
             build_mosaic(grid, 2)
         with pytest.raises(MosaicError, match="exceeds"):
             square_omnimosaic(40, 2)
+
+    @pytest.mark.parametrize("k,a", [(30000, 2), (3, 64)])
+    def test_square_guard_fires_before_the_grid(self, monkeypatch, k, a):
+        # (30000, 2): 9e8 grid cells; (3, 64): the 4224x8256 mosaic fits
+        # MAX_CELLS, its 8256x8256 padded square does not
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("built before the size guard")
+
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        monkeypatch.setattr(construct, "canonical_grid", no_alloc)
+        with pytest.raises(MosaicError, match="exceeds"):
+            square_omnimosaic(k, a)
 
     def test_strip_guard_counts_cells(self, monkeypatch):
         monkeypatch.setattr(np, "arange", None)  # the guard runs before any array

@@ -208,6 +208,20 @@ class TestExactSuenInputs:
 
 
 class TestMonteCarlo:
+    def test_trial_size_guard_fires_before_allocation(self, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the size guard")
+
+        for name in ("zeros", "empty", "array"):
+            monkeypatch.setattr(np, name, no_alloc)
+        monkeypatch.setattr(experiments.kernel, "subsets", no_alloc)
+        # C(200,5)^2 ~ 6e18 and C(100,3)^2 ~ 2.6e10 codes in one trial
+        for n, k in [(200, 5), (100, 3)]:
+            with pytest.raises(MosaicError, match="per trial"):
+                ExperimentConfig(n=n, k=k, a=2, trials=1)
+        for n, k, a in [(12, 3, 2), (48, 1, 400)]:  # 48 400 and 2 304 codes
+            ExperimentConfig(n=n, k=k, a=a, trials=1)
+
     def test_deterministic_across_workers(self):
         config = ExperimentConfig(n=4, k=2, a=2, trials=400, seed=7)
         one = estimate(config, workers=1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -120,6 +120,7 @@ class Placement:
                 raise MosaicError("placement indices must be non-negative")
 
 
+@lru_cache(maxsize=256)  # decode_target calls it once per target
 def target_space(k: int, a: int) -> int:
     """Number of k-by-k targets, a**(k*k); rejects spaces beyond 2**63 codes."""
     if power_exceeds(a, k * k, MAX_TARGET_SPACE):

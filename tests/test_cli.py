@@ -369,8 +369,8 @@ _BIG_ARGVS = st.one_of(
 )
 
 
-@given(_ARGVS | _BIG_ARGVS)
-@settings(max_examples=300, deadline=None,
+@given(_ARGVS | _BIG_ARGVS)  # about 2 in 3 examples still come from _ARGVS
+@settings(max_examples=450, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_argv_fuzz_exits_with_documented_codes(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -337,7 +337,7 @@ def oneD_EX(n: int, k: int, a: int, exact: bool = False):
 
 
 def _kl(x: float, p: float) -> float:
-    return x * math.log(x / p) + (1 - x) * math.log((1 - x) / (1 - p))
+    return x * math.log(x / p) + (1 - x) * (math.log1p(-x) - math.log1p(-p))
 
 
 def oneD_EX_threshold_ratio(a: int) -> float:
@@ -353,9 +353,10 @@ def oneD_EX_threshold_ratio(a: int) -> float:
     lo = a + tol
     hi = float(a + 1)
     while f(hi) < 0:
-        hi *= 2
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
+        hi = _finite("the n/k ratio", lambda: hi * 2)
+    # past about 3e8 the float spacing near the root exceeds tol, and the
+    # bracket stops shrinking when the midpoint equals an end
+    while hi - lo > tol and lo < (mid := (lo + hi) / 2) < hi:
         if f(mid) < 0:
             lo = mid
         else:

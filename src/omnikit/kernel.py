@@ -1,5 +1,5 @@
-"""Codes of k×k placements: the one kernel behind verification, Monte-Carlo
-and exact enumeration.
+"""Codes of k×k placements: the one kernel behind verification, Monte-Carlo,
+exact enumeration and the exact search.
 
 A placement is a k-subset of rows crossed with a k-subset of columns, both
 increasing.  Its code is the row-major base-a number of the submatrix it
@@ -16,13 +16,10 @@ induces, most significant entry first (``core.encode_target``).
   target occurs.  A matrix covers the OR of T over its C(n,k) row subsets;
   that OR is evaluated by broadcasting over the rows, a block of leading-row
   values at a time, so a step holds max(CHUNK, a^(n(n-1))) matrices.
-* ``tuple_masks`` gives the same strip coverage for a batch of row tuples as
-  Python-int bitmasks of any width, for the exact search.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import combinations, islice
 
 import numpy as np
@@ -44,7 +41,8 @@ def powers(k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
 
 def subsets(n: int, k: int) -> np.ndarray:
     """Every increasing k-subset of range(n), lexicographic, shape (C(n,k), k)."""
-    return np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(-1, k)
+    combos = list(combinations(range(n), k))
+    return np.array(combos, dtype=np.int64).reshape(len(combos), k)
 
 
 def subset_batches(n: int, k: int, size: int):
@@ -97,30 +95,6 @@ def distinct_counts(codes: np.ndarray, total: int) -> np.ndarray:
 def row_digits(values: np.ndarray, n: int, a: int) -> np.ndarray:
     """[..., c]: column c's entry of each row value, first column most significant."""
     return (np.asarray(values)[..., None] // a ** np.arange(n - 1, -1, -1)) % a
-
-
-def tuple_masks(rows: np.ndarray, a: int) -> list[int]:
-    """Coverage masks of k-tuples of rows, rows[s, i] holding row i's entries.
-
-    Bit t of mask s is set iff target code t occurs in the k×n strip of
-    tuple s.  The masks are Python ints joined from 64-bit limbs, so any
-    target space fits; a step holds at most CHUNK codes and, unless one tuple
-    needs more, BITSET_LIMIT bits.
-    """
-    m, k, n = rows.shape
-    rowsubs, colsubs = subsets(k, k), subsets(n, k)
-    step = max(1, min(CHUNK // math.comb(n, k), BITSET_LIMIT // a ** (k * k)))
-    out = []
-    for lo in range(0, m, step):
-        codes = placement_codes(rows[lo : lo + step], k, a, rowsubs, colsubs)[..., 0].T  # [s, c]
-        bits = np.zeros((len(codes), (int(codes.max()) // 64 + 1) * 64), dtype=bool)
-        bits[np.arange(len(codes))[:, None], codes] = True
-        limbs = np.packbits(bits, axis=1, bitorder="little").view("<u8").T.tolist()
-        masks = limbs[0]
-        for i, limb in enumerate(limbs[1:], 1):
-            masks = [mask | v << (64 * i) for mask, v in zip(masks, limb)]
-        out += masks
-    return out
 
 
 def _tuple_table(rowwords, lead, k: int, a: int, target, dtype) -> np.ndarray:

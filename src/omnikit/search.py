@@ -1,27 +1,33 @@
 """Exact existence/nonexistence search for small omnimosaics.
 
-The depth-first search fills the n-by-n matrix cell by cell in row-major
-order and visits only matrices that satisfy:
+The depth-first search places the n-by-n matrix one row at a time, n deep.
+A row is a base-a int in [0, a^n), first column most significant
+(``kernel.row_digits``), so increasing values are increasing rows.  The
+search visits only matrices that satisfy these rules, both applied in
+``_Searcher._rows``:
 
 * letter canonicalization: the first occurrences of letters in reading
   order are 0, 1, 2, ...;
 * rows nondecreasing lexicographically.
 
+Each depth scans the row values from the previous row's upward, a block at a
+time, and scores the block's admissible rows in one vectorized step: kernel
+column words give the codes of the placements through each candidate, and
+so the number of targets the placed rows would then cover.  Placements
+inside the placed rows are final, so a candidate survives only if that
+number plus the number of placements touching a later row reaches a^(k*k);
+the search recurses into the survivors in increasing order.  A node is one
+admissible row tried, and the budget is checked once per block.
+
 A ``found`` verdict is a proof: its witness is checked with
-``verify.is_omnimosaic``.  An ``exhausted_none`` verdict is not yet a proof
-of nonexistence.  Letter canonicalization is sound, but the row order is
-not: submatrix rows must be increasing, so permuting the rows of an
+``verify.is_omnimosaic``.  So is an ``exhausted_none`` from counting: with
+C(n,k)^2 < a^(k*k) there are fewer placements than targets, and the search
+answers before placing any row.  Any other ``exhausted_none`` is not yet a
+proof of nonexistence.  Letter canonicalization is sound, but the row order
+is not: submatrix rows must be increasing, so permuting the rows of an
 omnimosaic can lose the property (10 of the 24 row permutations of the
 (4,2,2) witness do), and an orbit may have no sorted member that is omni.
 Making the symmetry breaking sound is open work.
-
-Pruning: placements lying entirely inside the filled rows are final, so a
-branch dies as soon as the codes covered so far plus the number of
-placements touching an unfilled row cannot reach a^(k*k).  The covered
-codes are a Python-int bitmask.  When a row is completed it is encoded as a
-base-a int (``kernel.row_digits`` order) and the masks of the row tuples
-ending at it, from ``kernel.tuple_masks``, are ORed in; the searcher caches
-those masks, up to a fixed number of entries.
 """
 
 from __future__ import annotations
@@ -29,26 +35,24 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
-
 import numpy as np
 
 from omnikit import bounds, kernel
-from omnikit.core import MosaicError, MosaicMatrix, check_sizes
+from omnikit.core import MosaicError, MosaicMatrix, check_sizes, power_exceeds
 from omnikit.verify import is_omnimosaic
 
 FOUND = "found"
 EXHAUSTED_NONE = "exhausted_none"
 BUDGET_EXCEEDED = "budget_exceeded"
 
-_BUDGET_CHECK_MASK = 0xFFF
-# Largest side searched.  The DFS recurses once per cell and once per row,
-# n*n + n frames deep, and its tree has a^(n*n) leaves: 16 keeps the
-# recursion far inside Python's default limit, at sizes no search exhausts.
+# Largest side searched: it bounds the inputs accepted.  A search that
+# counting does not settle has C(n,k)^2 >= a^(k*k), so n <= 16 leaves a <= 10
+# at k = 2, a <= 4 at k = 3 and at most a = 2 beyond, and every row value,
+# below a^n <= 10^16, fits in int64 for k >= 2; k = 1 is refused past it.
 MAX_N = 16
-_COLUMN_ROWS = 1 << 12  # k = 2 caches whole columns while a^n is at most this
-_CACHE_ENTRIES = 1 << 16  # masks a searcher caches ...
-_CACHE_BITS = 1 << 28  # ... and mask bits (32 MB), whichever is fewer
+_ROW_LIMIT = 2**63 - 1  # largest a^n searched
+_TABLE_BYTES = 1 << 24  # admissible rows a searcher keeps, by (letters used, block)
+_ENTRY_BYTES = 1 << 10  # a kept block's key, dict slot and array headers (~540 measured)
 
 
 @dataclass(frozen=True)
@@ -77,107 +81,100 @@ class _Budget(Exception):
 
 class _Searcher:
     def __init__(self, n, k, a, budget):
-        self.n, self.k, self.a = n, k, a
+        self.n, self.a = n, a
         self.budget = budget or SearchBudget()
         self.nodes = 0
         self.start = time.perf_counter()
         self.total_targets = a ** (k * k)
-        self.total_placements = math.comb(n, k) ** 2
-        # placements fully inside the first m rows, by m
-        self.inside = [math.comb(m, k) * math.comb(n, k) for m in range(n + 1)]
-        self.grid = [[0] * n for _ in range(n)]
-        self.rowvals = [0] * n  # completed rows as base-a ints, first column most significant
-        # coverage masks of row tuples: for k = 2 and small rows, one column
-        # [mask of (u, r) for every row value u] per top-row value r; else one
-        # mask per tuple of row values.  Emptied when it would pass its ceiling.
-        self.cache = {}
-        self.cache_limit = min(_CACHE_ENTRIES, _CACHE_BITS // self.total_targets)
-        self.columns = k == 2 and a**n <= _COLUMN_ROWS
-        self.cached = 0
+        # placements touching a row past the first m rows, by m
+        self.outside = [math.comb(n, k) * (math.comb(n, k) - math.comb(m, k)) for m in range(n + 1)]
+        dtype = np.min_scalar_type(self.total_targets - 1)
+        self.rowpow, self.colpow = (p.astype(dtype) for p in kernel.powers(k, a))
+        self.colsubs = kernel.subsets(n, k)
+        self.rest = [kernel.subsets(i, k - 1) for i in range(n)]  # by i, rows 0..i-1
+        self.width = a**n  # row values
+        # row values per block: a block's placement codes stay within
+        # kernel.CHUNK and, as counting leaves a^(k*k) <= C(n,k)^2, its
+        # [row, target] array within max(n/k * CHUNK, a^(k*k)) entries
+        self.block = max(1, kernel.CHUNK // (math.comb(n - 1, k - 1) * len(self.colsubs)))
+        # [r, c]: code of placed row r's letters at column subset c, as the
+        # last row of a k×k target; a placement's code is the rowpow-weighted
+        # sum of its rows' codes
+        self.rowcodes = np.zeros((n, len(self.colsubs)), dtype=dtype)
+        self.rows = [0] * n  # placed rows' values
+        self.kept = {}  # (letters used, block start) -> what _rows yields for the block
+        self.kept_bytes = 0
         self.witness = None
 
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes & _BUDGET_CHECK_MASK:
-            return
+    def _tick(self, tried: int):
+        """Check the budget, then count ``tried`` rows as nodes."""
         b = self.budget
         if b.max_nodes is not None and self.nodes >= b.max_nodes:
             raise _Budget()
         if b.max_seconds is not None and time.perf_counter() - self.start >= b.max_seconds:
             raise _Budget()
+        self.nodes += tried
 
-    def _store(self, masks: dict, entries: int):
-        """Cache masks, emptying the cache first if it would pass its ceiling."""
-        if self.cached + entries > self.cache_limit:
-            self.cache.clear()
-            self.cached = 0
-        self.cache.update(masks)
-        self.cached += entries
+    def _rows(self, i: int, used: int):
+        """The rows that may be placed as row i, letters [0, used) appearing
+        above it: those of value at least row i-1's (rows nondecreasing) in
+        which each letter past those first appears after every smaller one
+        (first occurrences in reading order 0, 1, 2, ...).
 
-    def _new_mask(self, top_row: int) -> int:
-        """Mask of the codes of placements whose maximal row is top_row."""
-        n, k, a = self.n, self.k, self.a
-        row = self.grid[top_row]
-        r = 0
-        for x in row:
-            r = r * a + x
-        vals = self.rowvals
-        vals[top_row] = r
-        mask = 0
-        if top_row < k - 1:
-            return mask
-        if self.columns:
-            column = self.cache.get(r)
-            if column is None:
-                tuples = np.empty((a**n, 2, n), dtype=np.int64)
-                tuples[:, 0] = kernel.row_digits(np.arange(a**n), n, a)
-                tuples[:, 1] = row
-                column = kernel.tuple_masks(tuples, a)
-                self._store({r: column}, len(column))
-            for v in vals[:top_row]:
-                mask |= column[v]
-            return mask
-        missing = {}  # row values -> rows, of the tuples not cached
-        for rest in combinations(range(top_row), k - 1):
-            key = tuple(vals[p] for p in rest) + (r,)
-            m = self.cache.get(key)
-            if m is None:
-                missing[key] = [self.grid[p] for p in rest] + [row]
-            else:
-                mask |= m
-        if missing:
-            masks = kernel.tuple_masks(np.array(list(missing.values())), a)
-            self._store(dict(zip(missing, masks)), len(masks))
-            for m in masks:
-                mask |= m
-        return mask
+        Yields (values, rowcodes, used) of them, increasing, one triple per
+        block of values scanned, each possibly empty: rowcodes as in
+        ``self.rowcodes``, used the letters in use once the row is placed.  A
+        block's admissible rows are kept while they fit in _TABLE_BYTES.
+        """
+        n, a, size = self.n, self.a, self.block
+        prev = self.rows[i - 1] if i else 0
+        for lo in range(prev - prev % size, self.width, size):
+            found = self.kept.get((used, lo))
+            if found is None:
+                values = np.arange(lo, min(lo + size, self.width), dtype=np.int64)
+                letters = kernel.row_digits(values, n, a)
+                # the largest letter each cell may hold: one past every letter before it
+                allowed = np.maximum(used, np.maximum.accumulate(letters, axis=1) + 1)
+                ok = (letters[:, 0] <= used) & np.all(letters[:, 1:] <= allowed[:, :-1], axis=1)
+                letters = letters[ok].astype(self.rowcodes.dtype)
+                found = (
+                    values[ok],
+                    kernel.column_words(letters.T, self.colsubs, self.colpow),
+                    allowed[ok, -1],
+                )
+                entry = sum(x.nbytes for x in found) + _ENTRY_BYTES
+                if self.kept_bytes + entry <= _TABLE_BYTES:
+                    self.kept[used, lo] = found
+                    self.kept_bytes += entry
+            if lo < prev:
+                first = np.searchsorted(found[0], prev)
+                found = tuple(x[first:] for x in found)
+            yield found
 
-    def search(self) -> bool:
-        return self._fill(0, 0, 0, False, 0)
-
-    def _fill(self, i, j, used, tie, covered) -> bool:
+    def _place(self, i: int, used: int, missing: np.ndarray, count: int) -> bool:
+        """Try row i below the placed rows 0..i-1, whose letters are [0, used)
+        and whose placements cover ``count`` targets, those not in ``missing``."""
         n, a = self.n, self.a
-        if j == n:
-            covered |= self._new_mask(i)
-            count = covered.bit_count()
-            if count + (self.total_placements - self.inside[i + 1]) < self.total_targets:
-                return False
-            if i == n - 1:
-                if count == self.total_targets:
-                    self.witness = MosaicMatrix.from_rows(self.grid, a)
+        # [c, s]: code of placement (column subset c, rows rest[s] and i) but row i's part
+        placed = kernel.column_words(self.rowcodes[:i], self.rest[i], self.rowpow[:-1])
+        for values, rowcodes, after in self._rows(i, used):
+            self._tick(len(values))
+            if not len(values):
+                continue
+            # fresh[b, t]: target t is missing and covered by a placement through row b
+            fresh = np.zeros((len(values), self.total_targets), dtype=bool)
+            codes = (placed + rowcodes[:, :, None]).reshape(len(values), -1)
+            fresh[np.arange(len(values))[:, None], codes] = True
+            fresh &= missing
+            counts = count + fresh.sum(axis=1)
+            for b in (counts + self.outside[i + 1] >= self.total_targets).nonzero()[0]:
+                self.rows[i] = int(values[b])
+                self.rowcodes[i] = rowcodes[b]
+                if i == n - 1:  # nothing lies outside: every target is covered
+                    self.witness = MosaicMatrix.from_numpy(kernel.row_digits(self.rows, n, a), a)
                     return True
-                return False
-            return self._fill(i + 1, 0, used, True, covered)
-        lo = self.grid[i - 1][j] if (tie and i > 0) else 0
-        hi = min(used, a - 1)
-        row = self.grid[i]
-        for letter in range(lo, hi + 1):
-            self._tick()
-            row[j] = letter
-            new_tie = tie and i > 0 and letter == self.grid[i - 1][j]
-            if self._fill(i, j + 1, max(used, letter + 1), new_tie, covered):
-                return True
-        row[j] = 0
+                if self._place(i + 1, int(after[b]), missing ^ fresh[b], int(counts[b])):
+                    return True
         return False
 
 
@@ -197,14 +194,20 @@ def exists_omnimosaic(
     a: int,
     budget: SearchBudget | None = None,
 ) -> SearchResult:
-    """Decide whether an O(n,k,a) omnimosaic exists, by canonical DFS.
+    """Decide whether an O(n,k,a) omnimosaic exists, by a canonical row-by-row DFS.
 
-    Requires k >= 1, a >= 2 and k <= n <= MAX_N.
+    Requires k >= 1, a >= 2, k <= n <= MAX_N and, unless counting settles
+    the answer, a^n < 2^63.
     """
+    start = time.perf_counter()
     _check_args(k, a, n)
+    if power_exceeds(a, k * k, math.comb(n, k) ** 2):  # fewer placements than targets
+        return SearchResult(EXHAUSTED_NONE, None, 0, time.perf_counter() - start)
+    if power_exceeds(a, n, _ROW_LIMIT):
+        raise MosaicError(f"search supports a^n < 2^63 row values, got {a}^{n}")
     s = _Searcher(n, k, a, budget)
     try:
-        found = s.search()
+        found = s._place(0, 0, np.ones(s.total_targets, dtype=bool), 0)
     except _Budget:
         return SearchResult(BUDGET_EXCEEDED, None, s.nodes, time.perf_counter() - s.start)
     elapsed = time.perf_counter() - s.start

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -279,3 +280,16 @@ class TestOneD:
     def test_EX_threshold_ratio_exceeds_coupon_threshold(self):
         for a in (2, 3, 4):
             assert bounds.oneD_EX_threshold_ratio(a) > float(bounds.oneD_threshold(a))
+
+    @pytest.mark.parametrize("a", [3 * 10**8, 10**9, 10**12, 10**15, 10**300])
+    def test_EX_threshold_ratio_at_large_a(self, a):
+        # the bracket there is narrower than the absolute tolerance allows
+        start = time.perf_counter()
+        r = bounds.oneD_EX_threshold_ratio(a)
+        assert time.perf_counter() - start < 0.1
+        assert a < r < 2 * a * math.log(a)
+        assert r * bounds._kl(1 / r, 1 / a) == pytest.approx(math.log(a), rel=1e-9)
+
+    def test_EX_threshold_ratio_past_float_range(self):
+        with pytest.raises(MosaicError):
+            bounds.oneD_EX_threshold_ratio(10**306)

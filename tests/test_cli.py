@@ -12,6 +12,7 @@ from omnikit.cli import (
     EXIT_ERROR,
     EXIT_FALSE,
     EXIT_OK,
+    ONED_THRESHOLD_MAX_A,
     SCHEMA,
     main,
 )
@@ -329,6 +330,43 @@ def test_bounds_at_paper_scale(capsys):
     assert time.perf_counter() - start < 1
     assert code == EXIT_OK
     assert payload["pigeonhole_min_n"] == 16534519
+
+
+@pytest.mark.parametrize(
+    "argv,want,seconds",
+    [
+        # C(12,2)^2 placements are fewer than 30000^4 targets: settled by counting
+        (["search", "--k", "2", "--a", "30000", "--n", "12", "--max-seconds", "2"], EXIT_FALSE, 1),
+        (["search", "--k", "1", "--a", "200", "--n", "16"], EXIT_ERROR, 1),  # rows past 2^63
+        # rows run to 10^16 values: the budget holds across blocks with no admissible row
+        (["search", "--k", "2", "--a", "10", "--n", "16", "--max-seconds", "0.5"], EXIT_BUDGET, 2),
+        (["bounds", "--k", "1", "--a", "1000000000"], EXIT_OK, 1),
+        (["bounds", "--k", "2", "--a", "1000000000"], EXIT_OK, 1),
+    ],
+)
+def test_large_arguments_exit_in_time(capsys, argv, want, seconds):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < seconds
+    assert code == want and "Traceback" not in err
+    if code == EXIT_ERROR:
+        assert out == "" and err.startswith("error:")
+    else:
+        assert json.loads(out)["schema"] == SCHEMA
+
+
+def test_bounds_at_an_alphabet_of_10_to_300(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "--k", "2", "--a", str(10**300))
+    assert time.perf_counter() - start < 1
+    assert code in (EXIT_OK, EXIT_ERROR) and "Traceback" not in err
+
+
+def test_bounds_leaves_out_the_1d_threshold_past_its_cutoff(capsys):
+    _, payload, _ = run_json(capsys, "bounds", "--k", "2", "--a", str(ONED_THRESHOLD_MAX_A))
+    assert "oneD_threshold" in payload
+    _, payload, _ = run_json(capsys, "bounds", "--k", "2", "--a", str(ONED_THRESHOLD_MAX_A + 1))
+    assert "oneD_threshold" not in payload and "oneD_EX_threshold_ratio" in payload
 
 
 # Every integer argument ranges over [-2, 5] (construct's k and a up to 4).

@@ -60,40 +60,3 @@ def test_enumeration_blocks_are_bounded(n, k, a, target):
         matrices += block.size
     assert matrices == a ** (n * n)
 
-
-def _strip_mask(values, n, k, a):
-    """Brute force: the mask of target codes in the k×n strip of these row values."""
-    rows = [[(v // a ** (n - 1 - c)) % a for c in range(n)] for v in values]
-    strip = MosaicMatrix.from_rows(rows, a)
-    mask = 0
-    for cols in itertools.combinations(range(n), k):
-        mask |= 1 << encode_target(strip.submatrix(range(k), cols))
-    return mask
-
-
-def _tuple_masks(values, n, a):
-    rows = kernel.row_digits(np.array(values, dtype=np.int64), n, a)
-    return kernel.tuple_masks(rows, a)
-
-
-@pytest.mark.parametrize("n,k,a", [(3, 2, 2), (3, 2, 3)])
-def test_tuple_masks_of_every_pair(n, k, a):
-    # (3,2,3) has 81 targets, so its masks need two limbs
-    pairs = list(itertools.product(range(a**n), repeat=k))
-    masks = _tuple_masks(pairs, n, a)
-    assert masks == [_strip_mask(p, n, k, a) for p in pairs]
-    if a ** (k * k) > 64:
-        assert max(masks).bit_length() > 64
-
-
-def test_tuple_masks_of_random_triples(rng):
-    n, k, a = 4, 3, 2
-    triples = rng.integers(0, a**n, size=(200, k)).tolist()
-    assert _tuple_masks(triples, n, a) == [_strip_mask(t, n, k, a) for t in triples]
-
-
-def test_tuple_masks_in_several_steps(monkeypatch):
-    pairs = list(itertools.product(range(27), repeat=2))
-    whole = _tuple_masks(pairs, 3, 3)
-    monkeypatch.setattr(kernel, "CHUNK", 7)  # 3 column subsets: 2 tuples a step
-    assert _tuple_masks(pairs, 3, 3) == whole

@@ -1,9 +1,13 @@
 import itertools
+import math
+import time
+import weakref
 
+import numpy as np
 import pytest
 
-from omnikit import search
-from omnikit.core import MosaicMatrix, MosaicError
+from omnikit import kernel, search
+from omnikit.core import MosaicMatrix, MosaicError, encode_target
 from omnikit.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED_NONE,
@@ -92,7 +96,7 @@ class TestBudget:
     def test_node_budget_triggers(self):
         r = exists_omnimosaic(5, 2, 3, budget=SearchBudget(max_nodes=5_000))
         assert r.status == BUDGET_EXCEEDED
-        assert r.nodes >= 4_096  # checked every 4096 nodes
+        assert r.nodes >= 4_096  # checked before each block of rows
 
     def test_invalid_budget(self):
         with pytest.raises(MosaicError):
@@ -109,16 +113,17 @@ class TestWitnessQuality:
         assert r.witness.entries[0] == 0  # first entry relabeled to 0
 
 
-# (status, nodes, witness entries) of the set-of-codes search this one replaced;
-# the DFS tree must not move by a single node
+# (status, nodes, witness entries): statuses and witnesses are those of the
+# cell-by-cell search this one replaced; a node is one admissible row tried,
+# and sizes with fewer placements than targets are settled with no node
 GOLDEN = {
-    (4, 2, 2): (FOUND, 4672, (0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1)),
-    (5, 2, 2): (FOUND, 5538, (0,) * 12 + (1, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 0)),
-    (6, 2, 2): (FOUND, 11197, (0,) * 22 + (1, 0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1)),
-    (7, 2, 2): (FOUND, 10755, (0,) * 36 + (1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 0, 1)),
-    (3, 2, 2): (EXHAUSTED_NONE, 7, None),
-    (4, 2, 3): (EXHAUSTED_NONE, 22, None),
-    (6, 3, 2): (EXHAUSTED_NONE, 63, None),
+    (4, 2, 2): (FOUND, 2286, (0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1)),
+    (5, 2, 2): (FOUND, 2812, (0,) * 12 + (1, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 0)),
+    (6, 2, 2): (FOUND, 5796, (0,) * 22 + (1, 0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1)),
+    (7, 2, 2): (FOUND, 6034, (0,) * 36 + (1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 0, 1)),
+    (3, 2, 2): (EXHAUSTED_NONE, 0, None),
+    (4, 2, 3): (EXHAUSTED_NONE, 0, None),
+    (6, 3, 2): (EXHAUSTED_NONE, 0, None),
 }
 
 
@@ -136,35 +141,130 @@ class TestGolden:
 
     def test_open_instance_budget(self):
         r = exists_omnimosaic(5, 2, 3, budget=SearchBudget(max_nodes=8192))
-        assert (r.status, r.nodes) == (BUDGET_EXCEEDED, 8192)
+        assert (r.status, r.nodes) == (BUDGET_EXCEEDED, 8273)
+
+
+class TestCounting:
+    @pytest.mark.parametrize(
+        "n,k,a", [(1, 1, 2), (2, 1, 5), (3, 2, 2), (4, 2, 3), (6, 3, 2), (12, 2, 30000), (16, 1, 300)]
+    )
+    def test_settled_before_any_row(self, monkeypatch, n, k, a):
+        assert math.comb(n, k) ** 2 < a ** (k * k)
+        monkeypatch.setattr(search, "_Searcher", None)  # no searcher is built
+        r = exists_omnimosaic(n, k, a)
+        assert (r.status, r.nodes, r.witness) == (EXHAUSTED_NONE, 0, None)
+
+    def test_rows_past_int64_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(search, "_Searcher", None)
+        for a in (16, 200, 256):  # a^16 >= 2^64, and n^2 = 256 >= a
+            with pytest.raises(MosaicError, match="2\\^63"):
+                exists_omnimosaic(16, 1, a)
+
+    @pytest.mark.parametrize("n,a", [(2, 4), (3, 9), (4, 16)])
+    def test_as_many_placements_as_targets_is_searched(self, n, a):
+        # n^2 distinct letters make an n×n 1-omnimosaic
+        r = exists_omnimosaic(n, 1, a)
+        assert r.status == FOUND and sorted(r.witness.entries) == list(range(a))
+
+    def test_largest_rows_searched(self):
+        assert 15**16 < 2**63
+        r = exists_omnimosaic(16, 1, 15, budget=SearchBudget(max_nodes=10))
+        assert r.status == BUDGET_EXCEEDED
+
+
+def _covered_count(rows, k, a):
+    """Brute force: how many target codes the placements inside these rows cover."""
+    if len(rows) < k:
+        return 0
+    m = MosaicMatrix.from_rows(rows, a)
+    return len({
+        encode_target(m.submatrix(r, c))
+        for r in itertools.combinations(range(m.rows), k)
+        for c in itertools.combinations(range(m.cols), k)
+    })
 
 
 @pytest.mark.parametrize(
-    "n,k,a,columns,ceiling",
-    [
-        (6, 2, 2, 1 << 12, 200),  # k = 2: whole columns of 64 masks
-        (6, 2, 2, 0, 20),  # k = 2, one mask per row tuple
-        (7, 3, 2, 1 << 12, 50),  # k = 3: one mask per row tuple
-    ],
+    "n,k,a,max_nodes",
+    [(3, 1, 5, None), (5, 1, 4, None), (4, 2, 2, None), (5, 2, 3, 500), (7, 3, 2, 3000)],
 )
-def test_mask_cache_stays_under_its_ceiling(monkeypatch, n, k, a, columns, ceiling):
-    store = search._Searcher._store
+def test_carried_coverage_matches_brute_force(monkeypatch, n, k, a, max_nodes):
+    # (7,3,2): prefixes of up to 6 rows against 512 targets
+    place = search._Searcher._place
+    depths = []
+
+    def checked(self, i, used, missing, count):
+        if len(depths) < 40:
+            rows = kernel.row_digits(self.rows[:i], n, a).tolist()
+            assert count == self.total_targets - np.count_nonzero(missing)
+            assert count == _covered_count(rows, k, a)
+            assert used == (max(map(max, rows)) + 1 if rows else 0)
+            depths.append(i)
+        return place(self, i, used, missing, count)
+
+    monkeypatch.setattr(search._Searcher, "_place", checked)
+    budget = SearchBudget(max_nodes=max_nodes) if max_nodes else None
+    exists_omnimosaic(n, k, a, budget=budget)
+    assert max(depths) >= min(n - 1, k + 1)  # prefixes past the first placements
+
+
+def test_budget_checked_once_per_block_even_when_empty(monkeypatch):
+    # (16,2,10): rows run to 10^16 values, most blocks hold no admissible row
+    rows, tick = search._Searcher._rows, search._Searcher._tick
+    seen = {"blocks": 0, "empty": 0, "ticks": 0}
+
+    def counted_rows(self, i, used):
+        for found in rows(self, i, used):
+            seen["blocks"] += 1
+            seen["empty"] += not len(found[0])
+            yield found
+
+    def counted_tick(self, tried):
+        seen["ticks"] += 1
+        tick(self, tried)
+
+    monkeypatch.setattr(search._Searcher, "_rows", counted_rows)
+    monkeypatch.setattr(search._Searcher, "_tick", counted_tick)
+    start = time.perf_counter()
+    r = exists_omnimosaic(16, 2, 10, budget=SearchBudget(max_seconds=0.3))
+    assert r.status == BUDGET_EXCEEDED
+    assert time.perf_counter() - start < 1.5
+    assert seen["ticks"] == seen["blocks"] and seen["empty"] > 0
+
+
+def test_kept_blocks_stay_under_their_byte_bound(monkeypatch):
+    rows = search._Searcher._rows
     held = []
 
-    def checked(self, masks, count):
-        store(self, masks, count)
-        size = sum(len(m) if isinstance(m, list) else 1 for m in self.cache.values())
-        assert size == self.cached <= self.cache_limit == ceiling
-        held.append(size)
+    def checked(self, i, used):
+        for found in rows(self, i, used):
+            size = sum(sum(x.nbytes for x in f) + search._ENTRY_BYTES for f in self.kept.values())
+            assert size == self.kept_bytes <= search._TABLE_BYTES
+            held.append(len(self.kept))
+            yield found
 
-    monkeypatch.setattr(search, "_COLUMN_ROWS", columns)
-    monkeypatch.setattr(search, "_CACHE_ENTRIES", ceiling)
-    monkeypatch.setattr(search._Searcher, "_store", checked)
-    r = exists_omnimosaic(n, k, a, budget=SearchBudget(max_nodes=20_000))
-    assert any(later < earlier for earlier, later in zip(held, held[1:]))  # was emptied
-    if (n, k, a) in GOLDEN:
-        entries = r.witness.entries if r.witness else None
-        assert (r.status, r.nodes, entries) == GOLDEN[n, k, a]
+    monkeypatch.setattr(search._Searcher, "_rows", checked)
+    r = exists_omnimosaic(7, 2, 2)
+    assert max(held) == 3  # one block for each count of letters used, 0 to 2
+    held.clear()
+    monkeypatch.setattr(search, "_TABLE_BYTES", 5_000)  # room for the first block only
+    r = exists_omnimosaic(7, 2, 2)
+    assert max(held) == 1
+    assert (r.status, r.nodes, r.witness.entries) == GOLDEN[7, 2, 2]
+
+
+def test_nothing_held_after_return(monkeypatch):
+    init = search._Searcher.__init__
+    refs = []
+
+    def tracked(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(search._Searcher, "__init__", tracked)
+    assert exists_omnimosaic(4, 2, 2).status == FOUND
+    assert exists_omnimosaic(5, 2, 3, budget=SearchBudget(max_nodes=100)).status == BUDGET_EXCEEDED
+    assert len(refs) == 2 and all(ref() is None for ref in refs)
 
 
 @pytest.mark.xfail(

@@ -3,7 +3,7 @@
 Everything asymptotic is evaluated with natural logarithms; "log" in this
 module always means ln.  Counting bounds (pigeonhole, construction size)
 use exact big-integer arithmetic; overlap weights are evaluated in the log
-domain via lgamma, with an exact big-integer cross-check for small
+domain (``log_binom``), with an exact big-integer cross-check for small
 arguments.
 """
 
@@ -19,29 +19,62 @@ E = math.e
 
 
 def log_binom(n: int, k: int) -> float:
+    """ln C(n,k), accurate to a few ulps for any n a float can hold.
+
+    With j = min(k, n-k) and m = n - j, ln C(n,k) = ln(n!/m!) - ln j!.  As a
+    difference of lgamma values ln(n!/m!) loses every digit below the float
+    spacing near ln n!, so for m >= 100 it comes from Stirling's series
+    ln x! = (x + 1/2) ln x - x + ln(2 pi)/2 + s(x) instead, where no term is
+    much larger than the answer.  Below that, C(n,k) is computed exactly.
+    """
     if k < 0 or k > n:
         return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    j = min(k, n - k)
+    m = n - j
+    if m < 100:
+        return math.log(math.comb(n, j))
+    ln_falling = (  # ln(n!/m!)
+        j * math.log(n) - j - (m + 0.5) * math.log1p(-j / n) + _stirling(n) - _stirling(m)
+    )
+    return ln_falling - math.lgamma(j + 1)
+
+
+def _stirling(x: int) -> float:
+    """s(x) = ln x! - ((x + 1/2) ln x - x + ln(2 pi)/2), to 1e-17 for x >= 100."""
+    y = 1 / x
+    return y * (1 / 12 - y * y * (1 / 360 - y * y / 1260))
 
 
 def pigeonhole_min_n(k: int, a: int) -> int:
     """Smallest n with C(n,k)^2 >= a^(k*k); exact integers.
 
-    C(n,k) does not decrease as n grows, so n doubles until the inequality
-    holds and the answer is bisected between the last two sizes.
+    The condition is C(n,k) >= T = ceil(sqrt(a^(k*k))).  Since
+    (n-k+1)^k <= k! C(n,k) <= n^k, the answer lies in [r, r+k-1], r the
+    least integer with r^k >= k! T, and bisecting that range evaluates
+    C(n,k) ceil(log2 k) times.
     """
-    need = a ** (k * k)
-
-    def enough(n: int) -> bool:
-        return math.comb(n, k) ** 2 >= need
-
-    lo, hi = k - 1, k  # C(k-1, k) = 0: lo never suffices
-    while not enough(hi):
-        lo, hi = hi, 2 * hi
+    need = math.isqrt(a ** (k * k) - 1) + 1
+    r = _root_ceil(math.factorial(k) * need, k)
+    lo, hi = r - 1, r + k - 1  # lo never suffices, hi always does
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+        lo, hi = (lo, mid) if math.comb(mid, k) >= need else (mid, hi)
     return hi
+
+
+def _root_ceil(x: int, k: int) -> int:
+    """Least r with r^k >= x, for x >= 1: a float estimate, then integer Newton."""
+    log_r = math.log(x) / k
+    shift = max(0, int(log_r / math.log(2)) - 60)
+    r = (int(math.exp(log_r - shift * math.log(2))) + 1) << shift
+
+    def step(r: int) -> int:  # never below floor(x^(1/k)); below r while r^k > x
+        return ((k - 1) * r + x // r ** (k - 1)) // k
+
+    r = step(r)
+    while (s := step(r)) < r:
+        r = s
+    return r if r**k >= x else r + 1
 
 
 def _finite(name: str, compute) -> float:

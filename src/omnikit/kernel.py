@@ -9,6 +9,11 @@ induces, most significant entry first (``core.encode_target``).
   stack of matrices, through column words: for a row subset, column j's word
   holds its k entries as base-a digits k places apart (weights ``rowpow``),
   so a placement's code is the colpow-weighted sum of its k column words.
+* ``code_batches`` gives the codes of one matrix's placements, at most CHUNK
+  at a time, through row words: for a block of about CHUNK / rows column
+  subsets, row r's word holds its entries at each subset (weights
+  ``colpow``), built once per block, and a batch of row subsets sums k
+  gathered whole rows of words, each a contiguous copy of the block's width.
 * ``enumerate_coverage`` covers every one of the a^(n*n) n×n matrices at once
   through a row-tuple table.  Rows are base-a ints in [0, a^n), first column
   most significant.  The table T over k-tuples of rows holds what the k×n
@@ -75,10 +80,26 @@ def placement_codes(
 
 
 def code_batches(arr: np.ndarray, k: int, a: int):
-    """Codes of every placement of one matrix, a batch of row subsets at a time."""
+    """Codes of every placement of one matrix, at most CHUNK at a time.
+
+    For a block of column subsets, each row's words over them are built once,
+    times each rowpow weight; a batch of row subsets then sums k gathered
+    whole rows of those words.
+    """
+    dtype = np.min_scalar_type(a ** (k * k) - 1)
+    rowpow, colpow = (p.astype(dtype) for p in powers(k, a))
+    rows = arr.shape[0]
     colsubs = subsets(arr.shape[1], k)
-    for rowsubs in subset_batches(arr.shape[0], k, max(1, CHUNK // max(1, len(colsubs)))):
-        yield placement_codes(arr, k, a, rowsubs, colsubs)
+    transposed = arr.T.astype(dtype)
+    width = max(1, CHUNK // max(1, rows))  # column subsets per block
+    for lo in range(0, len(colsubs), width):
+        words = column_words(transposed, colsubs[lo : lo + width], colpow)  # [r, c]
+        weighted = [w * words for w in rowpow]  # [i][r, c]
+        for rowsubs in subset_batches(rows, k, max(1, CHUNK // words.shape[1])):
+            codes = weighted[0][rowsubs[:, 0]]
+            for i in range(1, k):
+                codes += weighted[i][rowsubs[:, i]]
+            yield codes
 
 
 def distinct_counts(codes: np.ndarray, total: int) -> np.ndarray:

@@ -2,8 +2,13 @@
 
 coverage() enumerates every k-subset of rows crossed with every k-subset of
 columns, encodes each induced submatrix and marks it in a bitset over the
-a^(k*k) target codes.  The enumeration is exact; the only approximation
-anywhere is the guard that refuses target spaces too large to bitset.
+a^(k*k) target codes.  First it drops every row past the k-th of a run of
+equal adjacent rows, then does the same for columns: a placement takes at
+most k rows of a run and any k of them are alike, so the set of codes is
+unchanged, and dropping rows never makes unequal columns equal.  The padded
+construction squares shrink this way, (3,4) from 36 to 26 rows.  The
+enumeration is exact; the only approximation anywhere is the guard that
+refuses target spaces too large to bitset.
 """
 
 from __future__ import annotations
@@ -41,9 +46,18 @@ def coverage(m: MosaicMatrix, k: int) -> np.ndarray:
             "check individual targets with contains_target instead"
         )
     bits = np.zeros(size, dtype=bool)
-    for codes in kernel.code_batches(m.to_numpy(), k, m.a):
+    host = _cut_runs(_cut_runs(m.to_numpy(), k).T, k).T
+    for codes in kernel.code_batches(host, k, m.a):
         bits[codes] = True
     return bits
+
+
+def _cut_runs(arr: np.ndarray, k: int) -> np.ndarray:
+    """arr without every row past the k-th of a run of equal adjacent rows."""
+    new = np.ones(len(arr), dtype=bool)  # row starts a run
+    new[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return arr[np.arange(len(arr)) - starts[np.cumsum(new) - 1] < k]
 
 
 def is_omnimosaic(m: MosaicMatrix, k: int) -> VerifyReport:

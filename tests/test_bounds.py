@@ -30,6 +30,26 @@ class TestCountingBounds:
                     n += 1
                 assert bounds.pigeonhole_min_n(k, a) == n, (k, a)
 
+    def test_pigeonhole_values_past_the_scan(self):
+        assert bounds.pigeonhole_min_n(300, 2) == (
+            159509061481908140763142896844491942899175332205
+        )
+
+    @pytest.mark.parametrize("k,a", [(1, 2), (2, 2), (3, 5), (13, 3), (40, 2), (300, 2), (1000, 2)])
+    def test_pigeonhole_evaluates_few_binomials(self, monkeypatch, k, a):
+        calls, exact = [], math.comb
+
+        def comb(n, j):
+            calls.append(n)
+            return exact(n, j)
+
+        monkeypatch.setattr(bounds.math, "comb", comb)
+        n = bounds.pigeonhole_min_n(k, a)
+        assert len(calls) <= math.ceil(math.log2(k)) + 1
+        if k <= 40:  # the defining inequality, exactly
+            monkeypatch.undo()
+            assert math.comb(n - 1, k) ** 2 < a ** (k * k) <= math.comb(n, k) ** 2
+
     def test_pigeonhole_at_paper_scale(self):
         # about 1.65e7 sizes below the answer; a scan of them takes minutes
         n = bounds.pigeonhole_min_n(40, 2)
@@ -48,9 +68,13 @@ class TestCountingBounds:
             bounds.suen_threshold_n(2, 2**1021)
         with pytest.raises(MosaicError, match="overflows a float"):
             bounds.ramsey_n0(2047)
-        for n in (10**306, 10**400):  # ln C(n,k) overflows, then n itself
+        for n in (10**309, 10**400):  # n itself overflows a float
             with pytest.raises(MosaicError, match="overflows a float"):
                 bounds.suen_report(n, 2, 2)
+        # ln C(n,2) stays finite wherever n does, although ln n! overflows
+        n = 10**306
+        want = 2 * math.log(math.comb(n, 2)) - 4 * math.log(2)
+        assert bounds.suen_report(n, 2, 2).log_mu == pytest.approx(want, rel=1e-12)
 
     def test_asymptotic_matches_stirling(self):
         assert bounds.asymptotic_lower(2, 2) == pytest.approx(4 / math.e)
@@ -70,6 +94,24 @@ class TestCountingBounds:
             assert bounds.ramsey_n0(k) == pytest.approx(
                 math.sqrt(2) * bounds.asymptotic_lower(k, 2)
             )
+
+
+class TestLogBinom:
+    @pytest.mark.parametrize("n", [10**6, 10**12, 10**16, 10**18])
+    def test_matches_exact_at_large_n(self, n):
+        for k in (1, 2, 3, 10):
+            for j in (k, n - k):  # and n - k small
+                want = math.log(math.comb(n, j))
+                assert bounds.log_binom(n, j) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_matches_exact_at_small_n(self):
+        for n in range(0, 260, 7):
+            for k in range(0, n + 1):
+                want = math.log(math.comb(n, k))
+                assert bounds.log_binom(n, k) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_outside_range(self):
+        assert bounds.log_binom(5, 6) == bounds.log_binom(5, -1) == -math.inf
 
 
 class TestOverlapWeight:

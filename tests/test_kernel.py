@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -24,6 +25,41 @@ def test_placement_codes_of_a_stack(rng):
     stacked = kernel.placement_codes(arrs, 2, 2, subs, subs)
     for b in range(3):
         assert (stacked[:, b] == kernel.placement_codes(arrs[b], 2, 2, subs, subs)).all()
+
+
+# tall, wide and square hosts, k = side and k = 1
+BATCH_HOSTS = [(30, 6, 3, 2), (6, 30, 3, 2), (9, 9, 2, 3), (5, 5, 5, 2), (4, 7, 1, 3)]
+
+
+def batch_host(rows, cols, k, a):
+    return np.random.default_rng([rows, cols, k]).integers(0, a, size=(rows, cols))
+
+
+@functools.cache
+def brute_codes(rows, cols, k, a):
+    """Sorted codes of every placement of batch_host(...), one at a time."""
+    m = MosaicMatrix.from_numpy(batch_host(rows, cols, k, a), a)
+    return sorted(
+        encode_target(m.submatrix(r, c))
+        for r in itertools.combinations(range(rows), k)
+        for c in itertools.combinations(range(cols), k)
+    )
+
+
+@pytest.mark.parametrize("chunk", [None, 8], ids=["default-chunk", "chunk-8"])
+@pytest.mark.parametrize("rows,cols,k,a", BATCH_HOSTS)
+def test_code_batches_yield_each_placement_once(monkeypatch, rows, cols, k, a, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(kernel, "CHUNK", chunk)
+    batches = list(kernel.code_batches(batch_host(rows, cols, k, a), k, a))
+    assert max(b.size for b in batches) <= kernel.CHUNK
+    got = np.sort(np.concatenate([b.ravel() for b in batches]))
+    assert got.tolist() == brute_codes(rows, cols, k, a)
+
+
+def test_code_batches_of_no_placements():
+    assert list(kernel.code_batches(np.zeros((2, 5), dtype=int), 3, 2)) == []
+    assert list(kernel.code_batches(np.zeros((5, 2), dtype=int), 3, 2)) == []
 
 
 def test_no_placements_when_k_exceeds_size():

@@ -1,7 +1,10 @@
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnikit import kernel, verify
 from omnikit.construct import Placement, square_omnimosaic
@@ -52,6 +55,55 @@ class TestCoverage:
         monkeypatch.setattr(np, "zeros", no_alloc)
         with pytest.raises(MosaicError, match="contains_target"):
             coverage(m, 2)
+
+
+def brute_coverage(arr, k, a):
+    """Codes of every k×k submatrix, one placement at a time."""
+    rows = arr.tolist()
+    seen = set()
+    for r in combinations(range(len(rows)), k):
+        for c in combinations(range(len(rows[0])), k):
+            seen.add(tuple(rows[i][j] for i in r for j in c))
+    return {encode_target(MosaicMatrix(k, k, a, t)) for t in seen}
+
+
+@st.composite
+def hosts_with_runs(draw):
+    """(arr, k, a): random rows and columns, each repeated 1..k+2 times."""
+    k = draw(st.integers(1, 3))
+    a = draw(st.sampled_from([2, 3]))
+    runs = st.lists(st.integers(1, k + 2), min_size=1, max_size=4 - k // 2)
+    rowruns, colruns = draw(runs), draw(runs)
+    letters = draw(st.integers(1, a))  # one letter makes an all-equal host
+    seed = draw(st.integers(0, 2**32 - 1))
+    base = np.random.default_rng(seed).integers(0, letters, size=(len(rowruns), len(colruns)))
+    return base.repeat(rowruns, axis=0).repeat(colruns, axis=1), k, a
+
+
+class TestCoverageOfRepeatedRuns:
+    """Rows past the k-th of a run of equal rows, and then such columns, are
+    dropped before the enumeration; the covered set must not change."""
+
+    @given(hosts_with_runs())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_brute_force(self, host):
+        arr, k, a = host
+        bits = coverage(MosaicMatrix.from_numpy(arr, a), k)
+        assert set(np.flatnonzero(bits).tolist()) == brute_coverage(arr, k, a)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_all_equal_host(self, k):
+        m = MosaicMatrix.from_numpy(np.ones((k + 3, k + 2), dtype=int), 2)
+        bits = coverage(m, k)
+        assert np.flatnonzero(bits).tolist() == [2 ** (k * k) - 1]
+
+    @pytest.mark.parametrize("k,a", [(3, 3), (3, 4)])
+    def test_padded_squares_stay_omni(self, k, a):
+        m = square_omnimosaic(k, a)
+        assert (m.to_numpy()[-2] == m.to_numpy()[-1]).all()  # padded with copies
+        r = is_omnimosaic(m, k)
+        assert r.is_omni
+        assert r.submatrices_enumerated == math.comb(m.rows, k) ** 2
 
 
 class TestIsOmnimosaic:

@@ -3,12 +3,11 @@
 coverage() enumerates every k-subset of rows crossed with every k-subset of
 columns, encodes each induced submatrix and marks it in a bitset over the
 a^(k*k) target codes.  First it drops every row past the k-th of a run of
-equal adjacent rows, then does the same for columns: a placement takes at
-most k rows of a run and any k of them are alike, so the set of codes is
-unchanged, and dropping rows never makes unequal columns equal.  The padded
-construction squares shrink this way, (3,4) from 36 to 26 rows.  The
-enumeration is exact; the only approximation anywhere is the guard that
-refuses target spaces too large to bitset.
+equal adjacent rows: a placement takes at most k rows of a run and any k of
+them are alike, so the set of codes is unchanged.  The construction pads its
+odd-k squares with copies of the last row, so they shrink this way, (3,4)
+from 36 to 26 rows.  The enumeration is exact; the only approximation
+anywhere is the guard that refuses target spaces too large to bitset.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ def coverage(m: MosaicMatrix, k: int) -> np.ndarray:
             "check individual targets with contains_target instead"
         )
     bits = np.zeros(size, dtype=bool)
-    host = _cut_runs(_cut_runs(m.to_numpy(), k).T, k).T
+    host = _cut_runs(m.to_numpy(), k)
     for codes in kernel.code_batches(host, k, m.a):
         bits[codes] = True
     return bits

@@ -104,6 +104,19 @@ class TestLogBinom:
                 want = math.log(math.comb(n, j))
                 assert bounds.log_binom(n, j) == pytest.approx(want, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    def test_matches_exact_at_large_j(self, n):
+        # j = min(k, n-k) far from 0: the branch that expands all three factorials
+        for j in (99, 100, 101, n // 10, n // 3, n // 2 - 1, n // 2):
+            want = math.log(math.comb(n, j))
+            assert bounds.log_binom(n, j) == pytest.approx(want, rel=1e-14, abs=0)
+            assert bounds.log_binom(n, n - j) == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_half_of_a_huge_n(self):
+        # m * j alone would overflow a float; ln C(n, n/2) = n ln 2 - ln(pi n / 2) / 2
+        n = 10**300
+        assert bounds.log_binom(n, n // 2) == pytest.approx(n * math.log(2), rel=1e-14)
+
     def test_matches_exact_at_small_n(self):
         for n in range(0, 260, 7):
             for k in range(0, n + 1):

@@ -81,8 +81,9 @@ def hosts_with_runs(draw):
 
 
 class TestCoverageOfRepeatedRuns:
-    """Rows past the k-th of a run of equal rows, and then such columns, are
-    dropped before the enumeration; the covered set must not change."""
+    """Rows past the k-th of a run of equal rows are dropped before the
+    enumeration; the covered set must not change.  Repeated columns are
+    kept and must be scored as they are."""
 
     @given(hosts_with_runs())
     @settings(max_examples=120, deadline=None)

@@ -21,6 +21,21 @@ induces, most significant entry first (``core.encode_target``).
   target occurs.  A matrix covers the OR of T over its C(n,k) row subsets;
   that OR is evaluated by broadcasting over the rows, a block of leading-row
   values at a time, so a step holds max(CHUNK, a^(n(n-1))) matrices.
+* ``covered_counts`` counts the distinct codes of each matrix of a stack
+  without enumerating column subsets.  For a row subset r_0 < ... < r_{k-1},
+  column c's letter v_c = sum_i a^(k-1-i) X[r_i, c] lies in [0, a^k) and
+  fixes the column's k entries, so a k×k submatrix is fixed by its k
+  letters: the codes a row subset covers are in bijection with the length-k
+  subsequences of v_0 ... v_{n-1}, and, as the letters give the submatrix
+  back, so are the codes of all row subsets with the union of their
+  subsequence sets.  One left-to-right pass builds those sets as bitsets
+  L_1 ... L_k per row subset (L_j: the length-j subsequences of the prefix
+  read so far): at column c, from level k down to 1, L_{j-1} is copied into
+  slot v_c of L_j.  A level's slot stride is rounded up to a power of two
+  while L_{j-1} fits in 64 bits, so that no slot straddles a word, and is
+  L_{j-1}'s whole words past that; a step is then one shift-OR into one
+  word, or one aligned word slice.  The count is the popcount of the OR of
+  L_k over the row subsets.
 """
 
 from __future__ import annotations
@@ -111,6 +126,61 @@ def distinct_counts(codes: np.ndarray, total: int) -> np.ndarray:
     bits = np.zeros(trials * total, dtype=bool)
     bits[codes + offsets] = True
     return np.count_nonzero(bits.reshape(trials, total), axis=1)
+
+
+def automaton_levels(k: int, a: int) -> list[tuple[int, int]]:
+    """[(slot stride in bits, uint64 words)] of the bitsets L_1 ... L_k that
+    ``covered_counts`` keeps per row subset; L_j has a^k slots."""
+    letters = a**k
+    levels = []
+    bits, words = 1, 1  # L_0: the empty subsequence
+    for _ in range(k):
+        stride = 1 << (bits - 1).bit_length() if bits <= 64 else 64 * words
+        bits = letters * stride
+        words = -(-bits // 64)
+        levels.append((stride, words))
+    return levels
+
+
+def covered_counts(arrs: np.ndarray, k: int, a: int, rowsubs: np.ndarray) -> np.ndarray:
+    """[t]: number of distinct placement codes of arrs[t], for a stack arrs
+    (t, rows, cols) and its row k-subsets rowsubs, by the subsequence
+    automaton over column letters (module docstring).  Its state is
+    t * len(rowsubs) * sum(W_j) uint64 words, W_j the words of
+    ``automaton_levels``; letters and indices add a few words per row subset."""
+    trials, _, cols = arrs.shape
+    if len(rowsubs) == 0:
+        return np.zeros(trials, dtype=np.int64)
+    levels = automaton_levels(k, a)
+    small = np.min_scalar_type(a**k - 1)
+    _, letterpow = powers(k, a)
+    states = trials * len(rowsubs)
+    letters = column_words(arrs.astype(small), rowsubs, letterpow.astype(small))
+    letters = letters.reshape(cols, states)
+    state = [np.zeros(states * words, dtype=np.uint64) for _, words in levels]
+    starts = [np.arange(0, states * words, words, dtype=np.uint64) for _, words in levels]
+    one, six, low = np.uint64(1), np.uint64(6), np.uint64(63)
+    for c in range(cols):
+        v = letters[c].astype(np.uint64)
+        # L_j can still reach L_k only if k - j columns are left after c
+        for j in range(min(k, c + 1), max(0, k - cols + c), -1):
+            stride, words = levels[j - 1]
+            prev = state[j - 2] if j > 1 else one
+            bit = v * np.uint64(stride)
+            if words == 1:
+                state[j - 1] |= prev << bit
+            elif stride < 64:  # several slots share a word
+                at = starts[j - 1] + (bit >> six)
+                state[j - 1][at] |= prev << (bit & low)
+            else:
+                # L_{j-1} only grows, so the slot's new value contains its old one
+                width = stride // 64
+                at = starts[j - 1] + v * np.uint64(width)
+                span = at[:, None] + np.arange(width, dtype=np.uint64)
+                state[j - 1][span] = prev.reshape(states, width)
+    last = state[-1].reshape(trials, len(rowsubs), -1)
+    covered = np.bitwise_or.reduce(last, axis=1)
+    return np.bitwise_count(covered).sum(axis=1, dtype=np.int64)
 
 
 def row_digits(values: np.ndarray, n: int, a: int) -> np.ndarray:

@@ -270,6 +270,60 @@ class TestMonteCarlo:
         assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
                 stats.ex_missing_stderr) == expected
 
+    # recorded with placement_codes + distinct_counts; these sizes now take
+    # the subsequence automaton (kernel.covered_counts)
+    @pytest.mark.parametrize(
+        "n,k,a,trials,expected",
+        [
+            (10, 3, 2, 300, (300, 0.3433333333333333, 0.027413838084414933,
+                             2.5433333333333334, 0.22910899750721014)),
+            (16, 2, 3, 300, (300, 1.0, 0.0, 0.0, 0.0)),
+            (10, 2, 3, 300, (300, 0.9866666666666667, 0.0066220730781117,
+                             0.013333333333333334, 0.006633137535414968)),
+        ],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_estimates_on_the_automaton(self, n, k, a, trials, expected, workers):
+        assert experiments._automaton_pays(n, k, a)
+        stats = estimate(ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=2024),
+                         workers=workers)
+        assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
+                stats.ex_missing_stderr) == expected
+
+    # n * sum(W_j) + W_k < C(n,k) picks the automaton; W = (1, 1, 8) at
+    # (k, a) = (3, 2), (1, 3) at (2, 3)
+    @pytest.mark.parametrize("n,k,a,automaton", [
+        (12, 3, 2, True), (10, 3, 2, True), (14, 3, 2, True), (16, 2, 3, True),
+        (20, 3, 2, True), (4, 2, 2, False), (5, 2, 2, False), (8, 2, 3, False),
+        (6, 2, 5, False), (10, 3, 3, False), (7, 4, 2, False), (9, 2, 4, False),
+    ])
+    def test_path_rule_and_both_paths_agree(self, monkeypatch, n, k, a, automaton):
+        config = ExperimentConfig(n=n, k=k, a=a, trials=1, seed=31)
+        assert experiments._automaton_pays(n, k, a) == automaton
+        calls = _spy(monkeypatch, "covered_counts", "placement_codes")
+        got = experiments._run_trials(config, 0, 6)
+        assert {name for name, _ in calls} == {
+            "covered_counts" if automaton else "placement_codes"}
+        for forced in (True, False):
+            monkeypatch.setattr(experiments, "_automaton_pays", lambda *_, f=forced: f)
+            assert experiments._run_trials(config, 0, 6) == got
+
+    @pytest.mark.parametrize("n,k,a", [(10, 3, 2), (16, 2, 3)])
+    @pytest.mark.parametrize("chunk", ["8", "3 trials"])
+    def test_automaton_steps_are_bounded(self, monkeypatch, n, k, a, chunk):
+        # a step holds max(CHUNK, one trial's state) words, as the direct
+        # path holds max(CHUNK, one trial's codes)
+        config = ExperimentConfig(n=n, k=k, a=a, trials=1, seed=5)
+        want = experiments._run_trials(config, 0, 10)
+        words = sum(w for _, w in experiments.kernel.automaton_levels(k, a))
+        per_trial = math.comb(n, k) * words
+        monkeypatch.setattr(experiments.kernel, "CHUNK", 8 if chunk == "8" else 3 * per_trial + 1)
+        calls = _spy(monkeypatch, "covered_counts")
+        assert experiments._run_trials(config, 0, 10) == want
+        held = [len(arrs) * len(rowsubs) * words for _, (arrs, _, _, rowsubs) in calls]
+        assert max(held) <= max(experiments.kernel.CHUNK, per_trial)
+        assert len(held) == (10 if chunk == "8" else 4)
+
     @pytest.mark.parametrize("n,k,a", [(3, 5, 2), (2, 3, 128)])
     def test_k_exceeds_n_misses_everything(self, n, k, a):
         # (2,3,128): 2^63 targets, so sums of squared counts exceed 64 bits
@@ -324,6 +378,18 @@ def _stacked_trial_rng(seed, lo, hi, n, a):
     """The stream's definition: one generator per trial."""
     draws = [trial_rng(seed, t).integers(0, a, size=(n, n)) for t in range(lo, hi)]
     return np.array(draws, dtype=np.int64).reshape(hi - lo, n, n)
+
+
+def _spy(monkeypatch, *names):
+    """Record (name, args) of every call to experiments.kernel.<name>."""
+    calls = []
+    for name in names:
+        def spy(*args, name=name, real=getattr(experiments.kernel, name)):
+            calls.append((name, args))
+            return real(*args)
+
+        monkeypatch.setattr(experiments.kernel, name, spy)
+    return calls
 
 
 def _missing_targets(arr, k, a):

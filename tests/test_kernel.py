@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omnikit import kernel
 from omnikit.core import MosaicMatrix, encode_target
@@ -96,3 +98,83 @@ def test_enumeration_blocks_are_bounded(n, k, a, target):
         matrices += block.size
     assert matrices == a ** (n * n)
 
+
+
+@pytest.mark.parametrize("k,a,levels", [
+    (1, 3, [(1, 1)]),
+    (2, 2, [(1, 1), (4, 1)]),  # L_2 fills 16 of 64 bits
+    (3, 2, [(1, 1), (8, 1), (64, 8)]),  # L_2 is exactly one word
+    (2, 3, [(1, 1), (16, 3)]),  # 9 letters: slots padded to 16 bits, 4 a word
+    (3, 3, [(1, 1), (32, 14), (896, 378)]),  # past one word, whole words
+    (4, 2, [(1, 1), (16, 4), (256, 64), (4096, 1024)]),
+])
+def test_automaton_levels(k, a, levels):
+    assert kernel.automaton_levels(k, a) == levels
+
+
+def brute_count(arr, k, a):
+    """Distinct codes of one matrix, one placement at a time."""
+    m = MosaicMatrix.from_numpy(arr, a)
+    return len({
+        encode_target(m.submatrix(r, c))
+        for r in itertools.combinations(range(m.rows), k)
+        for c in itertools.combinations(range(m.cols), k)
+    })
+
+
+def direct_counts(arrs, k, a):
+    """distinct_counts over the codes of every placement of each matrix."""
+    rowsubs, colsubs = kernel.subsets(arrs.shape[1], k), kernel.subsets(arrs.shape[2], k)
+    codes = kernel.placement_codes(arrs, k, a, rowsubs, colsubs)
+    return kernel.distinct_counts(codes, a ** (k * k))
+
+
+# largest k per alphabet with a^(k*k) <= 2^16, which keeps L_k small
+_KMAX = {2: 4, 3: 3, 5: 2}
+
+
+@st.composite
+def stacks(draw):
+    """(arrs, k, a): 1 to 3 matrices of up to 6x6, or as many all-equal ones."""
+    a = draw(st.sampled_from(sorted(_KMAX)))
+    k = draw(st.integers(1, _KMAX[a]))
+    trials, rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    letter = st.integers(0, a - 1)
+    if draw(st.booleans()):
+        fills = draw(st.lists(letter, min_size=trials, max_size=trials))
+        arrs = np.repeat(np.array(fills), rows * cols)
+    else:
+        arrs = np.array(draw(st.lists(letter, min_size=trials * rows * cols,
+                                      max_size=trials * rows * cols)))
+    return arrs.reshape(trials, rows, cols), k, a
+
+
+def _stack(seed, trials, side, k, a):
+    return np.random.default_rng(seed).integers(0, a, size=(trials, side, side)), k, a
+
+
+@given(stacks())
+@example(_stack(1, 3, 4, 1, 2))  # k = 1
+@example(_stack(2, 3, 4, 4, 2))  # k = n: one row subset
+@example(_stack(3, 3, 3, 4, 2))  # k > n: no row subsets, count 0
+@example((np.ones((2, 6, 6), dtype=np.int64), 3, 3))  # all equal
+@settings(max_examples=300, deadline=None)
+def test_covered_counts_match_placement_codes_and_brute_force(case):
+    arrs, k, a = case
+    got = kernel.covered_counts(arrs, k, a, kernel.subsets(arrs.shape[1], k))
+    assert got.tolist() == direct_counts(arrs, k, a).tolist()
+    assert got.tolist() == [brute_count(arr, k, a) for arr in arrs]
+
+
+# (6,3,3): L_2 of 14 words of 32-bit slots, L_3 of whole-word slots;
+# (7,4,2): L_2 to L_4 past one word; (12,3,2): L_2 exactly one word;
+# (6,2,5): 25 letters, L_2 of 13 words
+@pytest.mark.parametrize("n,k,a", [(6, 3, 3), (7, 4, 2), (12, 3, 2), (6, 2, 5)])
+def test_covered_counts_on_multiword_levels(n, k, a):
+    arrs = np.random.default_rng([n, k, a]).integers(0, a, size=(4, n, n))
+    arrs[0] = 0  # all equal: one code
+    got = kernel.covered_counts(arrs, k, a, kernel.subsets(n, k))
+    assert got[0] == 1
+    assert got.tolist() == direct_counts(arrs, k, a).tolist()
+    if n <= 6:
+        assert got.tolist() == [brute_count(arr, k, a) for arr in arrs]

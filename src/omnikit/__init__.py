@@ -5,12 +5,11 @@ from omnikit.core import (
     MosaicMatrix,
     ParseError,
     Placement,
-    SymmetryOp,
-    apply_symmetry,
     decode_target,
     encode_target,
     parse_matrix,
     serialize_matrix,
+    symmetries,
 )
 from omnikit.construct import (
     GridDiagram,
@@ -35,12 +34,11 @@ __all__ = [
     "MosaicMatrix",
     "ParseError",
     "Placement",
-    "SymmetryOp",
-    "apply_symmetry",
     "decode_target",
     "encode_target",
     "parse_matrix",
     "serialize_matrix",
+    "symmetries",
     "GridDiagram",
     "RegionMap",
     "build_mosaic",

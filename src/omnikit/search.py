@@ -27,7 +27,9 @@ proof of nonexistence.  Letter canonicalization is sound, but the row order
 is not: submatrix rows must be increasing, so permuting the rows of an
 omnimosaic can lose the property (10 of the 24 row permutations of the
 (4,2,2) witness do), and an orbit may have no sorted member that is omni.
-Making the symmetry breaking sound is open work.
+Making the symmetry breaking sound is open work: the group it must quotient
+by is ``core.symmetries``, the 8·a! letter permutations, transposes and row
+and column reversals.
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ def contains_target(m: MosaicMatrix, t: MosaicMatrix) -> Placement | None:
         raise MosaicError("target larger than host matrix")
     rowpow, _ = kernel.powers(k, m.a)
     arr = m.to_numpy()
-    twords = kernel.column_words(t.to_numpy(), kernel.subsets(k, k), rowpow)[:, 0]
+    twords = rowpow @ t.to_numpy()  # the target's column words
     colidx = np.arange(m.cols)
     for rowsubs in kernel.subset_batches(m.rows, k, max(1, kernel.CHUNK // m.cols)):
         words = kernel.column_words(arr, rowsubs, rowpow).T  # [subset, column]

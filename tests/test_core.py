@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,14 +11,15 @@ from omnikit.core import (
     MosaicError,
     MosaicMatrix,
     ParseError,
-    SymmetryOp,
-    apply_symmetry,
     decode_target,
     check_sizes,
     encode_target,
     parse_matrix,
     serialize_matrix,
+    symmetries,
 )
+from omnikit import kernel
+from omnikit.experiments import exact_enumeration
 from conftest import WITNESS_4X4, matrices
 
 
@@ -74,37 +77,67 @@ class TestEncodeDecode:
 
 
 class TestSymmetry:
-    def test_transpose(self):
-        m = MosaicMatrix.from_rows([[0, 1], [2, 3]], a=4)
-        assert apply_symmetry(m, SymmetryOp("transpose")).to_rows() == [[0, 2], [1, 3]]
+    @given(matrices())
+    @settings(max_examples=60)
+    def test_group_order_with_m_first(self, m):
+        images = list(symmetries(m))
+        assert len(images) == 8 * math.factorial(m.a)
+        assert images[0] == m
 
-    def test_identity_rows(self):
-        m = M([[0, 1], [1, 0]])
-        assert apply_symmetry(m, SymmetryOp("rows", (0, 1))) == m
-
-    def test_letter_swap(self):
-        m = M([[0, 1], [1, 0]])
-        out = apply_symmetry(m, SymmetryOp("letters", (1, 0)))
-        assert out.to_rows() == [[1, 0], [0, 1]]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(MosaicError):
-            apply_symmetry(M([[0, 1], [1, 0]]), SymmetryOp("rows", (0, 1, 2)))
-
-    def test_non_bijection_rejected(self):
-        with pytest.raises(MosaicError):
-            SymmetryOp("rows", (0, 0))
+    @pytest.mark.parametrize(
+        "m", [WITNESS_4X4, M([[0, 0, 0], [0, 0, 0], [0, 1, 2]], a=3)]
+    )
+    def test_trivial_stabilizer_gives_distinct_images(self, m):
+        assert len(set(symmetries(m))) == 8 * math.factorial(m.a)
 
     @given(matrices(), st.data())
     @settings(max_examples=60)
-    def test_inverse_restores(self, m, data):
-        kind = data.draw(st.sampled_from(["rows", "cols", "letters", "transpose"]))
-        if kind == "transpose":
-            op = SymmetryOp("transpose")
-        else:
-            size = {"rows": m.rows, "cols": m.cols, "letters": m.a}[kind]
-            op = SymmetryOp(kind, tuple(data.draw(st.permutations(range(size)))))
-        assert apply_symmetry(apply_symmetry(m, op), op.inverse()) == m
+    def test_images_share_one_orbit(self, m, data):
+        # closure: an image's images are m's images again
+        image = data.draw(st.sampled_from(list(symmetries(m))))
+        assert set(symmetries(image)) == set(symmetries(m))
+
+    def test_reversals(self):
+        m = MosaicMatrix.from_rows([[0, 1, 2], [3, 4, 5]], a=6)
+        images = [img.to_rows() for img in itertools.islice(symmetries(m), 1, 4)]
+        assert images == [
+            [[3, 4, 5], [0, 1, 2]],
+            [[2, 1, 0], [5, 4, 3]],
+            [[5, 4, 3], [2, 1, 0]],
+        ]
+
+    def test_transpose(self):
+        m = MosaicMatrix.from_rows([[0, 1], [2, 3]], a=4)
+        assert list(symmetries(m))[4].to_rows() == [[0, 2], [1, 3]]
+
+    def test_letter_swap(self):
+        m = M([[0, 1], [1, 0]])
+        assert list(symmetries(m))[8].to_rows() == [[1, 0], [0, 1]]
+
+    def test_burnside_at_4_2_2(self):
+        # omni 4x4 binary matrices, read off the enumeration kernel: the
+        # group maps the set to itself, and counting orbits directly and by
+        # Burnside's lemma agree, which a missing or repeated element breaks
+        n, k, a = 4, 2, 2
+        full = (1 << a ** (k * k)) - 1
+        omni, lo = set(), 0
+        for block in kernel.enumerate_coverage(n, k, a):
+            values = np.argwhere(block == full)  # [matrix, row]: row values
+            values[:, 0] += lo
+            omni.update(MosaicMatrix.from_numpy(kernel.row_digits(v, n, a), a) for v in values)
+            lo += len(block)
+        assert len(omni) == 1448 == exact_enumeration(n, k, a).p_omni_exact * a ** (n * n)
+        fixed = [0] * (8 * math.factorial(a))
+        orbits, seen = 0, set()
+        for m in omni:
+            images = list(symmetries(m))
+            assert omni.issuperset(images)
+            fixed = [f + (image == m) for f, image in zip(fixed, images)]
+            if m not in seen:
+                orbits += 1
+                seen.update(images)
+        assert orbits == 99
+        assert Fraction(sum(fixed), len(fixed)) == 99
 
 
 class TestFormat:

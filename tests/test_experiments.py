@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnikit import bounds, experiments
-from omnikit.core import MosaicError, MosaicMatrix
+from omnikit.core import MosaicError, MosaicMatrix, decode_target, encode_target, symmetries
 from omnikit.experiments import (
     ExperimentConfig,
     conjecture_table,
@@ -58,23 +58,12 @@ class TestExactEnumeration:
                 == stats.per_target[code]
             )
 
-    def test_letter_symmetry_of_per_target(self):
-        # complementing every letter maps code c to 15 - c (a=2, k=2)
-        stats = exact_enumeration(4, 2, 2)
-        for code in range(16):
-            assert stats.per_target[code] == stats.per_target[15 - code]
-
-    def test_transpose_symmetry_of_per_target(self):
-        stats = exact_enumeration(4, 2, 2)
-        for code in range(16):
-            t = MosaicMatrix.from_rows(
-                [[(code >> 3) & 1, (code >> 2) & 1], [(code >> 1) & 1, code & 1]], 2
-            )
-            tt = t.transpose()
-            tcode = sum(
-                e << (3 - i) for i, e in enumerate(tt.entries)
-            )
-            assert stats.per_target[code] == stats.per_target[tcode]
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_per_target_invariant_under_symmetries(self, n):
+        per_target = exact_enumeration(n, 2, 2).per_target
+        for code, p in per_target.items():
+            for image in symmetries(decode_target(code, 2, 2)):
+                assert per_target[encode_target(image)] == p
 
     def test_brute_force_cross_check_p_omni(self):
         # independent oracle on the full 2^9 space

@@ -58,6 +58,20 @@ class TestExactEnumeration:
                 == stats.per_target[code]
             )
 
+    def test_letter_symmetry_of_per_target(self):
+        # complementing every letter maps code c to 15 - c (a=2, k=2)
+        stats = exact_enumeration(4, 2, 2)
+        for code in range(16):
+            assert stats.per_target[code] == stats.per_target[15 - code]
+
+    def test_transpose_symmetry_of_per_target(self):
+        stats = exact_enumeration(4, 2, 2)
+        for code in range(16):
+            # the transpose of [[e00, e01], [e10, e11]] swaps e01 and e10
+            e00, e01, e10, e11 = ((code >> s) & 1 for s in (3, 2, 1, 0))
+            tcode = encode_target(MosaicMatrix.from_rows([[e00, e10], [e01, e11]], 2))
+            assert stats.per_target[code] == stats.per_target[tcode]
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_per_target_invariant_under_symmetries(self, n):
         per_target = exact_enumeration(n, 2, 2).per_target

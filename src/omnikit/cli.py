@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 stdout carries only the machine payload (v1 matrix, JSON, or CSV); messages
-and errors go to stderr.  Exit codes: 0 success / verified true, 2 usage or
-I/O error, 3 verified false (not omni, target absent, exhausted search),
-4 budget exceeded.
+and errors go to stderr.  Exit codes: 0 success / verified true, 2 usage,
+I/O or out-of-memory error, 3 verified false (not omni, target absent,
+exhausted search), 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -369,11 +369,11 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except MosaicError as exc:
+    except (MosaicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -49,7 +49,7 @@ class ExperimentConfig:
         target_space(self.k, self.a)
         # a trial's codes are held at once, so they share the enumeration
         # guard; so is its automaton state, C(n,k) * sum(W_j) words, which is
-        # under C(n,k)^2 / n wherever _automaton_pays picks it
+        # under C(n,k)^2 / n wherever kernel.distinct_counts picks it
         if math.comb(self.n, self.k) ** 2 > ENUMERATION_GUARD:
             raise MosaicError(
                 f"C({self.n},{self.k})^2 placements per trial exceed guard {ENUMERATION_GUARD}"
@@ -171,46 +171,21 @@ def trial_matrices(seed: int, lo: int, hi: int, n: int, a: int) -> np.ndarray:
     return cells
 
 
-def _automaton_pays(n: int, k: int, a: int) -> bool:
-    """Whether ``kernel.covered_counts`` takes fewer word operations per row
-    subset, n * sum(W_j) + W_k, than there are column subsets to score."""
-    words = [w for _, w in kernel.automaton_levels(k, a)]
-    return n * sum(words) + words[-1] < math.comb(n, k)
-
-
 def _run_trials(config: ExperimentConfig, lo: int, hi: int) -> tuple[int, int, int]:
     """(omni count, sum of missing counts, sum of squared missing counts)."""
     n, k, a = config.n, config.k, config.a
     total = target_space(k, a)
-    subsets = kernel.subsets(n, k)
-    automaton = _automaton_pays(n, k, a)
-    # a trial's automaton state, or its codes and bitset bytes, bound how
-    # many trials share a step
-    if automaton:
-        held = len(subsets) * sum(w for _, w in kernel.automaton_levels(k, a))
-    else:
-        held = max(len(subsets) ** 2, min(total, kernel.BITSET_LIMIT))
-    batch = max(1, kernel.CHUNK // held)
-    # trials drawn at once: about CHUNK cells, apart from the kernel batch,
-    # which can be a single trial
-    draw = max(1, kernel.CHUNK // (n * n))
+    draw = max(1, kernel.CHUNK // (n * n))  # trials drawn at once: about CHUNK cells
     omni = 0
     s1 = 0
     s2 = 0
     for block_lo in range(lo, hi, draw):
         block = trial_matrices(config.seed, block_lo, min(block_lo + draw, hi), n, a)
-        for start in range(0, len(block), batch):
-            arrs = block[start : start + batch]
-            if automaton:
-                counts = kernel.covered_counts(arrs, k, a, subsets)
-            else:
-                codes = kernel.placement_codes(arrs, k, a, subsets, subsets)
-                counts = kernel.distinct_counts(codes, total)
-            for distinct in counts.tolist():
-                miss = total - distinct  # Python ints: miss^2 can pass 2^64
-                omni += miss == 0
-                s1 += miss
-                s2 += miss * miss
+        for distinct in kernel.distinct_counts(block, k, a).tolist():
+            miss = total - distinct  # Python ints: miss^2 can pass 2^64
+            omni += miss == 0
+            s1 += miss
+            s2 += miss * miss
     return omni, s1, s2
 
 

@@ -5,15 +5,17 @@ A placement is a k-subset of rows crossed with a k-subset of columns, both
 increasing.  Its code is the row-major base-a number of the submatrix it
 induces, most significant entry first (``core.encode_target``).
 
-* ``placement_codes`` gives the code of every placement of a matrix, or of a
-  stack of matrices, through column words: for a row subset, column j's word
-  holds its k entries as base-a digits k places apart (weights ``rowpow``),
-  so a placement's code is the colpow-weighted sum of its k column words.
-* ``code_batches`` gives the codes of one matrix's placements, at most CHUNK
-  at a time, through row words: for a block of about CHUNK / rows column
-  subsets, row r's word holds its entries at each subset (weights
-  ``colpow``), built once per block, and a batch of row subsets sums k
-  gathered whole rows of words, each a contiguous copy of the block's width.
+* ``code_batches``, the one generator of placement codes, gives those of a
+  stack of t matrices about CHUNK at a time, through row words: for a block
+  of about CHUNK / (t * rows) column subsets, row r's word holds its entries
+  at each subset (weights ``colpow``), built once per block, and a batch of
+  row subsets sums k gathered whole rows of words, each a contiguous copy
+  of the block's width.  ``covered`` marks them in a bitset per matrix.
+* ``distinct_counts``, the one counting entry point, counts each matrix's
+  codes by the automaton of ``covered_counts`` when its word operations per
+  row subset, cols * sum(W_j) + W_k, are fewer than the C(cols,k) column
+  subsets to score, else by ``covered`` up to BITSET_LIMIT targets and by
+  ``np.unique`` above it.
 * ``enumerate_coverage`` covers every one of the a^(n*n) n×n matrices at once
   through a row-tuple table.  Rows are base-a ints in [0, a^n), first column
   most significant.  The table T over k-tuples of rows holds what the k×n
@@ -40,6 +42,7 @@ induces, most significant entry first (``core.encode_target``).
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, islice
 
 import numpy as np
@@ -80,22 +83,9 @@ def column_words(arr: np.ndarray, rowsubs: np.ndarray, rowpow: np.ndarray) -> np
     return sum(rowpow[i] * cols_first[..., rowsubs[:, i]] for i in range(len(rowpow)))
 
 
-def placement_codes(
-    arr: np.ndarray, k: int, a: int, rowsubs: np.ndarray, colsubs: np.ndarray
-) -> np.ndarray:
-    """codes[c, ..., s]: code of placement (rowsubs[s], colsubs[c]) of arr
-    (..., rows, cols), in the smallest unsigned dtype that holds a^(k*k) - 1."""
-    dtype = np.min_scalar_type(a ** (k * k) - 1)
-    rowpow, colpow = (p.astype(dtype) for p in powers(k, a))
-    words = column_words(arr.astype(dtype), rowsubs, rowpow)
-    codes = (colpow[0] * words)[colsubs[:, 0]]
-    for j in range(1, k):
-        codes += (colpow[j] * words)[colsubs[:, j]]
-    return codes
-
-
-def code_batches(arr: np.ndarray, k: int, a: int):
-    """Codes of every placement of one matrix, at most CHUNK at a time.
+def code_batches(arrs: np.ndarray, k: int, a: int):
+    """Codes of every placement of each matrix of a stack arrs (t, rows, cols),
+    in [row subset, matrix, column subset] batches of about CHUNK codes.
 
     For a block of column subsets, each row's words over them are built once,
     times each rowpow weight; a batch of row subsets then sums k gathered
@@ -103,29 +93,57 @@ def code_batches(arr: np.ndarray, k: int, a: int):
     """
     dtype = np.min_scalar_type(a ** (k * k) - 1)
     rowpow, colpow = (p.astype(dtype) for p in powers(k, a))
-    rows = arr.shape[0]
-    colsubs = subsets(arr.shape[1], k)
-    transposed = arr.T.astype(dtype)
-    width = max(1, CHUNK // max(1, rows))  # column subsets per block
+    trials, rows, cols = arrs.shape
+    colsubs = subsets(cols, k)
+    # cast, then transpose: a cast of the transposed view keeps its slow layout
+    transposed = arrs.astype(dtype).transpose(0, 2, 1)
+    width = max(1, CHUNK // max(1, trials * rows))  # column subsets per block
     for lo in range(0, len(colsubs), width):
-        words = column_words(transposed, colsubs[lo : lo + width], colpow)  # [r, c]
-        weighted = [w * words for w in rowpow]  # [i][r, c]
-        for rowsubs in subset_batches(rows, k, max(1, CHUNK // words.shape[1])):
+        words = column_words(transposed, colsubs[lo : lo + width], colpow)  # [r, t, c]
+        weighted = [w * words for w in rowpow]  # [i][r, t, c]
+        for rowsubs in subset_batches(rows, k, max(1, CHUNK // (trials * words.shape[2]))):
             codes = weighted[0][rowsubs[:, 0]]
             for i in range(1, k):
                 codes += weighted[i][rowsubs[:, i]]
             yield codes
 
 
-def distinct_counts(codes: np.ndarray, total: int) -> np.ndarray:
-    """[b]: number of distinct values in codes[:, b, :], codes < total."""
-    trials = codes.shape[1]
-    if total > BITSET_LIMIT:
-        return np.array([np.unique(codes[:, b]).size for b in range(trials)])
-    offsets = np.arange(trials, dtype=np.int64)[:, None] * total
-    bits = np.zeros(trials * total, dtype=bool)
-    bits[codes + offsets] = True
-    return np.count_nonzero(bits.reshape(trials, total), axis=1)
+def covered(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
+    """[t, a^(k*k)] bool: entry [b, c] is True iff target c occurs in arrs[b],
+    for a stack arrs (t, rows, cols)."""
+    total = a ** (k * k)
+    bits = np.zeros(len(arrs) * total, dtype=bool)
+    offsets = np.arange(len(arrs))[:, None] * total  # [t, 1]: each matrix's bitset
+    for codes in code_batches(arrs, k, a):
+        bits[codes + offsets] = True
+    return bits.reshape(len(arrs), total)
+
+
+def distinct_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
+    """[t]: number of distinct placement codes of arrs[t], for a stack arrs
+    (t, rows, cols), by the rule of the module docstring.  A step holds one
+    matrix without a bitset, else max(CHUNK, one matrix's) automaton words or
+    codes and bitset bytes."""
+    trials, rows, cols = arrs.shape
+    if k > min(rows, cols):
+        return np.zeros(trials, dtype=np.int64)
+    total = a ** (k * k)
+    words = [w for _, w in automaton_levels(k, a)]
+    automaton = cols * sum(words) + words[-1] < math.comb(cols, k)
+    if automaton:
+        held = math.comb(rows, k) * sum(words)
+    elif total <= BITSET_LIMIT:
+        held = max(math.comb(rows, k) * math.comb(cols, k), total)
+    else:
+        return np.array([
+            np.unique(np.concatenate([c.ravel() for c in code_batches(m[None], k, a)])).size
+            for m in arrs
+        ])
+    step = max(1, CHUNK // held)
+    parts = [arrs[lo : lo + step] for lo in range(0, trials, step)]
+    if automaton:
+        return np.concatenate([covered_counts(part, k, a) for part in parts])
+    return np.concatenate([np.count_nonzero(covered(part, k, a), axis=1) for part in parts])
 
 
 def automaton_levels(k: int, a: int) -> list[tuple[int, int]]:
@@ -142,15 +160,14 @@ def automaton_levels(k: int, a: int) -> list[tuple[int, int]]:
     return levels
 
 
-def covered_counts(arrs: np.ndarray, k: int, a: int, rowsubs: np.ndarray) -> np.ndarray:
+def covered_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     """[t]: number of distinct placement codes of arrs[t], for a stack arrs
-    (t, rows, cols) and its row k-subsets rowsubs, by the subsequence
-    automaton over column letters (module docstring).  Its state is
-    t * len(rowsubs) * sum(W_j) uint64 words, W_j the words of
-    ``automaton_levels``; letters and indices add a few words per row subset."""
-    trials, _, cols = arrs.shape
-    if len(rowsubs) == 0:
-        return np.zeros(trials, dtype=np.int64)
+    (t, rows, cols), by the subsequence automaton over column letters (module
+    docstring).  Its state is t * C(rows,k) * sum(W_j) uint64 words, W_j the
+    words of ``automaton_levels``; letters and indices add a few words per
+    row subset."""
+    trials, rows, cols = arrs.shape
+    rowsubs = subsets(rows, k)
     levels = automaton_levels(k, a)
     small = np.min_scalar_type(a**k - 1)
     _, letterpow = powers(k, a)
@@ -178,9 +195,8 @@ def covered_counts(arrs: np.ndarray, k: int, a: int, rowsubs: np.ndarray) -> np.
                 at = starts[j - 1] + v * np.uint64(width)
                 span = at[:, None] + np.arange(width, dtype=np.uint64)
                 state[j - 1][span] = prev.reshape(states, width)
-    last = state[-1].reshape(trials, len(rowsubs), -1)
-    covered = np.bitwise_or.reduce(last, axis=1)
-    return np.bitwise_count(covered).sum(axis=1, dtype=np.int64)
+    last = state[-1].reshape(trials, len(rowsubs), levels[-1][1])
+    return np.bitwise_count(np.bitwise_or.reduce(last, axis=1)).sum(axis=1, dtype=np.int64)
 
 
 def row_digits(values: np.ndarray, n: int, a: int) -> np.ndarray:

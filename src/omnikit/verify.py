@@ -44,11 +44,7 @@ def coverage(m: MosaicMatrix, k: int) -> np.ndarray:
             f"target space {size} exceeds coverage guard {COVERAGE_GUARD}; "
             "check individual targets with contains_target instead"
         )
-    bits = np.zeros(size, dtype=bool)
-    host = _cut_runs(m.to_numpy(), k)
-    for codes in kernel.code_batches(host, k, m.a):
-        bits[codes] = True
-    return bits
+    return kernel.covered(_cut_runs(m.to_numpy(), k)[None], k, m.a)[0]
 
 
 def _cut_runs(arr: np.ndarray, k: int) -> np.ndarray:
@@ -68,10 +64,21 @@ def is_omnimosaic(m: MosaicMatrix, k: int) -> VerifyReport:
         is_omni=(covered == total),
         covered=covered,
         total_targets=total,
-        missing_sample=[] if covered == total else np.flatnonzero(~bits)[:MISSING_SAMPLE].tolist(),
+        missing_sample=[] if covered == total else _missing_sample(bits),
         submatrices_enumerated=math.comb(m.rows, k) * math.comb(m.cols, k),
         elapsed=time.perf_counter() - start,
     )
+
+
+def _missing_sample(bits: np.ndarray) -> list[int]:
+    """The first MISSING_SAMPLE codes bits lacks, read a slice at a time, so
+    that no copy of the whole bitset is made."""
+    sample: list[int] = []
+    for lo in range(0, len(bits), kernel.CHUNK):
+        sample += (lo + np.flatnonzero(~bits[lo : lo + kernel.CHUNK])[:MISSING_SAMPLE]).tolist()
+        if len(sample) >= MISSING_SAMPLE:
+            return sample[:MISSING_SAMPLE]
+    return sample
 
 
 def contains_target(m: MosaicMatrix, t: MosaicMatrix) -> Placement | None:

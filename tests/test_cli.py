@@ -16,6 +16,7 @@ from omnikit.cli import (
     SCHEMA,
     main,
 )
+from omnikit import kernel
 from omnikit.core import parse_matrix, serialize_matrix
 from conftest import WITNESS_4X4
 
@@ -96,6 +97,22 @@ class TestErrors:
 
     def test_unknown_command_exit_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_ERROR
+
+    @pytest.mark.parametrize("message,shown", [
+        ("Unable to allocate 4.00 GiB", "error: out of memory: Unable to allocate 4.00 GiB\n"),
+        ("", "error: out of memory\n"),
+    ])
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch, tmp_path, message, shown):
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(kernel, "covered", exhausted)
+        path = tmp_path / "m.txt"
+        path.write_text(serialize_matrix(WITNESS_4X4))
+        code, out, err = run(capsys, "verify", str(path), "--k", "2")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == shown
 
 
 class TestLocate:

@@ -286,10 +286,26 @@ class TestMonteCarlo:
         ],
     )
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_golden_estimates_on_the_automaton(self, n, k, a, trials, expected, workers):
-        assert experiments._automaton_pays(n, k, a)
+    def test_golden_estimates_on_the_automaton(self, monkeypatch, n, k, a, trials, expected,
+                                               workers):
+        calls = _spy(monkeypatch, "covered_counts")
+        experiments._run_trials(ExperimentConfig(n=n, k=k, a=a, trials=1), 0, 1)
+        assert calls
         stats = estimate(ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=2024),
                          workers=workers)
+        assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
+                stats.ex_missing_stderr) == expected
+
+    # recorded with placement_codes + distinct_counts: 6^9 targets exceed
+    # kernel.BITSET_LIMIT, so each trial's codes are deduplicated by np.unique
+    @pytest.mark.parametrize("seed,expected", [
+        (0, (50, 0.0, 0.0, 10077304.52, 1.4596616885079772)),
+        (2024, (50, 0.0, 0.0, 10077306.04, 1.622545241657221)),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_estimates_without_a_bitset(self, seed, expected, workers):
+        assert 6**9 > experiments.kernel.BITSET_LIMIT
+        stats = estimate(ExperimentConfig(n=6, k=3, a=6, trials=50, seed=seed), workers=workers)
         assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
                 stats.ex_missing_stderr) == expected
 
@@ -301,30 +317,37 @@ class TestMonteCarlo:
         (6, 2, 5, False), (10, 3, 3, False), (7, 4, 2, False), (9, 2, 4, False),
     ])
     def test_path_rule_and_both_paths_agree(self, monkeypatch, n, k, a, automaton):
-        config = ExperimentConfig(n=n, k=k, a=a, trials=1, seed=31)
-        assert experiments._automaton_pays(n, k, a) == automaton
-        calls = _spy(monkeypatch, "covered_counts", "placement_codes")
-        got = experiments._run_trials(config, 0, 6)
-        assert {name for name, _ in calls} == {
-            "covered_counts" if automaton else "placement_codes"}
-        for forced in (True, False):
-            monkeypatch.setattr(experiments, "_automaton_pays", lambda *_, f=forced: f)
-            assert experiments._run_trials(config, 0, 6) == got
+        # kernel.distinct_counts picks the path; the automaton, the bitset and
+        # np.unique must give the same counts
+        kernel = experiments.kernel
+        arrs = trial_matrices(31, 0, 6, n, a)
+        calls = _spy(monkeypatch, "covered_counts", "covered")
+        got = kernel.distinct_counts(arrs, k, a).tolist()
+        assert {name for name, _ in calls} == {"covered_counts" if automaton else "covered"}
+        assert kernel.covered_counts(arrs, k, a).tolist() == got
+        assert np.count_nonzero(kernel.covered(arrs, k, a), axis=1).tolist() == got
+        calls.clear()
+        monkeypatch.setattr(kernel, "BITSET_LIMIT", 0)
+        if automaton:  # levels too wide to pay make the rule take the direct path
+            monkeypatch.setattr(kernel, "automaton_levels", lambda k, a: [(64, n * n)] * k)
+        assert kernel.distinct_counts(arrs, k, a).tolist() == got
+        assert calls == []
 
     @pytest.mark.parametrize("n,k,a", [(10, 3, 2), (16, 2, 3)])
     @pytest.mark.parametrize("chunk", ["8", "3 trials"])
     def test_automaton_steps_are_bounded(self, monkeypatch, n, k, a, chunk):
         # a step holds max(CHUNK, one trial's state) words, as the direct
         # path holds max(CHUNK, one trial's codes)
-        config = ExperimentConfig(n=n, k=k, a=a, trials=1, seed=5)
-        want = experiments._run_trials(config, 0, 10)
-        words = sum(w for _, w in experiments.kernel.automaton_levels(k, a))
+        kernel = experiments.kernel
+        arrs = trial_matrices(5, 0, 10, n, a)
+        want = kernel.distinct_counts(arrs, k, a).tolist()
+        words = sum(w for _, w in kernel.automaton_levels(k, a))
         per_trial = math.comb(n, k) * words
-        monkeypatch.setattr(experiments.kernel, "CHUNK", 8 if chunk == "8" else 3 * per_trial + 1)
+        monkeypatch.setattr(kernel, "CHUNK", 8 if chunk == "8" else 3 * per_trial + 1)
         calls = _spy(monkeypatch, "covered_counts")
-        assert experiments._run_trials(config, 0, 10) == want
-        held = [len(arrs) * len(rowsubs) * words for _, (arrs, _, _, rowsubs) in calls]
-        assert max(held) <= max(experiments.kernel.CHUNK, per_trial)
+        assert kernel.distinct_counts(arrs, k, a).tolist() == want
+        held = [len(part) * per_trial for _, (part, _, _) in calls]
+        assert max(held) <= max(kernel.CHUNK, per_trial)
         assert len(held) == (10 if chunk == "8" else 4)
 
     @pytest.mark.parametrize("n,k,a", [(3, 5, 2), (2, 3, 128)])

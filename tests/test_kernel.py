@@ -6,27 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omnikit import kernel
+from omnikit import kernel, verify
 from omnikit.core import MosaicMatrix, encode_target
-
-
-@pytest.mark.parametrize("rows,cols,k,a", [(5, 6, 2, 3), (4, 4, 3, 2), (3, 5, 1, 4)])
-def test_placement_codes_encode_every_submatrix(rng, rows, cols, k, a):
-    arr = rng.integers(0, a, size=(rows, cols))
-    m = MosaicMatrix.from_numpy(arr, a)
-    rowsubs, colsubs = kernel.subsets(rows, k), kernel.subsets(cols, k)
-    codes = kernel.placement_codes(arr, k, a, rowsubs, colsubs)
-    assert codes.shape == (len(colsubs), len(rowsubs))
-    for (s, r), (c, cs) in itertools.product(enumerate(rowsubs), enumerate(colsubs)):
-        assert codes[c, s] == encode_target(m.submatrix(r, cs))
-
-
-def test_placement_codes_of_a_stack(rng):
-    arrs = rng.integers(0, 2, size=(3, 5, 5))
-    subs = kernel.subsets(5, 2)
-    stacked = kernel.placement_codes(arrs, 2, 2, subs, subs)
-    for b in range(3):
-        assert (stacked[:, b] == kernel.placement_codes(arrs[b], 2, 2, subs, subs)).all()
 
 
 # tall, wide and square hosts, k = side and k = 1
@@ -53,32 +34,78 @@ def brute_codes(rows, cols, k, a):
 def test_code_batches_yield_each_placement_once(monkeypatch, rows, cols, k, a, chunk):
     if chunk is not None:
         monkeypatch.setattr(kernel, "CHUNK", chunk)
-    batches = list(kernel.code_batches(batch_host(rows, cols, k, a), k, a))
+    batches = list(kernel.code_batches(batch_host(rows, cols, k, a)[None], k, a))
     assert max(b.size for b in batches) <= kernel.CHUNK
     got = np.sort(np.concatenate([b.ravel() for b in batches]))
     assert got.tolist() == brute_codes(rows, cols, k, a)
 
 
 def test_code_batches_of_no_placements():
-    assert list(kernel.code_batches(np.zeros((2, 5), dtype=int), 3, 2)) == []
-    assert list(kernel.code_batches(np.zeros((5, 2), dtype=int), 3, 2)) == []
+    assert list(kernel.code_batches(np.zeros((1, 2, 5), dtype=int), 3, 2)) == []
+    assert list(kernel.code_batches(np.zeros((3, 5, 2), dtype=int), 3, 2)) == []
+
+
+@st.composite
+def hosts(draw):
+    """(arrs, k, a, chunk): 1 or 3 matrices of up to 7x7, tall, wide or square,
+    with k from 1 to rows + 1 (within _KMAX), and CHUNK at its default or at 8."""
+    a = draw(st.sampled_from([2, 3]))
+    trials = draw(st.sampled_from([1, 3]))
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(rows + 1, _KMAX[a])))
+    size = trials * rows * cols
+    cells = draw(st.lists(st.integers(0, a - 1), min_size=size, max_size=size))
+    chunk = draw(st.sampled_from([kernel.CHUNK, 8]))
+    return np.array(cells).reshape(trials, rows, cols), k, a, chunk
+
+
+def _host(trials, rows, cols, k, a, chunk):
+    rng = np.random.default_rng([trials, rows, cols, k])
+    return rng.integers(0, a, size=(trials, rows, cols)), k, a, chunk
+
+
+@given(hosts())
+@example(_host(3, 7, 3, 2, 2, 8))  # tall
+@example(_host(3, 3, 7, 2, 3, 8))  # wide
+@example(_host(1, 6, 6, 3, 2, kernel.CHUNK))  # square, one matrix
+@example(_host(3, 1, 5, 1, 3, 8))  # k = 1 = rows
+@example(_host(3, 3, 5, 1, 4, 8))  # k = 1 over four letters
+@example(_host(3, 4, 4, 4, 2, 8))  # k = rows: one row subset
+@example(_host(3, 2, 6, 3, 2, kernel.CHUNK))  # k > rows: no placements
+@settings(max_examples=60, deadline=None)
+def test_code_batches_of_a_stack_match_brute_force_and_coverage(case):
+    arrs, k, a, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "CHUNK", chunk)
+        batches = list(kernel.code_batches(arrs, k, a))
+        bits = kernel.covered(arrs, k, a)
+    assert all(b.shape[1] == len(arrs) and b.size <= max(chunk, len(arrs)) for b in batches)
+    for b, arr in enumerate(arrs):
+        m = MosaicMatrix.from_numpy(arr, a)
+        got = sorted(c for batch in batches for c in batch[:, b].ravel().tolist())
+        assert got == sorted(
+            encode_target(m.submatrix(r, c))
+            for r in itertools.combinations(range(m.rows), k)
+            for c in itertools.combinations(range(m.cols), k)
+        )
+        assert np.array_equal(bits[b], verify.coverage(m, k))
 
 
 def test_no_placements_when_k_exceeds_size():
     assert kernel.subsets(3, 5).shape == (0, 5)
-    codes = kernel.placement_codes(np.zeros((2, 3, 3), dtype=int), 5, 2,
-                                   kernel.subsets(3, 5), kernel.subsets(3, 5))
-    assert codes.size == 0
-    assert (kernel.distinct_counts(codes, 2**25) == 0).all()
+    arrs = np.zeros((2, 3, 3), dtype=int)
+    assert list(kernel.code_batches(arrs, 5, 2)) == []
+    assert not kernel.covered(arrs, 5, 2).any()
+    assert (kernel.distinct_counts(arrs, 5, 2) == 0).all()  # 2^25 targets: no bitset
 
 
-def test_distinct_counts_bitset_matches_unique(rng):
-    total = 300
-    codes = rng.integers(0, total, size=(7, 4, 50))
-    want = [np.unique(codes[:, b]).size for b in range(4)]
-    assert list(kernel.distinct_counts(codes, total)) == want
+def test_distinct_counts_bitset_matches_unique(monkeypatch, rng):
+    arrs = rng.integers(0, 3, size=(4, 7, 5))
+    want = [brute_count(arr, 2, 3) for arr in arrs]
+    assert list(kernel.distinct_counts(arrs, 2, 3)) == want
     # a target space above the bitset limit takes the np.unique path
-    assert list(kernel.distinct_counts(codes, kernel.BITSET_LIMIT + 1)) == want
+    monkeypatch.setattr(kernel, "BITSET_LIMIT", 3**4 - 1)
+    assert list(kernel.distinct_counts(arrs, 2, 3)) == want
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
@@ -123,10 +150,8 @@ def brute_count(arr, k, a):
 
 
 def direct_counts(arrs, k, a):
-    """distinct_counts over the codes of every placement of each matrix."""
-    rowsubs, colsubs = kernel.subsets(arrs.shape[1], k), kernel.subsets(arrs.shape[2], k)
-    codes = kernel.placement_codes(arrs, k, a, rowsubs, colsubs)
-    return kernel.distinct_counts(codes, a ** (k * k))
+    """Each matrix's targets in the bitset of every placement's code."""
+    return np.count_nonzero(kernel.covered(arrs, k, a), axis=1)
 
 
 # largest k per alphabet with a^(k*k) <= 2^16, which keeps L_k small
@@ -161,7 +186,7 @@ def _stack(seed, trials, side, k, a):
 @settings(max_examples=300, deadline=None)
 def test_covered_counts_match_placement_codes_and_brute_force(case):
     arrs, k, a = case
-    got = kernel.covered_counts(arrs, k, a, kernel.subsets(arrs.shape[1], k))
+    got = kernel.covered_counts(arrs, k, a)
     assert got.tolist() == direct_counts(arrs, k, a).tolist()
     assert got.tolist() == [brute_count(arr, k, a) for arr in arrs]
 
@@ -173,7 +198,7 @@ def test_covered_counts_match_placement_codes_and_brute_force(case):
 def test_covered_counts_on_multiword_levels(n, k, a):
     arrs = np.random.default_rng([n, k, a]).integers(0, a, size=(4, n, n))
     arrs[0] = 0  # all equal: one code
-    got = kernel.covered_counts(arrs, k, a, kernel.subsets(n, k))
+    got = kernel.covered_counts(arrs, k, a)
     assert got[0] == 1
     assert got.tolist() == direct_counts(arrs, k, a).tolist()
     if n <= 6:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -124,6 +125,28 @@ class TestIsOmnimosaic:
         r = is_omnimosaic(WITNESS_4X4, 2)
         assert r.covered == r.total_targets == 16
         assert r.submatrices_enumerated == 36
+
+    def test_missing_sample_copies_no_bitset(self, rng):
+        # 2^25 targets and one placement: a 32 MiB bitset, whose missing codes
+        # are read a slice at a time
+        m = MosaicMatrix.from_numpy(rng.integers(0, 2, size=(5, 5)), 2)
+        code = encode_target(m)
+        tracemalloc.start()
+        try:
+            r = is_omnimosaic(m, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.covered == 1
+        assert r.missing_sample == [c for c in range(33) if c != code][:verify.MISSING_SAMPLE]
+        assert peak < 2 * 2**25
+
+    @pytest.mark.parametrize("chunk", [4, 8])
+    def test_missing_sample_across_slices(self, monkeypatch, rng, chunk):
+        hosts = [random_matrix(3, 2, rng) for _ in range(5)] + [random_matrix(4, 3, rng)]
+        want = [np.flatnonzero(~coverage(m, 2))[:verify.MISSING_SAMPLE].tolist() for m in hosts]
+        monkeypatch.setattr(kernel, "CHUNK", chunk)
+        assert [is_omnimosaic(m, 2).missing_sample for m in hosts] == want
 
 
 class TestContainsTarget:

@@ -240,12 +240,17 @@ def exact_enumeration(n: int, k: int, a: int) -> MissingStats:
     total_targets = target_space(k, a)
     if total_targets > _MASK_BITS:
         raise MosaicError("too many targets for exhaustive per-matrix masks")
-    full = (1 << total_targets) - 1
     omni = 0
-    covered = 0
-    for masks in kernel.enumerate_coverage(n, k, a):
-        omni += int(np.count_nonzero(masks == full))
-        covered = covered + kernel.bit_counts(masks)
+    if k < n:
+        full = (1 << total_targets) - 1
+        covered = 0
+        for masks in kernel.enumerate_coverage(n, k, a, range(total_targets)):
+            omni += int(np.count_nonzero(masks == full))
+            covered = covered + kernel.bit_counts(masks)
+    else:
+        # k = n: a matrix's one placement is itself, so each target occurs in
+        # exactly one matrix; k > n: in none.  Either way no matrix is omni.
+        covered = [int(k == n)] * total_targets
     per_target = {
         t: Fraction(total_matrices - int(covered[t]), total_matrices)
         for t in range(total_targets)
@@ -271,10 +276,12 @@ def exact_target_missing_probability(n: int, k: int, a: int, code: int) -> Fract
     total_matrices = _check_enumeration_guard(n, k, a)
     if not 0 <= code < target_space(k, a):
         raise MosaicError("target code out of range")
-    present = sum(
-        int(np.count_nonzero(block))
-        for block in kernel.enumerate_coverage(n, k, a, target=code)
-    )
+    if k < n:
+        present = sum(
+            int(np.count_nonzero(block)) for block in kernel.enumerate_coverage(n, k, a, [code])
+        )
+    else:  # counted as in exact_enumeration
+        present = int(k == n)
     return Fraction(total_matrices - present, total_matrices)
 
 

@@ -16,13 +16,17 @@ induces, most significant entry first (``core.encode_target``).
   row subset, cols * sum(W_j) + W_k, are fewer than the C(cols,k) column
   subsets to score, else by ``covered`` up to BITSET_LIMIT targets and by
   ``np.unique`` above it.
-* ``enumerate_coverage`` covers every one of the a^(n*n) n×n matrices at once
-  through a row-tuple table.  Rows are base-a ints in [0, a^n), first column
-  most significant.  The table T over k-tuples of rows holds what the k×n
-  strip of those rows covers: a bitmask of target codes, or whether one given
-  target occurs.  A matrix covers the OR of T over its C(n,k) row subsets;
-  that OR is evaluated by broadcasting over the rows, a block of leading-row
-  values at a time, so a step holds max(CHUNK, a^(n(n-1))) matrices.
+* ``enumerate_coverage`` covers every one of the a^(n*n) n×n matrices at once,
+  for k < n, through one row-tuple table of tracked codes.  Rows are base-a
+  ints in [0, a^n), first column most significant.  Of a list of at most 64
+  tracked target codes, codes[j] has the bit ``bit[codes[j]] = 1 << j`` and
+  every other code 0; the table T over k-tuples of rows ORs ``bit[code]``
+  over the codes the k×n strip of those rows covers.  A matrix covers the OR
+  of T over its C(n,k) row subsets; that OR is evaluated by broadcasting
+  over the rows, a block of leading-row values at a time, so a step holds
+  max(CHUNK, a^(n(n-1))) matrices.  k >= n needs no enumeration (a matrix's
+  one placement is itself at k = n, and it has none at k > n), so
+  ``experiments`` counts it and this function refuses it.
 * ``covered_counts`` counts the distinct codes of each matrix of a stack
   without enumerating column subsets.  For a row subset r_0 < ... < r_{k-1},
   column c's letter v_c = sum_i a^(k-1-i) X[r_i, c] lies in [0, a^k) and
@@ -204,63 +208,38 @@ def row_digits(values: np.ndarray, n: int, a: int) -> np.ndarray:
     return (np.asarray(values)[..., None] // a ** np.arange(n - 1, -1, -1)) % a
 
 
-def _tuple_table(rowwords, lead, k: int, a: int, target, dtype) -> np.ndarray:
-    """T over k-tuples of rows whose first row is in ``lead``.
-
-    With target None, T is the mask of the codes the k×n strip covers; else
-    T says whether the target code occurs in it.
-    """
-    width = rowwords.shape[1]
-    out = np.zeros((len(lead),) + (width,) * (k - 1), dtype=dtype)
-    rowpow, _ = powers(k, a)
-    for words in rowwords:
-        axes = np.ix_(words[lead], *[words] * (k - 1))
-        code = sum(rowpow[i] * axes[i] for i in range(k))
-        if target is None:
-            out |= np.left_shift(dtype.type(1), code.astype(dtype))
-        else:
-            out |= code == target
-    return out
-
-
-def enumerate_coverage(n: int, k: int, a: int, target: int | None = None):
-    """Yield the coverage of every n×n matrix over [0, a), a block at a time.
+def enumerate_coverage(n: int, k: int, a: int, codes):
+    """Yield which of ``codes`` (at most 64 target codes) every n×n matrix over
+    [0, a) covers, for k < n, a block at a time.
 
     Each block has shape (m, a^n, ..., a^n) with n axes, one per row; entry
-    [r0, ..., r_{n-1}] belongs to the matrix with those row values.  With
-    target None an entry is the mask of the target codes the matrix covers
-    (at most 64 targets); else it says whether that one target occurs.
+    [r0, ..., r_{n-1}] belongs to the matrix with those row values, and its
+    bit j says whether codes[j] occurs in it.
     """
+    if k >= n:
+        raise ValueError(f"enumeration needs k < n, got k={k}, n={n}")
     width = a**n
-    _, colpow = powers(k, a)
+    rowpow, colpow = powers(k, a)
+    bit = np.zeros(a ** (k * k), dtype=np.min_scalar_type((1 << len(codes)) - 1))
+    bit[list(codes)] = [1 << j for j in range(len(codes))]
+    subs = subsets(n, k)
     # [c, v]: the word of row value v at column subset c
-    rowwords = column_words(row_digits(np.arange(width), n, a).T, subsets(n, k), colpow).T
-    if target is None:
-        dtype = np.min_scalar_type((1 << a ** (k * k)) - 1)  # a bit per target
-    else:
-        dtype = np.dtype(np.uint8)  # 0 or 1: ORs faster than bool
-    rowsubs = subsets(n, k)
-    rest = width ** (n - 1)
-    step = max(1, CHUNK // rest)
-    # T for all k-tuples when some row subset avoids row 0 (k < n); for k = n
-    # only the tuples that start at the block's leading rows are needed
-    full = _tuple_table(rowwords, np.arange(width), k, a, target, dtype) if k < n else None
+    rowwords = column_words(row_digits(np.arange(width), n, a).T, subs, colpow).T
+    # T[v_0, ..., v_{k-1}]: the tracked codes the k×n strip of those rows covers
+    table = np.zeros((width,) * k, dtype=bit.dtype)
+    for words in rowwords:
+        table |= bit[sum(w * axis for w, axis in zip(rowpow, np.ix_(*[words] * k)))]
+    step = max(1, CHUNK // width ** (n - 1))
     for lo in range(0, width, step):
-        lead = np.arange(lo, min(lo + step, width))
-        if k < n:
-            head = full[lo : lo + step]
-        else:  # k > n has no row subsets, hence no table
-            head = _tuple_table(rowwords, lead, k, a, target, dtype) if k == n else None
-        acc = np.zeros((len(lead),) + (width,) * (n - 1), dtype=dtype)
-        for rows in rowsubs:
+        acc = np.zeros((min(step, width - lo),) + (width,) * (n - 1), dtype=table.dtype)
+        for rows in subs:
+            # a row subset that starts at row 0 takes the block's leading rows
+            part = table[lo : lo + step] if rows[0] == 0 else table
             shape = [1] * n
             for r in rows:
                 shape[r] = width
-            if rows[0] == 0:
-                shape[0] = len(lead)
-                acc |= head.reshape(shape)
-            else:
-                acc |= full.reshape(shape)
+            shape[rows[0]] = len(part)
+            acc |= part.reshape(shape)
         yield acc
 
 

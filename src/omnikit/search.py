@@ -65,7 +65,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise MosaicError("max_nodes must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        # not "<= 0": NaN compares False both ways, and would never fire
+        if self.max_seconds is not None and not self.max_seconds > 0:
             raise MosaicError("max_seconds must be positive")
 
 

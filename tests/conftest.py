@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -8,6 +10,22 @@ from omnikit.core import MosaicMatrix
 WITNESS_4X4 = MosaicMatrix.from_rows(
     [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 0], [0, 1, 1, 1]], a=2
 )
+
+
+def placement_codes(arr, k, a):
+    """Codes of every k×k placement of arr (rows of letters), one placement at
+    a time, with repeats: the row-major base-a number of the submatrix, most
+    significant entry first, as ``core.encode_target`` defines it."""
+    rows = np.asarray(arr).tolist()
+    codes = []
+    for r in itertools.combinations(range(len(rows)), k):
+        for c in itertools.combinations(range(len(rows[0])), k):
+            code = 0
+            for i in r:
+                for j in c:
+                    code = code * a + rows[i][j]
+            codes.append(code)
+    return codes
 
 
 def matrices(min_side=1, max_side=5, alphabets=(2, 3)):

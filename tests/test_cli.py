@@ -34,6 +34,30 @@ def run_json(capsys, *argv):
     return code, payload, err
 
 
+def _fraction(text):
+    num, _, den = text.partition("/")
+    return {"num": int(num), "den": int(den or 1)}
+
+
+# `exact` payloads recorded from an enumeration of every matrix, k >= n
+# included: (matrices, p_omni, ex_missing, monochromatic codes, whether just
+# they are maximal, per-target table as runs of (p_missing, codes) in output
+# order)
+_ODD_OR_DIAGONAL = [1, 2, 4, 6, 7, 8, 9, 11, 13, 14]  # (2,2) targets: odd or diagonal
+EXACT_GOLDEN = {
+    (1, 1, 3): (3, "0", "2", [0, 1, 2], True, [("2/3", [0, 1, 2])]),
+    (2, 2, 2): (16, "0", "15", [0, 15], False, [("15/16", list(range(16)))]),
+    (1, 2, 2): (2, "0", "16", [0, 15], False, [("1", list(range(16)))]),
+    (3, 2, 2): (512, "0", "165/16", [0, 15], True,
+                [("167/256", [0, 15]), ("165/256", _ODD_OR_DIAGONAL), ("41/64", [3, 5, 10, 12])]),
+    (4, 2, 2): (65536, "181/8192", "67603/16384", [0, 15], True,
+                [("18521/65536", [0, 15]), ("16927/65536", _ODD_OR_DIAGONAL),
+                 ("16025/65536", [3, 5, 10, 12])]),
+    (3, 1, 5): (1953125, "166824/390625", "262144/390625", [0, 1, 2, 3, 4], True,
+                [("262144/1953125", [0, 1, 2, 3, 4])]),
+}
+
+
 class TestConstructVerifyPipe:
     @pytest.mark.parametrize("k,a", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_pipe_fidelity(self, capsys, monkeypatch, tmp_path, k, a):
@@ -214,6 +238,24 @@ class TestSampleExactOned:
         assert len(payload["per_target"]) == 16
         assert calls == [(4, 2, 2)]  # the table reuses the one enumeration
 
+    @pytest.mark.parametrize("table", [False, True], ids=["stats", "table"])
+    @pytest.mark.parametrize("n,k,a", list(EXACT_GOLDEN))
+    def test_exact_golden(self, capsys, n, k, a, table):
+        matrices, p_omni, ex_missing, mono, maximal, runs = EXACT_GOLDEN[n, k, a]
+        want = {"schema": SCHEMA, "command": "exact", "n": n, "k": k, "a": a,
+                "matrices": matrices, "p_omni": _fraction(p_omni),
+                "ex_missing": _fraction(ex_missing)}
+        if table:
+            want["per_target"] = [
+                {"code": code, "p_missing": _fraction(p)} for p, codes in runs for code in codes
+            ]
+            want["monochromatic_codes"] = mono
+            want["maximal_all_monochromatic"] = maximal
+        argv = ["exact", "--n", str(n), "--k", str(k), "--a", str(a)] + ["--table"] * table
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == json.dumps(want, indent=2) + "\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -274,6 +316,7 @@ class TestSampleExactOned:
         ["bounds", "--k", "2", "--a", "-2"],
         ["oned", "--seq", "", "--a", "0", "--k", "-1"],
         ["sample", "--n", "4", "--k", "2", "--a", "2", "--trials", "10", "--seed", "-1"],
+        ["search", "--k", "2", "--a", "2", "--n", "5", "--max-seconds", "nan"],
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):

@@ -121,7 +121,7 @@ class TestSymmetry:
         n, k, a = 4, 2, 2
         full = (1 << a ** (k * k)) - 1
         omni, lo = set(), 0
-        for block in kernel.enumerate_coverage(n, k, a):
+        for block in kernel.enumerate_coverage(n, k, a, range(a ** (k * k))):
             values = np.argwhere(block == full)  # [matrix, row]: row values
             values[:, 0] += lo
             omni.update(MosaicMatrix.from_numpy(kernel.row_digits(v, n, a), a) for v in values)

@@ -26,6 +26,8 @@ from omnikit.experiments import (
 )
 from omnikit.verify import coverage, is_omnimosaic
 
+from conftest import placement_codes
+
 
 class TestExactEnumeration:
     def test_n2_no_omni(self):
@@ -87,7 +89,7 @@ class TestExactEnumeration:
         )
         assert exact_enumeration(3, 2, 2).p_omni_exact == Fraction(omni, 512)
 
-    @pytest.mark.parametrize("n,k,a", [(3, 2, 2), (3, 1, 3)])
+    @pytest.mark.parametrize("n,k,a", [(3, 2, 2), (3, 1, 3), (2, 2, 2), (1, 1, 3)])
     def test_per_target_brute_force(self, n, k, a):
         # independent oracle: verify.coverage of every matrix, one at a time
         missing = dict.fromkeys(range(a ** (k * k)), 0)
@@ -122,6 +124,21 @@ class TestExactEnumeration:
         assert stats.p_omni_exact == 0
         assert stats.ex_missing_exact == 16
         assert exact_target_missing_probability(2, 3, 2, 5) == 1
+
+    @pytest.mark.parametrize("n,k,a", [(1, 1, 3), (2, 2, 2), (1, 2, 2), (5, 5, 2), (3, 4, 2)])
+    def test_k_at_least_n_is_counted_not_enumerated(self, monkeypatch, n, k, a):
+        # k = n: each matrix covers only itself; k > n: nothing
+        calls = _spy(monkeypatch, "enumerate_coverage")
+        total = a ** (n * n)
+        missing = Fraction(total - (k == n), total)
+        assert exact_target_missing_probability(n, k, a, a ** (k * k) - 1) == missing
+        if a ** (k * k) <= 64:
+            stats = exact_enumeration(n, k, a)
+            assert stats.p_omni_exact == 0
+            assert set(stats.per_target.values()) == {missing}
+        assert calls == []
+        exact_target_missing_probability(2, 1, 2, 0)  # k < n enumerates
+        assert calls == [("enumerate_coverage", (2, 1, 2, [0]))]
 
     def test_guards(self):
         with pytest.raises(MosaicError):
@@ -418,16 +435,6 @@ def _spy(monkeypatch, *names):
     return calls
 
 
-def _missing_targets(arr, k, a):
-    n = len(arr)
-    seen = {
-        tuple(arr[r][c] for r in rows for c in cols)
-        for rows in itertools.combinations(range(n), k)
-        for cols in itertools.combinations(range(n), k)
-    }
-    return a ** (k * k) - len(seen)
-
-
 class TestTrialMatrices:
     # 2^128 + 7 has five entropy words, more than the pool of four
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7])
@@ -444,7 +451,7 @@ class TestTrialMatrices:
         # t >= 2^32 falls back to trial_rng; counts come from a pure-Python oracle
         config = ExperimentConfig(n=4, k=2, a=3, trials=1, seed=2**32)
         misses = [
-            _missing_targets(m.tolist(), 2, 3)
+            3**4 - len(set(placement_codes(m, 2, 3)))
             for m in _stacked_trial_rng(config.seed, lo, hi, 4, 3)
         ]
         expected = (sum(m == 0 for m in misses), sum(misses), sum(m * m for m in misses))

@@ -1,5 +1,4 @@
 import functools
-import itertools
 
 import numpy as np
 import pytest
@@ -7,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnikit import kernel, verify
-from omnikit.core import MosaicMatrix, encode_target
+from omnikit.core import MosaicMatrix
+
+from conftest import placement_codes
 
 
 # tall, wide and square hosts, k = side and k = 1
@@ -21,12 +22,7 @@ def batch_host(rows, cols, k, a):
 @functools.cache
 def brute_codes(rows, cols, k, a):
     """Sorted codes of every placement of batch_host(...), one at a time."""
-    m = MosaicMatrix.from_numpy(batch_host(rows, cols, k, a), a)
-    return sorted(
-        encode_target(m.submatrix(r, c))
-        for r in itertools.combinations(range(rows), k)
-        for c in itertools.combinations(range(cols), k)
-    )
+    return sorted(placement_codes(batch_host(rows, cols, k, a), k, a))
 
 
 @pytest.mark.parametrize("chunk", [None, 8], ids=["default-chunk", "chunk-8"])
@@ -83,11 +79,7 @@ def test_code_batches_of_a_stack_match_brute_force_and_coverage(case):
     for b, arr in enumerate(arrs):
         m = MosaicMatrix.from_numpy(arr, a)
         got = sorted(c for batch in batches for c in batch[:, b].ravel().tolist())
-        assert got == sorted(
-            encode_target(m.submatrix(r, c))
-            for r in itertools.combinations(range(m.rows), k)
-            for c in itertools.combinations(range(m.cols), k)
-        )
+        assert got == sorted(placement_codes(arr, k, a))
         assert np.array_equal(bits[b], verify.coverage(m, k))
 
 
@@ -101,7 +93,7 @@ def test_no_placements_when_k_exceeds_size():
 
 def test_distinct_counts_bitset_matches_unique(monkeypatch, rng):
     arrs = rng.integers(0, 3, size=(4, 7, 5))
-    want = [brute_count(arr, 2, 3) for arr in arrs]
+    want = [len(set(placement_codes(arr, 2, 3))) for arr in arrs]
     assert list(kernel.distinct_counts(arrs, 2, 3)) == want
     # a target space above the bitset limit takes the np.unique path
     monkeypatch.setattr(kernel, "BITSET_LIMIT", 3**4 - 1)
@@ -116,15 +108,26 @@ def test_bit_counts(rng, dtype):
     assert list(kernel.bit_counts(masks)) == want
 
 
-@pytest.mark.parametrize("n,k,a,target", [(5, 2, 2, None), (5, 3, 2, 77), (5, 5, 2, 7)])
+# target None tracks every target; (5,4,2) is the largest k < n at the guard
+@pytest.mark.parametrize("n,k,a,target", [(5, 2, 2, None), (5, 3, 2, 77), (5, 4, 2, 7)])
 def test_enumeration_blocks_are_bounded(n, k, a, target):
     # at the 2^25 matrix guard every step stays within 8 MB
+    codes = range(a ** (k * k)) if target is None else [target]
     matrices = 0
-    for block in kernel.enumerate_coverage(n, k, a, target):
+    for block in kernel.enumerate_coverage(n, k, a, codes):
         assert block.nbytes <= 8 * 2**20
         matrices += block.size
     assert matrices == a ** (n * n)
 
+
+@pytest.mark.parametrize("n,k,a", [(2, 2, 2), (1, 2, 2), (5, 5, 2), (3, 7, 3)])
+def test_enumeration_refuses_k_at_least_n_before_allocating(monkeypatch, n, k, a):
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(kernel.np, "zeros", allocate)
+    with pytest.raises(ValueError, match="k < n"):
+        next(kernel.enumerate_coverage(n, k, a, [0]))
 
 
 @pytest.mark.parametrize("k,a,levels", [
@@ -137,16 +140,6 @@ def test_enumeration_blocks_are_bounded(n, k, a, target):
 ])
 def test_automaton_levels(k, a, levels):
     assert kernel.automaton_levels(k, a) == levels
-
-
-def brute_count(arr, k, a):
-    """Distinct codes of one matrix, one placement at a time."""
-    m = MosaicMatrix.from_numpy(arr, a)
-    return len({
-        encode_target(m.submatrix(r, c))
-        for r in itertools.combinations(range(m.rows), k)
-        for c in itertools.combinations(range(m.cols), k)
-    })
 
 
 def direct_counts(arrs, k, a):
@@ -188,7 +181,7 @@ def test_covered_counts_match_placement_codes_and_brute_force(case):
     arrs, k, a = case
     got = kernel.covered_counts(arrs, k, a)
     assert got.tolist() == direct_counts(arrs, k, a).tolist()
-    assert got.tolist() == [brute_count(arr, k, a) for arr in arrs]
+    assert got.tolist() == [len(set(placement_codes(arr, k, a))) for arr in arrs]
 
 
 # (6,3,3): L_2 of 14 words of 32-bit slots, L_3 of whole-word slots;
@@ -202,4 +195,4 @@ def test_covered_counts_on_multiword_levels(n, k, a):
     assert got[0] == 1
     assert got.tolist() == direct_counts(arrs, k, a).tolist()
     if n <= 6:
-        assert got.tolist() == [brute_count(arr, k, a) for arr in arrs]
+        assert got.tolist() == [len(set(placement_codes(arr, k, a))) for arr in arrs]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from omnikit import kernel, search
-from omnikit.core import MosaicMatrix, MosaicError, encode_target
+from omnikit.core import MosaicMatrix, MosaicError
 from omnikit.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED_NONE,
@@ -18,6 +18,8 @@ from omnikit.search import (
     min_omnimosaic_n,
 )
 from omnikit.verify import is_omnimosaic
+
+from conftest import placement_codes
 
 
 def brute_force_exists(n, k, a):
@@ -103,6 +105,8 @@ class TestBudget:
             SearchBudget(max_nodes=0)
         with pytest.raises(MosaicError):
             SearchBudget(max_seconds=0.0)
+        with pytest.raises(MosaicError):
+            SearchBudget(max_seconds=float("nan"))
 
 
 class TestWitnessQuality:
@@ -172,18 +176,6 @@ class TestCounting:
         assert r.status == BUDGET_EXCEEDED
 
 
-def _covered_count(rows, k, a):
-    """Brute force: how many target codes the placements inside these rows cover."""
-    if len(rows) < k:
-        return 0
-    m = MosaicMatrix.from_rows(rows, a)
-    return len({
-        encode_target(m.submatrix(r, c))
-        for r in itertools.combinations(range(m.rows), k)
-        for c in itertools.combinations(range(m.cols), k)
-    })
-
-
 @pytest.mark.parametrize(
     "n,k,a,max_nodes",
     [(3, 1, 5, None), (5, 1, 4, None), (4, 2, 2, None), (5, 2, 3, 500), (7, 3, 2, 3000)],
@@ -197,7 +189,7 @@ def test_carried_coverage_matches_brute_force(monkeypatch, n, k, a, max_nodes):
         if len(depths) < 40:
             rows = kernel.row_digits(self.rows[:i], n, a).tolist()
             assert count == self.total_targets - np.count_nonzero(missing)
-            assert count == _covered_count(rows, k, a)
+            assert count == len(set(placement_codes(rows, k, a)))
             assert used == (max(map(max, rows)) + 1 if rows else 0)
             depths.append(i)
         return place(self, i, used, missing, count)

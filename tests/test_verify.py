@@ -22,7 +22,7 @@ from omnikit.verify import (
     is_omnimosaic,
     verify_placement,
 )
-from conftest import WITNESS_4X4
+from conftest import WITNESS_4X4, placement_codes
 
 
 def random_matrix(n, a, rng):
@@ -57,16 +57,6 @@ class TestCoverage:
             coverage(m, 2)
 
 
-def brute_coverage(arr, k, a):
-    """Codes of every k×k submatrix, one placement at a time."""
-    rows = arr.tolist()
-    seen = set()
-    for r in combinations(range(len(rows)), k):
-        for c in combinations(range(len(rows[0])), k):
-            seen.add(tuple(rows[i][j] for i in r for j in c))
-    return {encode_target(MosaicMatrix(k, k, a, t)) for t in seen}
-
-
 @st.composite
 def hosts_with_runs(draw):
     """(arr, k, a): random rows and columns, each repeated 1..k+2 times."""
@@ -90,7 +80,7 @@ class TestCoverageOfRepeatedRuns:
     def test_matches_brute_force(self, host):
         arr, k, a = host
         bits = coverage(MosaicMatrix.from_numpy(arr, a), k)
-        assert set(np.flatnonzero(bits).tolist()) == brute_coverage(arr, k, a)
+        assert set(np.flatnonzero(bits).tolist()) == set(placement_codes(arr, k, a))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_all_equal_host(self, k):

@@ -18,9 +18,9 @@ induces, most significant entry first (``core.encode_target``).
   ``np.unique`` above it.
 * ``enumerate_coverage`` covers every one of the a^(n*n) n×n matrices at once,
   for k < n, through one row-tuple table of tracked codes.  Rows are base-a
-  ints in [0, a^n), first column most significant.  Of a list of at most 64
-  tracked target codes, codes[j] has the bit ``bit[codes[j]] = 1 << j`` and
-  every other code 0; the table T over k-tuples of rows ORs ``bit[code]``
+  ints in [0, a^n), first column most significant.  It tracks a list of at
+  most 64 target codes through one lookup, ``bit[codes[j]] = 1 << j`` and 0
+  for every other code; the table T over k-tuples of rows ORs ``bit[code]``
   over the codes the k×n strip of those rows covers.  A matrix covers the OR
   of T over its C(n,k) row subsets; that OR is evaluated by broadcasting
   over the rows, a block of leading-row values at a time, so a step holds

@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import lru_cache
 
 from omnikit import bounds, construct, experiments, search
 from omnikit.core import (
@@ -361,10 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call; parse_args keeps no state between calls
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:

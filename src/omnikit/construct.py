@@ -14,6 +14,7 @@ ascending order; outputs are therefore byte-for-byte reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -67,6 +68,20 @@ class RegionMap:
     col_offsets: tuple[int, ...]
     h_columns: tuple[tuple[int, ...], ...]
     v_rows: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def _cells(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(offset, indices) of each row region, then of each column region:
+        the region's row or column is its offset plus the base-a value of the
+        target's row-major entries at those indices, derived on first use."""
+        k = len(self.h_columns)
+        return tuple(
+            (off, tuple(i * k + j for j in h_cols))
+            for i, (off, h_cols) in enumerate(zip(self.row_offsets, self.h_columns))
+        ) + tuple(
+            (off, tuple(i * k + j for i in v_rows))
+            for j, (off, v_rows) in enumerate(zip(self.col_offsets, self.v_rows))
+        )
 
 
 def canonical_grid(k: int) -> GridDiagram:
@@ -158,7 +173,9 @@ def locate(rm: RegionMap, grid: GridDiagram, target: MosaicMatrix) -> Placement:
     """Constructively place a k-by-k target inside the mosaic built from grid.
 
     The row chosen in row-region i is the base-a value of the target entries
-    at the H positions of grid row i; columns are symmetric.
+    at the H positions of grid row i; columns are symmetric.  Those entries
+    are read at the row-major indices rm derives once, in one Horner pass
+    per region.
     """
     k = grid.k
     if target.rows != k or target.cols != k:
@@ -166,19 +183,13 @@ def locate(rm: RegionMap, grid: GridDiagram, target: MosaicMatrix) -> Placement:
     if target.a != rm.a:
         raise MosaicError("alphabet mismatch between target and region map")
     e, a = target.entries, rm.a
-    rows = []
-    for i, h_cols in enumerate(rm.h_columns):
-        row, code = e[i * k : (i + 1) * k], 0
-        for j in h_cols:
-            code = code * a + row[j]
-        rows.append(rm.row_offsets[i] + code)
-    cols = []
-    for j, v_rows in enumerate(rm.v_rows):
-        col, code = e[j::k], 0
-        for i in v_rows:
-            code = code * a + col[i]
-        cols.append(rm.col_offsets[j] + code)
-    return Placement(tuple(rows), tuple(cols))
+    placed = []
+    for off, idx in rm._cells:
+        code = 0
+        for x in idx:
+            code = code * a + e[x]
+        placed.append(off + code)
+    return Placement(tuple(placed[:k]), tuple(placed[k:]))
 
 
 def higher_dim_side_estimate(k: int, a: int, d: int) -> float:

@@ -118,7 +118,7 @@ class Placement:
                 raise MosaicError("placement indices must be non-negative")
 
 
-@lru_cache(maxsize=256)  # decode_target calls it once per target
+@lru_cache(maxsize=256)
 def target_space(k: int, a: int) -> int:
     """Number of k-by-k targets, a**(k*k); rejects spaces beyond 2**63 codes."""
     if power_exceeds(a, k * k, MAX_TARGET_SPACE):
@@ -137,15 +137,17 @@ def encode_target(t: MosaicMatrix) -> int:
     return code
 
 
+@lru_cache(maxsize=256)  # decode_target calls it once per target
+def _place_values(k: int, a: int) -> tuple[int, tuple[int, ...]]:
+    """(a**(k*k), a**(k*k - 1 - i) for each row-major entry i of a k-by-k target)."""
+    return target_space(k, a), tuple(a ** (k * k - 1 - i) for i in range(k * k))
+
+
 def decode_target(code: int, k: int, a: int) -> MosaicMatrix:
-    size = target_space(k, a)
+    size, places = _place_values(k, a)
     if not 0 <= code < size:
         raise MosaicError(f"target code {code} out of range [0, {size})")
-    digits = [0] * (k * k)
-    for i in range(k * k - 1, -1, -1):
-        digits[i] = code % a
-        code //= a
-    return MosaicMatrix(k, k, a, tuple(digits))
+    return MosaicMatrix(k, k, a, tuple([code // p % a for p in places]))
 
 
 def symmetries(m: MosaicMatrix) -> Iterator[MosaicMatrix]:

@@ -47,15 +47,19 @@ induces, most significant entry first (``core.encode_target``).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations, islice
 
 import numpy as np
+
+from omnikit.core import MosaicError, power_exceeds
 
 # Codes or matrices per step.  An enumeration step holds at least one
 # leading-row value's a^(n(n-1)) matrices, at most 2^20 under the 2^25
 # matrix guard, so its masks never exceed 8 MB.
 CHUNK = 1 << 16
 BITSET_LIMIT = 1 << 22  # largest target space deduplicated with a bitset
+COVERAGE_GUARD = 2**32  # most bitset bytes, t * a^(k*k), that covered() allocates
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # [v, b]: bit b of v
 
 
@@ -73,10 +77,25 @@ def subsets(n: int, k: int) -> np.ndarray:
 
 
 def subset_batches(n: int, k: int, size: int):
-    """``subsets(n, k)`` in consecutive batches of at most ``size`` rows each."""
+    """``subsets(n, k)`` in consecutive batches of at most ``size`` rows each.
+
+    When all C(n,k) subsets fit one batch and at most CHUNK entries, that
+    batch is one read-only table shared by every call; larger tables are
+    streamed and never held whole.
+    """
+    if 0 < math.comb(n, k) <= min(size, CHUNK // k):
+        yield _subset_table(n, k)
+        return
     combos = combinations(range(n), k)
     while batch := list(islice(combos, size)):
         yield np.array(batch, dtype=np.int64)
+
+
+@lru_cache(maxsize=16)  # at most CHUNK int64 entries each
+def _subset_table(n: int, k: int) -> np.ndarray:
+    table = subsets(n, k)
+    table.flags.writeable = False
+    return table
 
 
 def column_words(arr: np.ndarray, rowsubs: np.ndarray, rowpow: np.ndarray) -> np.ndarray:
@@ -114,7 +133,12 @@ def code_batches(arrs: np.ndarray, k: int, a: int):
 
 def covered(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     """[t, a^(k*k)] bool: entry [b, c] is True iff target c occurs in arrs[b],
-    for a stack arrs (t, rows, cols)."""
+    for a stack arrs (t, rows, cols).  Refuses, before allocating, bitsets of
+    more than COVERAGE_GUARD bytes in all."""
+    if power_exceeds(a, k * k, COVERAGE_GUARD // max(1, len(arrs))):
+        raise MosaicError(
+            f"{len(arrs)} bitsets of {a}^{k * k} targets exceed coverage guard {COVERAGE_GUARD}"
+        )
     total = a ** (k * k)
     bits = np.zeros(len(arrs) * total, dtype=bool)
     offsets = np.arange(len(arrs))[:, None] * total  # [t, 1]: each matrix's bitset

@@ -21,7 +21,6 @@ import numpy as np
 from omnikit import kernel
 from omnikit.core import MosaicError, MosaicMatrix, Placement, check_sizes, target_space
 
-COVERAGE_GUARD = 2**32  # largest target space coverage() bitsets
 MISSING_SAMPLE = 32  # missing codes a report lists
 
 
@@ -39,9 +38,9 @@ def coverage(m: MosaicMatrix, k: int) -> np.ndarray:
     """Bitset over target codes: entry c is True iff target c occurs in m."""
     check_sizes(k=k)
     size = target_space(k, m.a)
-    if size > COVERAGE_GUARD:
+    if size > kernel.COVERAGE_GUARD:
         raise MosaicError(
-            f"target space {size} exceeds coverage guard {COVERAGE_GUARD}; "
+            f"target space {size} exceeds coverage guard {kernel.COVERAGE_GUARD}; "
             "check individual targets with contains_target instead"
         )
     return kernel.covered(_cut_runs(m.to_numpy(), k)[None], k, m.a)[0]

@@ -16,7 +16,8 @@ from omnikit.cli import (
     SCHEMA,
     main,
 )
-from omnikit import kernel
+from omnikit import cli, kernel
+from omnikit.construct import square_omnimosaic, thin_strip
 from omnikit.core import parse_matrix, serialize_matrix
 from conftest import WITNESS_4X4
 
@@ -137,6 +138,40 @@ class TestErrors:
         assert code == EXIT_ERROR
         assert out == ""
         assert err == shown
+
+
+_SEQUENCE = [
+    ["construct", "--k", "2", "--a", "2", "--strip"],
+    ["construct", "--k", "2", "--a", "2"],
+    ["oned", "--seq", "0110", "--k", "2"],
+    ["oned", "--file", "-", "--a", "3"],
+    ["oned", "--seq", "0110"],
+    ["search", "--k", "2", "--a", "2", "--n", "3", "--max-nodes", "5"],
+    ["search", "--k", "2", "--a", "2"],
+    ["sample", "--n", "3", "--k", "2", "--a", "2", "--trials", "4", "--seed", "3"],
+    ["sample", "--n", "3", "--k", "2", "--a", "2", "--trials", "4"],
+    ["bounds", "--k", "2", "--a", "2", "--n", "5"],
+    ["bounds", "--k", "2", "--a", "2"],
+]
+
+
+def test_one_parser_keeps_no_state_between_calls(capsys):
+    for argv in _SEQUENCE + _SEQUENCE[::-1]:
+        run(capsys, *argv)
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert cli._parser() is cli._parser()
+    # through main, with a usage error in between: no flag carries over
+    assert run(capsys, "construct", "--k", "2", "--a", "2", "--strip")[1] == \
+        serialize_matrix(thin_strip(2, 2))
+    assert run(capsys, "construct", "--k", "x")[0] == EXIT_ERROR
+    assert run(capsys, "construct", "--k", "2", "--a", "2")[1] == \
+        serialize_matrix(square_omnimosaic(2, 2))
+    assert run_json(capsys, "oned", "--seq", "0110", "--k", "2")[1]["k"] == 2
+    assert "k" not in run_json(capsys, "oned", "--seq", "0110")[1]
+    _, payload, _ = run_json(capsys, "search", "--k", "2", "--a", "2", "--n", "3")
+    assert [t["n"] for t in payload["trace"]] == [3]
+    _, payload, _ = run_json(capsys, "search", "--k", "2", "--a", "2")
+    assert [t["n"] for t in payload["trace"]] == [4]
 
 
 class TestLocate:

@@ -6,6 +6,8 @@ import pytest
 from omnikit import bounds, construct
 from omnikit.construct import (
     MAX_CELLS,
+    H,
+    V,
     GridDiagram,
     build_mosaic,
     canonical_grid,
@@ -14,13 +16,30 @@ from omnikit.construct import (
     square_omnimosaic,
     thin_strip,
 )
-from omnikit.core import MosaicError, MosaicMatrix, decode_target, encode_target
+from omnikit.core import MosaicError, MosaicMatrix, Placement, decode_target, encode_target
 from omnikit.verify import is_omnimosaic, verify_placement
 
 
 def random_grid(k, rng):
     cells = [["H" if rng.integers(2) else "V" for _ in range(k)] for _ in range(k)]
     return GridDiagram.from_rows(cells)
+
+
+def locate_by_definition(grid, a, t):
+    """The placement read off the grid alone: row region i takes the base-a
+    value of t's entries at the H positions of grid row i, after the a^r
+    rows of the regions above it; columns likewise with V positions."""
+    k, rows = grid.k, t.to_rows()
+    row_idx, col_idx, row_off, col_off = [], [], 0, 0
+    for i in range(k):
+        digits = [rows[i][j] for j in range(k) if grid.cells[i][j] == H]
+        row_idx.append(row_off + sum(d * a ** (len(digits) - 1 - s) for s, d in enumerate(digits)))
+        row_off += a ** len(digits)
+    for j in range(k):
+        digits = [rows[i][j] for i in range(k) if grid.cells[i][j] == V]
+        col_idx.append(col_off + sum(d * a ** (len(digits) - 1 - s) for s, d in enumerate(digits)))
+        col_off += a ** len(digits)
+    return Placement(tuple(row_idx), tuple(col_idx))
 
 
 class TestCanonicalGrid:
@@ -65,17 +84,24 @@ class TestBuildMosaic:
         assert m.to_rows() == [[0], [1], [2]]
 
     def test_random_grids_dims_and_locate(self, rng):
-        a = 2
-        for k in range(1, 5):
-            for _ in range(100):
-                grid = random_grid(k, rng)
-                m, rm = build_mosaic(grid, a)
-                assert m.rows == sum(a**r for r in grid.row_counts())
-                assert m.cols == sum(a**c for c in grid.col_counts())
-                for _ in range(10):
-                    code = int(rng.integers(a ** (k * k)))
-                    t = decode_target(code, k, a)
-                    assert verify_placement(m, locate(rm, grid, t), t)
+        for a in (2, 3):
+            for k in range(1, 5):
+                grids = [random_grid(k, rng) for _ in range(100)]
+                grids += [GridDiagram.from_rows([[c] * k] * k) for c in (H, V)]
+                # grid row 0 with no H cell, then grid column k-1 with no V cell
+                cells = [random_grid(k, rng).cells for _ in range(10)]
+                grids += [GridDiagram.from_rows([(V,) * k] + list(c[1:])) for c in cells[:5]]
+                grids += [GridDiagram.from_rows([r[:-1] + (H,) for r in c]) for c in cells[5:]]
+                for grid in grids:
+                    m, rm = build_mosaic(grid, a)
+                    assert m.rows == sum(a**r for r in grid.row_counts())
+                    assert m.cols == sum(a**c for c in grid.col_counts())
+                    for _ in range(10):
+                        code = int(rng.integers(a ** (k * k)))
+                        t = decode_target(code, k, a)
+                        p = locate(rm, grid, t)
+                        assert p == locate_by_definition(grid, a, t)
+                        assert verify_placement(m, p, t)
 
 
 class TestThinStrip:
@@ -140,6 +166,14 @@ class TestLocate:
         p = locate(rm, grid, t)
         readback = m.submatrix(p.row_idx, p.col_idx)
         assert locate(rm, grid, readback) == p
+
+    @pytest.mark.parametrize("k,a", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_locate_every_target_by_definition(self, k, a):
+        grid = canonical_grid(k)
+        _, rm = build_mosaic(grid, a)
+        for code in range(a ** (k * k)):
+            t = decode_target(code, k, a)
+            assert locate(rm, grid, t) == locate_by_definition(grid, a, t)
 
     def test_alphabet_mismatch(self):
         grid = canonical_grid(2)

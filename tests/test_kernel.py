@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnikit import kernel, verify
-from omnikit.core import MosaicMatrix
+from omnikit.core import MosaicError, MosaicMatrix, decode_target
 
 from conftest import placement_codes
 
@@ -98,6 +98,41 @@ def test_distinct_counts_bitset_matches_unique(monkeypatch, rng):
     # a target space above the bitset limit takes the np.unique path
     monkeypatch.setattr(kernel, "BITSET_LIMIT", 3**4 - 1)
     assert list(kernel.distinct_counts(arrs, 2, 3)) == want
+
+
+def test_covered_refuses_oversized_bitsets_before_allocating(monkeypatch):
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    column = np.zeros((1, 5, 1), dtype=int)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel.np, "zeros", allocate)
+        with pytest.raises(MosaicError, match="coverage guard"):
+            kernel.covered(column, 6, 2)  # 2^36 targets
+    # the guard bounds the bytes of all t bitsets of a stack together
+    monkeypatch.setattr(kernel, "COVERAGE_GUARD", 2 * 2**4)
+    arrs = np.zeros((3, 3, 3), dtype=int)
+    assert np.count_nonzero(kernel.covered(arrs[:2], 2, 2), axis=1).tolist() == [1, 1]
+    with pytest.raises(MosaicError, match="coverage guard"):
+        kernel.covered(arrs, 2, 2)
+
+
+def test_row_subset_tables_are_shared_read_only_and_bounded(monkeypatch):
+    kernel._subset_table.cache_clear()
+    host = MosaicMatrix.from_numpy(batch_host(9, 9, 2, 2), 2)
+    for code in (0, 5, 15):
+        verify.contains_target(host, decode_target(code, 2, 2))
+    assert kernel._subset_table.cache_info()[:2] == (2, 1)  # (hits, misses)
+    table = next(kernel.subset_batches(9, 2, kernel.CHUNK))
+    assert table is next(kernel.subset_batches(9, 2, kernel.CHUNK))
+    assert not table.flags.writeable
+    assert np.array_equal(table, kernel.subsets(9, 2))
+    # past one batch, or past CHUNK entries, subsets stream in fresh batches
+    for chunk, size in [(kernel.CHUNK, 10), (2 * 36 - 1, 100)]:
+        monkeypatch.setattr(kernel, "CHUNK", chunk)
+        batches = list(kernel.subset_batches(9, 2, size))
+        assert all(b.flags.writeable and len(b) <= size for b in batches)
+        assert np.array_equal(np.concatenate(batches), table)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])

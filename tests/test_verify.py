@@ -47,7 +47,7 @@ class TestCoverage:
 
     def test_guard(self, monkeypatch):
         m = MosaicMatrix.from_rows([[0] * 6] * 6, a=3)
-        monkeypatch.setattr(verify, "COVERAGE_GUARD", 50)
+        monkeypatch.setattr(kernel, "COVERAGE_GUARD", 50)
 
         def no_alloc(*args, **kwargs):
             raise AssertionError("allocated before the coverage guard")

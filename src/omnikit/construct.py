@@ -54,6 +54,16 @@ class GridDiagram:
     def col_counts(self) -> tuple[int, ...]:
         return tuple(col.count(V) for col in zip(*self.cells))
 
+    @cached_property
+    def h_columns(self) -> tuple[tuple[int, ...], ...]:
+        """For each row, ascending, the columns holding an H."""
+        return tuple(tuple(j for j, c in enumerate(row) if c == H) for row in self.cells)
+
+    @cached_property
+    def v_rows(self) -> tuple[tuple[int, ...], ...]:
+        """For each column, ascending, the rows holding a V."""
+        return tuple(tuple(i for i, c in enumerate(col) if c == V) for col in zip(*self.cells))
+
 
 @dataclass(frozen=True)
 class RegionMap:
@@ -115,24 +125,21 @@ def build_mosaic(grid: GridDiagram, a: int) -> tuple[MosaicMatrix, RegionMap]:
     if n_rows * n_cols > MAX_CELLS:
         raise MosaicError(f"constructed matrix exceeds {MAX_CELLS} cells")
 
-    h_columns = tuple(tuple(j for j, c in enumerate(row) if c == H) for row in grid.cells)
-    v_rows = tuple(tuple(i for i, c in enumerate(col) if c == V) for col in zip(*grid.cells))
-
     out = np.zeros((n_rows, n_cols), dtype=np.int64)
     for i in range(k):
         for j in range(k):
             r0, r1 = row_off[i], row_off[i + 1]
             c0, c1 = col_off[j], col_off[j + 1]
             if grid.cells[i][j] == H:
-                t = h_columns[i].index(j)
+                t = grid.h_columns[i].index(j)
                 digits = (np.arange(r1 - r0) // a ** (r_counts[i] - 1 - t)) % a
                 out[r0:r1, c0:c1] = digits[:, None]
             else:
-                t = v_rows[j].index(i)
+                t = grid.v_rows[j].index(i)
                 digits = (np.arange(c1 - c0) // a ** (c_counts[j] - 1 - t)) % a
                 out[r0:r1, c0:c1] = digits[None, :]
 
-    rm = RegionMap(a, row_off, col_off, h_columns, v_rows)
+    rm = RegionMap(a, row_off, col_off, grid.h_columns, grid.v_rows)
     return MosaicMatrix.from_numpy(out, a), rm
 
 
@@ -175,13 +182,15 @@ def locate(rm: RegionMap, grid: GridDiagram, target: MosaicMatrix) -> Placement:
     The row chosen in row-region i is the base-a value of the target entries
     at the H positions of grid row i; columns are symmetric.  Those entries
     are read at the row-major indices rm derives once, in one Horner pass
-    per region.
+    per region.  Refuses a grid whose H and V cells are not rm's.
     """
     k = grid.k
     if target.rows != k or target.cols != k:
         raise MosaicError(f"target must be {k}x{k}")
     if target.a != rm.a:
         raise MosaicError("alphabet mismatch between target and region map")
+    if grid.h_columns != rm.h_columns or grid.v_rows != rm.v_rows:
+        raise MosaicError("grid diagram does not match the region map")
     e, a = target.entries, rm.a
     placed = []
     for off, idx in rm._cells:

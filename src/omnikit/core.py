@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 MAX_TARGET_SPACE = 2**63
+LETTERS = bytes(range(256))  # LETTERS[:a]: the letters of an alphabet a <= 2^8
 
 
 class MosaicError(ValueError):
@@ -64,16 +65,29 @@ class MosaicMatrix:
             raise MosaicError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        if min(self.entries) < 0 or max(self.entries) >= self.a:
-            bad = next(e for e in self.entries if not 0 <= e < self.a)
-            raise MosaicError(f"entry {bad} outside alphabet [0, {self.a})")
+        # one C pass: the entries as bytes, less every letter, are empty
+        try:
+            try:
+                bad = bytes(self.entries).translate(None, LETTERS[: self.a])
+            except ValueError:  # an entry outside [0, 256): a letter only if a > 256
+                lo = min(map(operator.index, self.entries))
+                bad = self.a <= 256 or lo < 0 or max(self.entries) >= self.a
+        except TypeError:
+            raise MosaicError("matrix entries must be integers") from None
+        if bad:
+            first = next(e for e in self.entries if not 0 <= e < self.a)
+            raise MosaicError(f"entry {first} outside alphabet [0, {self.a})")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], a: int) -> "MosaicMatrix":
         c = len(rows[0]) if len(rows) else 0
         if any(len(row) != c for row in rows):
             raise MosaicError("ragged rows")
-        return cls(len(rows), c, a, tuple(int(x) for row in rows for x in row))
+        try:
+            entries = tuple(map(operator.index, itertools.chain.from_iterable(rows)))
+        except TypeError:
+            raise MosaicError("matrix entries must be integers") from None
+        return cls(len(rows), c, a, entries)
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray, a: int) -> "MosaicMatrix":
@@ -137,17 +151,41 @@ def encode_target(t: MosaicMatrix) -> int:
     return code
 
 
-@lru_cache(maxsize=256)  # decode_target calls it once per target
-def _place_values(k: int, a: int) -> tuple[int, tuple[int, ...]]:
-    """(a**(k*k), a**(k*k - 1 - i) for each row-major entry i of a k-by-k target)."""
-    return target_space(k, a), tuple(a ** (k * k - 1 - i) for i in range(k * k))
+@lru_cache(maxsize=16)  # a^w <= 2^8 words of w <= 8 digits: under 30 KB each
+def _digit_table(a: int, w: int) -> tuple[tuple[int, ...], ...]:
+    """The base-a digits of each word in [0, a**w), most significant first."""
+    return tuple(itertools.product(range(a), repeat=w))
+
+
+@lru_cache(maxsize=16)  # once per target; the two caches keep <= 48 tables, 1.4 MB
+def _digit_chunks(k: int, a: int) -> tuple[int, tuple | None]:
+    """(a**(k*k), chunks): the k*k digits of a target code, most significant
+    first, in balanced chunks of at most w digits, a**w <= 2^8; each chunk is
+    (its place value, the digits of every word).  None for a > 2^8."""
+    size, digits = target_space(k, a), k * k
+    if a > 256:
+        return size, None
+    count = -(-digits // max(w for w in range(1, 9) if a**w <= 256))
+    chunks, later = [], digits  # later: the digits after the chunk
+    for i in range(count):
+        width = digits // count + (i < digits % count)
+        later -= width
+        chunks.append((a**later, _digit_table(a, width)))
+    return size, tuple(chunks)
 
 
 def decode_target(code: int, k: int, a: int) -> MosaicMatrix:
-    size, places = _place_values(k, a)
+    size, chunks = _digit_chunks(k, a)
     if not 0 <= code < size:
         raise MosaicError(f"target code {code} out of range [0, {size})")
-    return MosaicMatrix(k, k, a, tuple([code // p % a for p in places]))
+    if chunks is None:
+        entries = tuple([code // a**p % a for p in range(k * k - 1, -1, -1)])
+    else:
+        entries = ()
+        for place, words in chunks:
+            word, code = divmod(code, place)
+            entries += words[word]
+    return MosaicMatrix(k, k, a, entries)
 
 
 def symmetries(m: MosaicMatrix) -> Iterator[MosaicMatrix]:

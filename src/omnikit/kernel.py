@@ -117,12 +117,11 @@ def code_batches(arrs: np.ndarray, k: int, a: int):
     dtype = np.min_scalar_type(a ** (k * k) - 1)
     rowpow, colpow = (p.astype(dtype) for p in powers(k, a))
     trials, rows, cols = arrs.shape
-    colsubs = subsets(cols, k)
     # cast, then transpose: a cast of the transposed view keeps its slow layout
     transposed = arrs.astype(dtype).transpose(0, 2, 1)
     width = max(1, CHUNK // max(1, trials * rows))  # column subsets per block
-    for lo in range(0, len(colsubs), width):
-        words = column_words(transposed, colsubs[lo : lo + width], colpow)  # [r, t, c]
+    for colsubs in subset_batches(cols, k, width):
+        words = column_words(transposed, colsubs, colpow)  # [r, t, c]
         weighted = [w * words for w in rowpow]  # [i][r, t, c]
         for rowsubs in subset_batches(rows, k, max(1, CHUNK // (trials * words.shape[2]))):
             codes = weighted[0][rowsubs[:, 0]]

@@ -181,6 +181,25 @@ class TestLocate:
         with pytest.raises(MosaicError):
             locate(rm, grid, decode_target(0, 2, 3))
 
+    def test_refuses_a_grid_that_is_not_the_maps(self):
+        grid = canonical_grid(3)
+        m, rm = build_mosaic(grid, 2)
+        t = decode_target(300, 3, 2)
+        assert locate(rm, grid, t) == Placement((2, 5, 6), (3, 4, 8))
+        all_h = GridDiagram.from_rows([["H"] * 3] * 3)
+        with pytest.raises(MosaicError, match="does not match the region map"):
+            locate(rm, all_h, t)
+        # an equal grid built anew is the map's grid
+        assert locate(rm, canonical_grid(3), t) == Placement((2, 5, 6), (3, 4, 8))
+
+    def test_grid_derives_h_columns_and_v_rows_once(self):
+        grid = GridDiagram.from_rows([["H", "V"], ["V", "V"]])
+        assert grid.h_columns == ((0,), ())
+        assert grid.v_rows == ((1,), (0, 1))
+        assert grid.h_columns is grid.h_columns
+        _, rm = build_mosaic(grid, 2)
+        assert (rm.h_columns, rm.v_rows) == (grid.h_columns, grid.v_rows)
+
     @pytest.mark.parametrize("k,a", [(2, 2), (2, 3), (3, 2)])
     def test_certificate_path_every_target(self, k, a):
         """decode_target -> locate -> verify_placement against encode_target

@@ -75,6 +75,21 @@ class TestEncodeDecode:
         for code in rng.integers(0, size, size=10_000):
             assert encode_target(decode_target(int(code), k, a)) == int(code)
 
+    @pytest.mark.parametrize("k,a", [(1, 2), (3, 3), (4, 2), (7, 2), (2, 1000), (1, 2**31)])
+    def test_roundtrip_at_chunk_boundaries(self, rng, k, a):
+        # digit tables for a <= 2^8 (chunks of 8, 5+4, 8+8 and 7 x 7 digits),
+        # the digit loop above; each code is checked against its base-a digits
+        size = a ** (k * k)
+        codes = {0, size - 1} | {int(c) for c in rng.integers(0, size, size=200, dtype=np.uint64)}
+        for p in range(1, k * k):
+            codes |= {a**p - 1, a**p, a**p + 1}
+        for code in sorted(codes):
+            t = decode_target(code, k, a)
+            assert t.entries == tuple(code // a**p % a for p in range(k * k - 1, -1, -1))
+            assert encode_target(t) == code
+        if (k, a) == (7, 2):
+            assert decode_target(2**49 - 1, 7, 2).entries == (1,) * 49
+
 
 class TestSymmetry:
     @given(matrices())
@@ -189,7 +204,8 @@ class TestMatrixBasics:
 
 
 class TestLetterRange:
-    """Entries of -1 and of a are rejected on every way into a matrix."""
+    """Entries of -1 and of a, and entries that are not integers, are rejected
+    on every way into a matrix."""
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_constructor_names_first_bad_entry(self, bad):
@@ -199,6 +215,30 @@ class TestLetterRange:
         with pytest.raises(MosaicError, match=rf"^entry {bad} outside"):
             MosaicMatrix(1, 3, 3, (bad, other, 0))
 
+    @pytest.mark.parametrize("entries", [(0, 0.5, 1, 0), (0, 1.0, 1, 0), (0, "1", 1, 0), (0, None, 1, 0)])
+    def test_refuses_entries_that_are_not_integers(self, entries):
+        with pytest.raises(MosaicError, match="^matrix entries must be integers$"):
+            MosaicMatrix(2, 2, 3, entries)
+        with pytest.raises(MosaicError, match="^matrix entries must be integers$"):
+            MosaicMatrix.from_rows([entries[:2], entries[2:]], 3)
+
+    def test_from_rows_takes_integer_types(self):
+        m = M([[np.int64(1), np.uint8(0)], [True, 1]])
+        assert m.entries == (1, 0, 1, 1)
+        assert all(type(e) is int for e in m.entries)
+
+    def test_alphabets_past_one_byte(self):
+        # entries past 255 leave the one-pass byte check for min and max
+        assert MosaicMatrix(1, 3, 300, (299, 0, 256)).entries == (299, 0, 256)
+        assert MosaicMatrix(1, 1, 2**31, (2**31 - 1,)).entries == (2**31 - 1,)
+        for bad, entries in [(300, (299, 300, 5)), (-1, (299, -1, 300)), (300, (300, 0, -1))]:
+            with pytest.raises(MosaicError, match=rf"^entry {bad} outside alphabet \[0, 300\)$"):
+                MosaicMatrix(1, 3, 300, entries)
+        with pytest.raises(MosaicError, match=rf"^entry 300 outside alphabet \[0, 256\)$"):
+            MosaicMatrix(1, 3, 256, (255, 300, 0))
+        with pytest.raises(MosaicError, match="^matrix entries must be integers$"):
+            MosaicMatrix(1, 3, 300, (299, 256, 0.5))
+
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8, bool])
     def test_from_numpy_gives_int_entries(self, dtype):
         arr = np.array([[0, 1], [1, 0]], dtype=dtype)
@@ -207,11 +247,17 @@ class TestLetterRange:
         assert all(type(e) is int for e in m.entries)
 
     @pytest.mark.parametrize(
-        "dtype,bad", [(np.int64, -1), (np.int64, 3), (np.uint8, 3)]
+        "dtype,bad",
+        [(np.int64, -1), (np.int64, 3), (np.uint8, 3), (np.float64, 0.5), (np.float64, 1.0)],
     )
     def test_from_numpy_rejects(self, dtype, bad):
+        # a float entry is refused, not truncated, even when it is integral
         arr = np.array([[0, 1, 2], [bad, 0, 1]], dtype=dtype)
-        with pytest.raises(MosaicError, match=rf"^entry {bad} outside alphabet \[0, 3\)$"):
+        if dtype is np.float64:
+            message = "matrix entries must be integers"
+        else:
+            message = rf"entry {bad} outside alphabet \[0, 3\)"
+        with pytest.raises(MosaicError, match=f"^{message}$"):
             MosaicMatrix.from_numpy(arr, 3)
 
     @pytest.mark.parametrize("bad", ["-1", "3"])

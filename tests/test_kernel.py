@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,19 @@ def test_code_batches_of_a_stack_match_brute_force_and_coverage(case):
         got = sorted(c for batch in batches for c in batch[:, b].ravel().tolist())
         assert got == sorted(placement_codes(arr, k, a))
         assert np.array_equal(bits[b], verify.coverage(m, k))
+
+
+def test_code_batches_stream_column_subsets():
+    # C(150, 3) = 551 300 column subsets, 26 blocks; the whole table peaked at 67.6 MB
+    host = np.random.default_rng(3).integers(0, 2, size=(1, 3, 150))
+    tracemalloc.start()
+    try:
+        bits = kernel.covered(host, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert bits.all()
 
 
 def test_no_placements_when_k_exceeds_size():

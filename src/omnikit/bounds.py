@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from omnikit.core import MosaicError, check_sizes, power_exceeds
 
 E = math.e
+# a bound on the error of the decimal root in pigeonhole_min_n, which is
+# computed to 30 digits past the units
+_ROOT_ERROR = Decimal("1e-10")
 
 
 def log_binom(n: int, k: int) -> float:
@@ -56,33 +60,26 @@ def _stirling(x: int) -> float:
 def pigeonhole_min_n(k: int, a: int) -> int:
     """Smallest n with C(n,k)^2 >= a^(k*k); exact integers.
 
-    The condition is C(n,k) >= T = ceil(sqrt(a^(k*k))).  Since
-    (n-k+1)^k <= k! C(n,k) <= n^k, the answer lies in [r, r+k-1], r the
-    least integer with r^k >= k! T, and bisecting that range evaluates
-    C(n,k) ceil(log2 k) times.
+    The k factors n, n-1, ..., n-k+1 of k! C(n,k) are m + d with
+    m = n - s, s = (k-1)/2 and |d| <= s, paired as (m - d)(m + d) around
+    m; so (m^2 - s^2)^(k/2) <= k! C(n,k) <= m^k, the right side by the
+    AM-GM inequality.  With R = (k! a^(k*k/2))^(1/k), every n < R + s
+    falls short and every n with (n - s)^2 >= R^2 + s^2 suffices.
+    ``decimal`` gives R to within _ROOT_ERROR at the precision of n, and
+    bisecting the bracket between decides at most ceil(log2((k+3)/2))
+    values of n exactly, at most one when R is far above k^2.
     """
-    need = math.isqrt(a ** (k * k) - 1) + 1
-    r = _root_ceil(math.factorial(k) * need, k)
-    lo, hi = r - 1, r + k - 1  # lo never suffices, hi always does
+    digits = math.lgamma(k + 1) / math.log(10) / k + k / 2 * math.log10(a)
+    with localcontext(Context(prec=int(digits) + 30)):
+        root = (Decimal(math.factorial(k)).ln() / k + Decimal(a).ln() * k / 2).exp()
+        s = Decimal(k - 1) / 2
+        lo = math.ceil(root + s - _ROOT_ERROR) - 1  # falls short
+        hi = math.ceil(((root + _ROOT_ERROR) ** 2 + s * s).sqrt() + s + _ROOT_ERROR)
+    target = a ** (k * k)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if math.comb(mid, k) >= need else (mid, hi)
+        lo, hi = (lo, mid) if math.comb(mid, k) ** 2 >= target else (mid, hi)
     return hi
-
-
-def _root_ceil(x: int, k: int) -> int:
-    """Least r with r^k >= x, for x >= 1: a float estimate, then integer Newton."""
-    log_r = math.log(x) / k
-    shift = max(0, int(log_r / math.log(2)) - 60)
-    r = (int(math.exp(log_r - shift * math.log(2))) + 1) << shift
-
-    def step(r: int) -> int:  # never below floor(x^(1/k)); below r while r^k > x
-        return ((k - 1) * r + x // r ** (k - 1)) // k
-
-    r = step(r)
-    while (s := step(r)) < r:
-        r = s
-    return r if r**k >= x else r + 1
 
 
 def _finite(name: str, compute) -> float:

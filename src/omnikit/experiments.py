@@ -29,6 +29,12 @@ from omnikit import kernel
 from omnikit.core import MosaicError, check_sizes, power_exceeds, target_space
 
 ENUMERATION_GUARD = 2**25
+# Predicted work (kernel.trial_cost word-steps) that pays for one pool worker.
+# On a 2-core VM a two-worker pool took 2.5 ms to start and join with empty
+# parts; with real parts two workers broke even with one near 40 M word-steps
+# of work at (12,3,2) and (16,2,3), about 20 ms, and stayed within the spread
+# between runs of one worker from 50 M to 130 M at (4,2,2).
+POOL_FLOOR = 20_000_000
 _MASK_BITS = 64
 
 
@@ -49,7 +55,8 @@ class ExperimentConfig:
         target_space(self.k, self.a)
         # a trial's codes are held at once, so they share the enumeration
         # guard; so is its automaton state, C(n,k) * sum(W_j) words, which is
-        # under C(n,k)^2 / n wherever kernel.distinct_counts picks it
+        # under (CODE_COST * C(n,k)^2 + BYTE_COST * BITSET_LIMIT) / n wherever
+        # kernel.distinct_counts picks it
         if math.comb(self.n, self.k) ** 2 > ENUMERATION_GUARD:
             raise MosaicError(
                 f"C({self.n},{self.k})^2 placements per trial exceed guard {ENUMERATION_GUARD}"
@@ -189,14 +196,25 @@ def _run_trials(config: ExperimentConfig, lo: int, hi: int) -> tuple[int, int, i
     return omni, s1, s2
 
 
+def _worker_count(config: ExperimentConfig, workers: int) -> int:
+    """How many workers ``estimate`` starts: at most ``workers``, one per CPU
+    and one per trial, and only as many as each get POOL_FLOOR of predicted
+    work (``kernel.trial_cost``); at least one."""
+    if workers < 1:
+        raise MosaicError(f"workers must be >= 1, got {workers}")
+    work = config.trials * kernel.trial_cost(config.n, config.k, config.a)
+    return max(1, min(workers, os.cpu_count() or 1, config.trials, work // POOL_FLOOR))
+
+
 def estimate(config: ExperimentConfig, workers: int = 1) -> MissingStats:
     """Monte-Carlo estimate of P(omni) and E(missing targets) over random matrices.
 
-    At most one worker per CPU runs; the counts do not depend on the worker count.
+    Runs on ``_worker_count(config, workers)`` workers, in this process when
+    that is one; the counts do not depend on the worker count.
     """
     t = config.trials
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or t < 2 * workers:
+    workers = _worker_count(config, workers)
+    if workers == 1:
         parts = [_run_trials(config, 0, t)]
     else:
         edges = [t * w // workers for w in range(workers + 1)]

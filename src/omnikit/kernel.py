@@ -12,10 +12,13 @@ induces, most significant entry first (``core.encode_target``).
   row subsets sums k gathered whole rows of words, each a contiguous copy
   of the block's width.  ``covered`` marks them in a bitset per matrix.
 * ``distinct_counts``, the one counting entry point, counts each matrix's
-  codes by the automaton of ``covered_counts`` when its word operations per
-  row subset, cols * sum(W_j) + W_k, are fewer than the C(cols,k) column
-  subsets to score, else by ``covered`` up to BITSET_LIMIT targets and by
-  ``np.unique`` above it.
+  codes by the automaton of ``covered_counts`` when ``path_costs`` predicts
+  it cheaper than the direct path, else by ``covered`` up to BITSET_LIMIT
+  targets and by sorting each matrix's codes above it.  ``path_costs``
+  charges the automaton its C(rows,k) * cols * sum(W_j) word-steps and the
+  direct path its C(rows,k) * C(cols,k) codes plus the a^(k*k) bytes of
+  its bitset; ``trial_cost`` adds the n^2 cells of a Monte-Carlo trial's
+  draw.
 * ``enumerate_coverage`` covers every one of the a^(n*n) n×n matrices at once,
   for k < n, through one row-tuple table of tracked codes.  Rows are base-a
   ints in [0, a^n), first column most significant.  It tracks a list of at
@@ -60,6 +63,11 @@ from omnikit.core import MosaicError, power_exceeds
 CHUNK = 1 << 16
 BITSET_LIMIT = 1 << 22  # largest target space deduplicated with a bitset
 COVERAGE_GUARD = 2**32  # most bitset bytes, t * a^(k*k), that covered() allocates
+# Predicted costs in automaton word-steps (one level's words of one row subset
+# at one column): on a 2-core VM with numpy 2.4.6 a word-step took 0.2-0.3 ns
+# where levels span many words, a placement code about 2.5 ns, a bitset byte
+# about 0.5 ns and a cell that experiments.trial_matrices draws 13-65 ns.
+CODE_COST, BYTE_COST, CELL_COST = 10, 2, 100
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # [v, b]: bit b of v
 
 
@@ -146,31 +154,55 @@ def covered(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     return bits.reshape(len(arrs), total)
 
 
+def path_costs(rows: int, cols: int, k: int, a: int) -> tuple[int, int]:
+    """(automaton, direct): the predicted cost of counting one rows×cols
+    matrix's codes by ``covered_counts`` and by the direct path, in word-steps."""
+    placements = math.comb(rows, k)
+    words = sum(w for _, w in automaton_levels(k, a))
+    total = a ** (k * k)
+    bitset = total if total <= BITSET_LIMIT else 0  # sorting holds no bitset
+    direct = CODE_COST * placements * math.comb(cols, k) + BYTE_COST * bitset
+    return placements * cols * words, direct
+
+
+def trial_cost(n: int, k: int, a: int) -> int:
+    """Predicted cost of one n×n Monte-Carlo trial: its draw and its count by
+    the cheaper path, in word-steps."""
+    return CELL_COST * n * n + min(path_costs(n, n, k, a))
+
+
 def distinct_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     """[t]: number of distinct placement codes of arrs[t], for a stack arrs
-    (t, rows, cols), by the rule of the module docstring.  A step holds one
-    matrix without a bitset, else max(CHUNK, one matrix's) automaton words or
-    codes and bitset bytes."""
+    (t, rows, cols), by the rule of the module docstring.  A step holds
+    max(CHUNK, one matrix's) automaton words, or codes and bitset bytes."""
     trials, rows, cols = arrs.shape
     if k > min(rows, cols):
         return np.zeros(trials, dtype=np.int64)
     total = a ** (k * k)
-    words = [w for _, w in automaton_levels(k, a)]
-    automaton = cols * sum(words) + words[-1] < math.comb(cols, k)
+    bitset = total if total <= BITSET_LIMIT else 0
+    automaton_cost, direct_cost = path_costs(rows, cols, k, a)
+    automaton = automaton_cost < direct_cost
     if automaton:
-        held = math.comb(rows, k) * sum(words)
-    elif total <= BITSET_LIMIT:
-        held = max(math.comb(rows, k) * math.comb(cols, k), total)
+        held = automaton_cost // cols  # C(rows,k) * sum(W_j) words
     else:
-        return np.array([
-            np.unique(np.concatenate([c.ravel() for c in code_batches(m[None], k, a)])).size
-            for m in arrs
-        ])
+        held = max(math.comb(rows, k) * math.comb(cols, k), bitset)
     step = max(1, CHUNK // held)
     parts = [arrs[lo : lo + step] for lo in range(0, trials, step)]
     if automaton:
         return np.concatenate([covered_counts(part, k, a) for part in parts])
-    return np.concatenate([np.count_nonzero(covered(part, k, a), axis=1) for part in parts])
+    if bitset:
+        return np.concatenate([np.count_nonzero(covered(part, k, a), axis=1) for part in parts])
+    return np.concatenate([_sorted_counts(part, k, a) for part in parts])
+
+
+def _sorted_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
+    """[t]: number of distinct placement codes of arrs[t], for a stack arrs
+    (t, rows, cols) with at least one placement, by sorting each one's codes."""
+    codes = np.concatenate(
+        [c.transpose(1, 0, 2).reshape(len(arrs), -1) for c in code_batches(arrs, k, a)], axis=1
+    )
+    codes.sort(axis=1)
+    return 1 + np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
 
 
 def automaton_levels(k: int, a: int) -> list[tuple[int, int]]:

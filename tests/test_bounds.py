@@ -8,6 +8,30 @@ from omnikit import bounds
 from omnikit.core import MosaicError
 
 
+def _isqrt_pigeonhole(k: int, a: int) -> int:
+    """Least n with C(n,k) >= T = ceil(sqrt(a^(k*k))): since (n-k+1)^k <=
+    k! C(n,k) <= n^k, it lies in [r, r+k-1], r the least integer with
+    r^k >= k! T, found by integer Newton steps; bisect that range."""
+    need = math.isqrt(a ** (k * k) - 1) + 1
+    x = math.factorial(k) * need
+    log_r = math.log(x) / k
+    shift = max(0, int(log_r / math.log(2)) - 60)
+    r = (int(math.exp(log_r - shift * math.log(2))) + 1) << shift
+
+    def step(r: int) -> int:  # never below floor(x^(1/k)); below r while r^k > x
+        return ((k - 1) * r + x // r ** (k - 1)) // k
+
+    r = step(r)
+    while (s := step(r)) < r:
+        r = s
+    r = r if r**k >= x else r + 1
+    lo, hi = r - 1, r + k - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if math.comb(mid, k) >= need else (mid, hi)
+    return hi
+
+
 class TestCountingBounds:
     def test_pigeonhole_values(self):
         assert bounds.pigeonhole_min_n(2, 2) == 4
@@ -30,12 +54,19 @@ class TestCountingBounds:
                     n += 1
                 assert bounds.pigeonhole_min_n(k, a) == n, (k, a)
 
+    def test_pigeonhole_matches_the_isqrt_bisection(self):
+        # the reference brackets n from an exact integer root of k! ceil(a^(k*k/2))
+        for a in (2, 3, 5):
+            for k in range(1, 201):
+                assert bounds.pigeonhole_min_n(k, a) == _isqrt_pigeonhole(k, a), (k, a)
+
     def test_pigeonhole_values_past_the_scan(self):
         assert bounds.pigeonhole_min_n(300, 2) == (
             159509061481908140763142896844491942899175332205
         )
 
-    @pytest.mark.parametrize("k,a", [(1, 2), (2, 2), (3, 5), (13, 3), (40, 2), (300, 2), (1000, 2)])
+    @pytest.mark.parametrize("k,a", [(1, 2), (2, 2), (3, 5), (13, 3), (40, 2), (300, 2), (1000, 2),
+                                     (2000, 2)])
     def test_pigeonhole_evaluates_few_binomials(self, monkeypatch, k, a):
         calls, exact = [], math.comb
 

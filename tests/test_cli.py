@@ -351,6 +351,8 @@ class TestSampleExactOned:
         ["bounds", "--k", "2", "--a", "-2"],
         ["oned", "--seq", "", "--a", "0", "--k", "-1"],
         ["sample", "--n", "4", "--k", "2", "--a", "2", "--trials", "10", "--seed", "-1"],
+        ["sample", "--n", "4", "--k", "2", "--a", "2", "--trials", "10", "--workers", "0"],
+        ["sample", "--n", "4", "--k", "2", "--a", "2", "--trials", "10", "--workers", "-3"],
         ["search", "--k", "2", "--a", "2", "--n", "5", "--max-seconds", "nan"],
     ],
 )

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -242,11 +243,21 @@ class TestMonteCarlo:
         for n, k, a in [(12, 3, 2), (48, 1, 400)]:  # 48 400 and 2 304 codes
             ExperimentConfig(n=n, k=k, a=a, trials=1)
 
-    def test_deterministic_across_workers(self):
-        config = ExperimentConfig(n=4, k=2, a=2, trials=400, seed=7)
-        one = estimate(config, workers=1)
-        four = estimate(config, workers=4)
-        assert one == four
+    def test_deterministic_across_workers(self, monkeypatch):
+        # above the floor, so two workers start; parts split by trial index
+        config = ExperimentConfig(n=4, k=2, a=2, trials=30_000, seed=7)
+        assert config.trials * experiments.kernel.trial_cost(4, 2, 2) >= 2 * experiments.POOL_FLOOR
+        started = []
+
+        class RecordedPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordedPool)
+        assert estimate(config, workers=4) == estimate(config, workers=1)
+        assert started == [2]
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         # a pool starts all its workers at once; this fake one records how
@@ -268,9 +279,39 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
-        config = ExperimentConfig(n=4, k=2, a=2, trials=200, seed=7)
+        config = ExperimentConfig(n=4, k=2, a=2, trials=40_000, seed=7)
+        assert config.trials * experiments.kernel.trial_cost(4, 2, 2) >= 3 * experiments.POOL_FLOOR
         assert estimate(config, workers=100) == estimate(config, workers=1)
         assert asked == [3]
+
+    # each below the floor of predicted work for a second worker: starting
+    # the pool would cost more than it saves
+    @pytest.mark.parametrize("n,k,a,trials", [(12, 3, 2, 400), (4, 2, 2, 10_000), (6, 3, 6, 50)])
+    def test_small_jobs_run_in_process(self, monkeypatch, n, k, a, trials):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        config = ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=3)
+        assert estimate(config, workers=2) == estimate(config, workers=1)
+
+    def test_worker_count_reads_no_clock(self, monkeypatch):
+        def no_clock(*args):
+            raise AssertionError("read a clock")
+
+        for name in ("time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
+                     "monotonic_ns", "process_time", "process_time_ns", "thread_time",
+                     "thread_time_ns"):
+            monkeypatch.setattr(time, name, no_clock)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sizes = {(12, 3, 2, 400): 1, (4, 2, 2, 10_000): 1, (6, 3, 6, 50): 1,
+                 (8, 3, 2, 20_000): 2, (4, 2, 2, 100_000): 2, (12, 3, 2, 4_000): 2}
+        for (n, k, a, trials), want in sizes.items():
+            config = ExperimentConfig(n=n, k=k, a=a, trials=trials)
+            assert experiments._worker_count(config, 2) == want, (n, k, a, trials)
+            assert experiments._worker_count(config, 8) == want
+            assert experiments._worker_count(config, 1) == 1
 
     # recorded with the per-trial np.unique implementation; batching and
     # bitset dedup must reproduce every count
@@ -314,7 +355,7 @@ class TestMonteCarlo:
                 stats.ex_missing_stderr) == expected
 
     # recorded with placement_codes + distinct_counts: 6^9 targets exceed
-    # kernel.BITSET_LIMIT, so each trial's codes are deduplicated by np.unique
+    # kernel.BITSET_LIMIT, so each trial's codes are deduplicated by sorting
     @pytest.mark.parametrize("seed,expected", [
         (0, (50, 0.0, 0.0, 10077304.52, 1.4596616885079772)),
         (2024, (50, 0.0, 0.0, 10077306.04, 1.622545241657221)),
@@ -326,16 +367,18 @@ class TestMonteCarlo:
         assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
                 stats.ex_missing_stderr) == expected
 
-    # n * sum(W_j) + W_k < C(n,k) picks the automaton; W = (1, 1, 8) at
-    # (k, a) = (3, 2), (1, 3) at (2, 3)
+    # C(n,k) * n * sum(W_j) automaton word-steps against CODE_COST per code
+    # plus BYTE_COST per bitset byte picks the path; sum(W_j) = 2 at
+    # (k, a) = (2, 2), 10 at (3, 2), 393 at (3, 3), 1093 at (4, 2), 164 at (2, 9)
     @pytest.mark.parametrize("n,k,a,automaton", [
         (12, 3, 2, True), (10, 3, 2, True), (14, 3, 2, True), (16, 2, 3, True),
-        (20, 3, 2, True), (4, 2, 2, False), (5, 2, 2, False), (8, 2, 3, False),
-        (6, 2, 5, False), (10, 3, 3, False), (7, 4, 2, False), (9, 2, 4, False),
+        (20, 3, 2, True), (4, 2, 2, True), (5, 2, 2, True), (8, 2, 3, True),
+        (9, 2, 4, True), (6, 2, 5, True), (8, 3, 2, True), (10, 3, 3, False),
+        (7, 4, 2, False), (7, 3, 3, False), (12, 2, 9, False),
     ])
     def test_path_rule_and_both_paths_agree(self, monkeypatch, n, k, a, automaton):
         # kernel.distinct_counts picks the path; the automaton, the bitset and
-        # np.unique must give the same counts
+        # sorting must give the same counts
         kernel = experiments.kernel
         arrs = trial_matrices(31, 0, 6, n, a)
         calls = _spy(monkeypatch, "covered_counts", "covered")

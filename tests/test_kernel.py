@@ -107,10 +107,17 @@ def test_no_placements_when_k_exceeds_size():
 
 def test_distinct_counts_bitset_matches_unique(monkeypatch, rng):
     arrs = rng.integers(0, 3, size=(4, 7, 5))
+    arrs[2] = 1  # one code
     want = [len(set(placement_codes(arr, 2, 3))) for arr in arrs]
     assert list(kernel.distinct_counts(arrs, 2, 3)) == want
-    # a target space above the bitset limit takes the np.unique path
+    monkeypatch.setattr(kernel, "path_costs", lambda *args: (1, 0))  # the direct path
+    assert list(kernel.distinct_counts(arrs, 2, 3)) == want
+    # a target space above the bitset limit sorts each matrix's codes, all
+    # four in one step, then one a step
     monkeypatch.setattr(kernel, "BITSET_LIMIT", 3**4 - 1)
+    monkeypatch.setattr(kernel, "covered", None)
+    assert list(kernel.distinct_counts(arrs, 2, 3)) == want
+    monkeypatch.setattr(kernel, "CHUNK", 21 * 10)
     assert list(kernel.distinct_counts(arrs, 2, 3)) == want
 
 

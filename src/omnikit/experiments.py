@@ -183,16 +183,16 @@ def _run_trials(config: ExperimentConfig, lo: int, hi: int) -> tuple[int, int, i
     n, k, a = config.n, config.k, config.a
     total = target_space(k, a)
     draw = max(1, kernel.CHUNK // (n * n))  # trials drawn at once: about CHUNK cells
-    omni = 0
-    s1 = 0
-    s2 = 0
+    omni = s1 = s2 = 0
     for block_lo in range(lo, hi, draw):
         block = trial_matrices(config.seed, block_lo, min(block_lo + draw, hi), n, a)
-        for distinct in kernel.distinct_counts(block, k, a).tolist():
-            miss = total - distinct  # Python ints: miss^2 can pass 2^64
-            omni += miss == 0
-            s1 += miss
-            s2 += miss * miss
+        distinct = kernel.distinct_counts(block, k, a)
+        # no int64 overflow: distinct <= min(4^n, 2^25) (C(n,k)^2, under the config
+        # guard) and a block holds <= CHUNK/n^2 trials, so distinct @ distinct < 2^59
+        m, sd, sdd = len(distinct), int(distinct.sum()), int(distinct @ distinct)
+        omni += int(np.count_nonzero(distinct == total))
+        s1 += m * total - sd
+        s2 += m * total * total - 2 * total * sd + sdd
     return omni, s1, s2
 
 
@@ -219,17 +219,8 @@ def estimate(config: ExperimentConfig, workers: int = 1) -> MissingStats:
     else:
         edges = [t * w // workers for w in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _run_trials,
-                    [config] * workers,
-                    edges[:-1],
-                    edges[1:],
-                )
-            )
-    omni = sum(p[0] for p in parts)
-    s1 = sum(p[1] for p in parts)
-    s2 = sum(p[2] for p in parts)
+            parts = list(pool.map(_run_trials, [config] * workers, edges[:-1], edges[1:]))
+    omni, s1, s2 = (sum(column) for column in zip(*parts))
     p_hat = omni / t
     p_err = math.sqrt(p_hat * (1 - p_hat) / t)
     mean = s1 / t
@@ -264,7 +255,7 @@ def exact_enumeration(n: int, k: int, a: int) -> MissingStats:
         covered = 0
         for masks in kernel.enumerate_coverage(n, k, a, range(total_targets)):
             omni += int(np.count_nonzero(masks == full))
-            covered = covered + kernel.bit_counts(masks)
+            covered = covered + kernel.bit_counts(masks, total_targets)
     else:
         # k = n: a matrix's one placement is itself, so each target occurs in
         # exactly one matrix; k > n: in none.  Either way no matrix is omni.
@@ -421,21 +412,24 @@ def oneD_missing_count(seq, k: int, a: int) -> int:
 
 def oneD_exhaustive_mean_missing(n: int, k: int, a: int) -> Fraction:
     """Mean missing-word count over all a^n sequences, exact; the independent
-    oracle for the binomial-tail formula."""
+    oracle for the binomial-tail formula.
+
+    For each word the greedy matcher reads every sequence a letter at a time,
+    but prefixes that matched the same number of the word's letters have the
+    same future, so it keeps only counts[m], how many prefixes matched m.
+    """
     total = a**n
     if total > ENUMERATION_GUARD:
         raise MosaicError("sequence space exceeds guard")
     grand = 0
     for code in range(a**k):
         word = [(code // a ** (k - 1 - t)) % a for t in range(k)]
-        # state[s]: letters of the word matched greedily by prefix s, for
-        # every prefix of the current length; each step extends all of them
-        # by every letter, until state covers all a^n sequences
-        state = np.zeros(1, dtype=np.int8)
+        counts = [1] + [0] * k
         for _ in range(n):
-            extended = np.repeat(state[:, None], a, axis=1)
-            for matched, letter in enumerate(word):
-                extended[:, letter] += state == matched
-            state = extended.ravel()
-        grand += int(np.count_nonzero(state < k))
+            extended = [0] * (k + 1)
+            for matched, count in enumerate(counts):
+                for letter in range(a):
+                    extended[matched + (matched < k and letter == word[matched])] += count
+            counts = extended
+        grand += total - counts[k]
     return Fraction(grand, total)

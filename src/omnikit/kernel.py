@@ -68,7 +68,6 @@ COVERAGE_GUARD = 2**32  # most bitset bytes, t * a^(k*k), that covered() allocat
 # where levels span many words, a placement code about 2.5 ns, a bitset byte
 # about 0.5 ns and a cell that experiments.trial_matrices draws 13-65 ns.
 CODE_COST, BYTE_COST, CELL_COST = 10, 2, 100
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # [v, b]: bit b of v
 
 
 def powers(k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +225,8 @@ def covered_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     words of ``automaton_levels``; letters and indices add a few words per
     row subset."""
     trials, rows, cols = arrs.shape
-    rowsubs = subsets(rows, k)
+    # one batch of all row subsets, the shared table where it fits; none at k > rows
+    rowsubs = next(subset_batches(rows, k, math.comb(rows, k)), np.zeros((0, k), dtype=np.int64))
     levels = automaton_levels(k, a)
     small = np.min_scalar_type(a**k - 1)
     _, letterpow = powers(k, a)
@@ -298,11 +298,17 @@ def enumerate_coverage(n: int, k: int, a: int, codes):
         yield acc
 
 
-def bit_counts(masks: np.ndarray) -> np.ndarray:
-    """[t]: how many masks have bit t set, for every bit of the mask dtype."""
-    flat = masks.ravel()
-    counts = []
-    for shift in range(0, 8 * masks.itemsize, 8):
-        byte = (flat >> masks.dtype.type(shift)).astype(np.uint8)
-        counts.append(np.bincount(byte, minlength=256) @ _BYTE_BITS)
-    return np.concatenate(counts)
+def bit_counts(masks: np.ndarray, tracked: int) -> np.ndarray:
+    """[t]: how many masks have bit t set, for t < tracked.  Each little-endian
+    byte that holds a tracked bit is gathered once, and each of its tracked
+    bits b counted there with ``np.count_nonzero(byte & (1 << b))``."""
+    if tracked > 8 * masks.itemsize:
+        raise ValueError(f"{tracked} tracked bits do not fit {masks.dtype} masks")
+    little = np.ascontiguousarray(masks, dtype=masks.dtype.newbyteorder("<"))
+    columns = little.view(np.uint8).reshape(-1, masks.itemsize)  # [mask, byte]
+    counts = np.zeros(tracked, dtype=np.int64)
+    for t in range(0, tracked, 8):
+        byte = np.ascontiguousarray(columns[:, t // 8])  # uint8 masks: no copy
+        for b in range(min(8, tracked - t)):
+            counts[t + b] = np.count_nonzero(byte & np.uint8(1 << b))
+    return counts

@@ -104,8 +104,15 @@ class TestExactEnumeration:
         }
 
     def test_5_2_2_reference_value(self):
-        # value of the per-placement enumeration this module used before
-        assert exact_enumeration(5, 2, 2).per_target[0] == Fraction(286737, 4194304)
+        # values recorded from the per-placement enumeration and from a count of
+        # every mask bit by np.bincount, two independent earlier implementations
+        stats = exact_enumeration(5, 2, 2)
+        assert stats.p_omni_exact == Fraction(562325, 1048576)
+        assert stats.ex_missing_exact == Fraction(3440331, 4194304)
+        runs = [(Fraction(286737, 4194304), [0, 15]), (Fraction(11097, 262144), [3, 5, 10, 12]),
+                (Fraction(431329, 8388608), [6, 9]),
+                (Fraction(215665, 4194304), [1, 2, 4, 7, 8, 11, 13, 14])]
+        assert stats.per_target == {code: p for p, codes in runs for code in codes}
 
     def test_single_target_beyond_mask_guard(self):
         # 81 and 512 targets: too many for masks, fine for one target
@@ -575,6 +582,24 @@ class TestOneD:
             for seq in itertools.product(range(a), repeat=n)
         )
         assert oneD_exhaustive_mean_missing(n, k, a) == Fraction(grand, a**n)
+
+    def test_exhaustive_mean_matches_listing_on_a_grid(self):
+        # every sequence listed and matched against every word, for k <= 4
+        grid = [(n, 2) for n in range(11)] + [(n, 3) for n in range(8)]
+        for n, a in grid:
+            sequences = list(itertools.product(range(a), repeat=n))
+            for k in range(1, 5):
+                grand = sum(oneD_missing_count(seq, k, a) for seq in sequences)
+                assert oneD_exhaustive_mean_missing(n, k, a) == Fraction(grand, a**n), (n, k, a)
+
+    def test_exhaustive_mean_reference_value(self):
+        # value recorded from a listing of every sequence's greedy-match state
+        assert oneD_exhaustive_mean_missing(18, 3, 2) == Fraction(43, 8192)
+
+    def test_exhaustive_mean_refuses_past_the_guard(self):
+        with pytest.raises(MosaicError, match="sequence space exceeds guard"):
+            oneD_exhaustive_mean_missing(26, 1, 2)
+        assert oneD_exhaustive_mean_missing(25, 1, 2) == Fraction(1, 2**24)
 
     def test_threshold_consistency(self):
         # at n well above a*H_a*k almost every sequence is omni

@@ -156,12 +156,27 @@ def test_row_subset_tables_are_shared_read_only_and_bounded(monkeypatch):
         assert np.array_equal(np.concatenate(batches), table)
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
 def test_bit_counts(rng, dtype):
     bits = 8 * np.dtype(dtype).itemsize
-    masks = rng.integers(0, 2**bits, size=1000, dtype=dtype)
-    want = [sum(int(m) >> t & 1 for m in masks) for t in range(bits)]
-    assert list(kernel.bit_counts(masks)) == want
+    masks = rng.integers(0, 2**bits, size=(10, 100), dtype=dtype)
+    popcounts = [sum(int(m) >> t & 1 for m in masks.ravel()) for t in range(bits)]
+    swapped = masks.astype(masks.dtype.newbyteorder(">"))  # same values, other byte order
+    for tracked in sorted({1, bits - 3, bits}):
+        assert kernel.bit_counts(masks, tracked).tolist() == popcounts[:tracked]
+        assert kernel.bit_counts(swapped, tracked).tolist() == popcounts[:tracked]
+        assert kernel.bit_counts(masks[:, ::3], tracked).tolist() == [
+            sum(int(m) >> t & 1 for m in masks[:, ::3].ravel()) for t in range(tracked)
+        ]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_bit_counts_refuses_more_bits_than_a_mask_holds(dtype):
+    masks = np.zeros(4, dtype=dtype)
+    bits = 8 * masks.itemsize
+    assert kernel.bit_counts(masks, bits).tolist() == [0] * bits
+    with pytest.raises(ValueError, match="do not fit"):
+        kernel.bit_counts(masks, bits + 1)
 
 
 # target None tracks every target; (5,4,2) is the largest k < n at the guard

@@ -167,6 +167,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_bounds(args) -> int:
     check_sizes(k=args.k, a=args.a)
+    if args.n is not None and args.n < args.k:
+        raise MosaicError(f"n must be >= k, got n={args.n}, k={args.k}")
     lower = bounds.asymptotic_lower(args.k, args.a)  # refuses sizes past float range
     payload = {
         "command": "bounds",

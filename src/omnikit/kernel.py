@@ -13,12 +13,13 @@ induces, most significant entry first (``core.encode_target``).
   of the block's width.  ``covered`` marks them in a bitset per matrix.
 * ``distinct_counts``, the one counting entry point, counts each matrix's
   codes by the automaton of ``covered_counts`` when ``path_costs`` predicts
-  it cheaper than the direct path, else by ``covered`` up to BITSET_LIMIT
-  targets and by sorting each matrix's codes above it.  ``path_costs``
-  charges the automaton its C(rows,k) * cols * sum(W_j) word-steps and the
-  direct path its C(rows,k) * C(cols,k) codes plus the a^(k*k) bytes of
-  its bitset; ``trial_cost`` adds the n^2 cells of a Monte-Carlo trial's
-  draw.
+  it cheaper than the direct path.  Otherwise it sorts each matrix's codes
+  when they are fewer than its a^(k*k) targets (the counting bound,
+  C(rows,k) * C(cols,k) < a^(k*k)), and marks them with ``covered`` when
+  they are not.  ``path_costs`` charges the automaton its
+  C(rows,k) * cols * sum(W_j) word-steps and the direct path its
+  C(rows,k) * C(cols,k) codes; ``trial_cost`` adds the n^2 cells of a
+  Monte-Carlo trial's draw.
 * ``enumerate_coverage`` covers every one of the a^(n*n) n×n matrices at once,
   for k < n, through one row-tuple table of tracked codes.  Rows are base-a
   ints in [0, a^n), first column most significant.  It tracks a list of at
@@ -61,13 +62,12 @@ from omnikit.core import MosaicError, power_exceeds
 # leading-row value's a^(n(n-1)) matrices, at most 2^20 under the 2^25
 # matrix guard, so its masks never exceed 8 MB.
 CHUNK = 1 << 16
-BITSET_LIMIT = 1 << 22  # largest target space deduplicated with a bitset
 COVERAGE_GUARD = 2**32  # most bitset bytes, t * a^(k*k), that covered() allocates
 # Predicted costs in automaton word-steps (one level's words of one row subset
 # at one column): on a 2-core VM with numpy 2.4.6 a word-step took 0.2-0.3 ns
-# where levels span many words, a placement code about 2.5 ns, a bitset byte
-# about 0.5 ns and a cell that experiments.trial_matrices draws 13-65 ns.
-CODE_COST, BYTE_COST, CELL_COST = 10, 2, 100
+# where levels span many words, a placement code about 2.5 ns and a cell that
+# experiments.trial_matrices draws 13-65 ns.
+CODE_COST, CELL_COST = 10, 100
 
 
 def powers(k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,10 +158,7 @@ def path_costs(rows: int, cols: int, k: int, a: int) -> tuple[int, int]:
     matrix's codes by ``covered_counts`` and by the direct path, in word-steps."""
     placements = math.comb(rows, k)
     words = sum(w for _, w in automaton_levels(k, a))
-    total = a ** (k * k)
-    bitset = total if total <= BITSET_LIMIT else 0  # sorting holds no bitset
-    direct = CODE_COST * placements * math.comb(cols, k) + BYTE_COST * bitset
-    return placements * cols * words, direct
+    return placements * cols * words, CODE_COST * placements * math.comb(cols, k)
 
 
 def trial_cost(n: int, k: int, a: int) -> int:
@@ -173,25 +170,22 @@ def trial_cost(n: int, k: int, a: int) -> int:
 def distinct_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     """[t]: number of distinct placement codes of arrs[t], for a stack arrs
     (t, rows, cols), by the rule of the module docstring.  A step holds
-    max(CHUNK, one matrix's) automaton words, or codes and bitset bytes."""
+    max(CHUNK, one matrix's) automaton words, or codes; a bitset holds no
+    more bytes than its matrices' codes."""
     trials, rows, cols = arrs.shape
     if k > min(rows, cols):
         return np.zeros(trials, dtype=np.int64)
-    total = a ** (k * k)
-    bitset = total if total <= BITSET_LIMIT else 0
     automaton_cost, direct_cost = path_costs(rows, cols, k, a)
     automaton = automaton_cost < direct_cost
-    if automaton:
-        held = automaton_cost // cols  # C(rows,k) * sum(W_j) words
-    else:
-        held = max(math.comb(rows, k) * math.comb(cols, k), bitset)
+    codes = math.comb(rows, k) * math.comb(cols, k)
+    held = automaton_cost // cols if automaton else codes  # words: C(rows,k) * sum(W_j)
     step = max(1, CHUNK // held)
     parts = [arrs[lo : lo + step] for lo in range(0, trials, step)]
     if automaton:
         return np.concatenate([covered_counts(part, k, a) for part in parts])
-    if bitset:
-        return np.concatenate([np.count_nonzero(covered(part, k, a), axis=1) for part in parts])
-    return np.concatenate([_sorted_counts(part, k, a) for part in parts])
+    if power_exceeds(a, k * k, codes):  # fewer codes than targets
+        return np.concatenate([_sorted_counts(part, k, a) for part in parts])
+    return np.concatenate([np.count_nonzero(covered(part, k, a), axis=1) for part in parts])
 
 
 def _sorted_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:

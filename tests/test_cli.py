@@ -354,6 +354,7 @@ class TestSampleExactOned:
         ["sample", "--n", "4", "--k", "2", "--a", "2", "--trials", "10", "--workers", "0"],
         ["sample", "--n", "4", "--k", "2", "--a", "2", "--trials", "10", "--workers", "-3"],
         ["search", "--k", "2", "--a", "2", "--n", "5", "--max-seconds", "nan"],
+        ["bounds", "--k", "1", "--a", "2", "--n", "0"],
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):

@@ -361,58 +361,78 @@ class TestMonteCarlo:
         assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
                 stats.ex_missing_stderr) == expected
 
-    # recorded with placement_codes + distinct_counts: 6^9 targets exceed
-    # kernel.BITSET_LIMIT, so each trial's codes are deduplicated by sorting
+    # recorded with placement_codes + distinct_counts: a trial's C(6,3)^2
+    # codes are fewer than its 6^9 targets, so they are deduplicated by sorting
     @pytest.mark.parametrize("seed,expected", [
         (0, (50, 0.0, 0.0, 10077304.52, 1.4596616885079772)),
         (2024, (50, 0.0, 0.0, 10077306.04, 1.622545241657221)),
     ])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_golden_estimates_without_a_bitset(self, seed, expected, workers):
-        assert 6**9 > experiments.kernel.BITSET_LIMIT
+        assert math.comb(6, 3) ** 2 < 6**9
         stats = estimate(ExperimentConfig(n=6, k=3, a=6, trials=50, seed=seed), workers=workers)
         assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
                 stats.ex_missing_stderr) == expected
 
     # C(n,k) * n * sum(W_j) automaton word-steps against CODE_COST per code
-    # plus BYTE_COST per bitset byte picks the path; sum(W_j) = 2 at
-    # (k, a) = (2, 2), 10 at (3, 2), 393 at (3, 3), 1093 at (4, 2), 164 at (2, 9)
-    @pytest.mark.parametrize("n,k,a,automaton", [
-        (12, 3, 2, True), (10, 3, 2, True), (14, 3, 2, True), (16, 2, 3, True),
-        (20, 3, 2, True), (4, 2, 2, True), (5, 2, 2, True), (8, 2, 3, True),
-        (9, 2, 4, True), (6, 2, 5, True), (8, 3, 2, True), (10, 3, 3, False),
-        (7, 4, 2, False), (7, 3, 3, False), (12, 2, 9, False),
-    ])
+    # picks the automaton or the direct path; sum(W_j) = 2 at (k, a) = (2, 2),
+    # 10 at (3, 2), 393 at (3, 3), 1093 at (4, 2), 164 at (2, 9), 4161 at
+    # (3, 4), 65 at (2, 8).  The direct path sorts a trial's C(n,k)^2 codes
+    # when they are fewer than its a^(k*k) targets, and takes the bitset when not.
+    PATHS = {
+        (12, 3, 2): "covered_counts", (10, 3, 2): "covered_counts",
+        (14, 3, 2): "covered_counts", (16, 2, 3): "covered_counts",
+        (20, 3, 2): "covered_counts", (4, 2, 2): "covered_counts",
+        (5, 2, 2): "covered_counts", (8, 2, 3): "covered_counts",
+        (9, 2, 4): "covered_counts", (6, 2, 5): "covered_counts",
+        (8, 3, 2): "covered_counts",
+        # 0.73, 0.019, 0.062, 0.66, 0.0015, 0.0008 and 0.024 codes per target
+        (10, 3, 3): "_sorted_counts", (7, 4, 2): "_sorted_counts",
+        (7, 3, 3): "_sorted_counts", (12, 2, 9): "_sorted_counts",
+        (6, 3, 4): "_sorted_counts", (4, 3, 3): "_sorted_counts",
+        (5, 2, 8): "_sorted_counts",
+        # 5.5, 2.5 and 1.3 codes per target
+        (20, 2, 9): "covered", (12, 3, 3): "covered", (14, 2, 9): "covered",
+    }
+
+    @pytest.mark.parametrize(
+        "n,k,a,automaton", [(*size, path == "covered_counts") for size, path in PATHS.items()]
+    )
     def test_path_rule_and_both_paths_agree(self, monkeypatch, n, k, a, automaton):
-        # kernel.distinct_counts picks the path; the automaton, the bitset and
+        # kernel.distinct_counts takes one path; the automaton, the bitset and
         # sorting must give the same counts
         kernel = experiments.kernel
         arrs = trial_matrices(31, 0, 6, n, a)
-        calls = _spy(monkeypatch, "covered_counts", "covered")
+        calls = _spy(monkeypatch, "covered_counts", "covered", "_sorted_counts")
         got = kernel.distinct_counts(arrs, k, a).tolist()
-        assert {name for name, _ in calls} == {"covered_counts" if automaton else "covered"}
+        assert {name for name, _ in calls} == {self.PATHS[n, k, a]}
         assert kernel.covered_counts(arrs, k, a).tolist() == got
         assert np.count_nonzero(kernel.covered(arrs, k, a), axis=1).tolist() == got
-        calls.clear()
-        monkeypatch.setattr(kernel, "BITSET_LIMIT", 0)
+        assert kernel._sorted_counts(arrs, k, a).tolist() == got
         if automaton:  # levels too wide to pay make the rule take the direct path
+            calls.clear()
             monkeypatch.setattr(kernel, "automaton_levels", lambda k, a: [(64, n * n)] * k)
-        assert kernel.distinct_counts(arrs, k, a).tolist() == got
-        assert calls == []
+            assert kernel.distinct_counts(arrs, k, a).tolist() == got
+            sparse = math.comb(n, k) ** 2 < a ** (k * k)
+            assert {name for name, _ in calls} == {"_sorted_counts" if sparse else "covered"}
 
-    @pytest.mark.parametrize("n,k,a", [(10, 3, 2), (16, 2, 3)])
+    @pytest.mark.parametrize("n,k,a", [(10, 3, 2), (16, 2, 3), (5, 2, 8), (14, 2, 9)])
     @pytest.mark.parametrize("chunk", ["8", "3 trials"])
     def test_automaton_steps_are_bounded(self, monkeypatch, n, k, a, chunk):
-        # a step holds max(CHUNK, one trial's state) words, as the direct
-        # path holds max(CHUNK, one trial's codes)
+        # a step holds max(CHUNK, one trial's) automaton words on the
+        # automaton, and codes on either direct path
         kernel = experiments.kernel
         arrs = trial_matrices(5, 0, 10, n, a)
         want = kernel.distinct_counts(arrs, k, a).tolist()
-        words = sum(w for _, w in kernel.automaton_levels(k, a))
-        per_trial = math.comb(n, k) * words
+        path = self.PATHS[n, k, a]
+        if path == "covered_counts":
+            per_trial = math.comb(n, k) * sum(w for _, w in kernel.automaton_levels(k, a))
+        else:
+            per_trial = math.comb(n, k) ** 2
         monkeypatch.setattr(kernel, "CHUNK", 8 if chunk == "8" else 3 * per_trial + 1)
-        calls = _spy(monkeypatch, "covered_counts")
+        calls = _spy(monkeypatch, "covered_counts", "covered", "_sorted_counts")
         assert kernel.distinct_counts(arrs, k, a).tolist() == want
+        assert {name for name, _ in calls} == {path}
         held = [len(part) * per_trial for _, (part, _, _) in calls]
         assert max(held) <= max(kernel.CHUNK, per_trial)
         assert len(held) == (10 if chunk == "8" else 4)

@@ -106,19 +106,28 @@ def test_no_placements_when_k_exceeds_size():
 
 
 def test_distinct_counts_bitset_matches_unique(monkeypatch, rng):
-    arrs = rng.integers(0, 3, size=(4, 7, 5))
-    arrs[2] = 1  # one code
-    want = [len(set(placement_codes(arr, 2, 3))) for arr in arrs]
-    assert list(kernel.distinct_counts(arrs, 2, 3)) == want
-    monkeypatch.setattr(kernel, "path_costs", lambda *args: (1, 0))  # the direct path
-    assert list(kernel.distinct_counts(arrs, 2, 3)) == want
-    # a target space above the bitset limit sorts each matrix's codes, all
-    # four in one step, then one a step
-    monkeypatch.setattr(kernel, "BITSET_LIMIT", 3**4 - 1)
-    monkeypatch.setattr(kernel, "covered", None)
-    assert list(kernel.distinct_counts(arrs, 2, 3)) == want
-    monkeypatch.setattr(kernel, "CHUNK", 21 * 10)
-    assert list(kernel.distinct_counts(arrs, 2, 3)) == want
+    calls = []
+    for name in ("covered", "_sorted_counts"):
+        def spy(arrs, k, a, name=name, real=getattr(kernel, name)):
+            calls.append((name, len(arrs)))
+            return real(arrs, k, a)
+
+        monkeypatch.setattr(kernel, name, spy)
+    # a matrix's 21 * 10 codes outnumber 3^4 targets, which takes the bitset,
+    # and are fewer than 5^4, which sorts them
+    for a, path in [(3, "covered"), (5, "_sorted_counts")]:
+        arrs = rng.integers(0, a, size=(4, 7, 5))
+        arrs[2] = 1  # one code
+        want = [len(set(placement_codes(arr, 2, a))) for arr in arrs]
+        assert list(kernel.distinct_counts(arrs, 2, a)) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "path_costs", lambda *args: (1, 0))  # the direct path
+            calls.clear()
+            assert list(kernel.distinct_counts(arrs, 2, a)) == want
+            # all four in one step, then one a step
+            patch.setattr(kernel, "CHUNK", 21 * 10)
+            assert list(kernel.distinct_counts(arrs, 2, a)) == want
+        assert calls == [(path, 4)] + [(path, 1)] * 4
 
 
 def test_covered_refuses_oversized_bitsets_before_allocating(monkeypatch):

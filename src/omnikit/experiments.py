@@ -8,11 +8,11 @@ for a block of trials at once, bit for bit: numpy's SeedSequence hashing,
 PCG64 seeding and output, and Lemire's bounded integers, vectorized over t.
 It falls back to ``trial_rng`` per trial where numpy takes another path:
 a > 2^32 (64-bit bounded integers), t >= 2^32 (two entropy words), and any
-trial in which Lemire's method rejects a draw; and for n > 16, where one
-generator per trial is faster than emulating PCG64 cell by cell.  Results
-are aggregated as integer counts, so estimates are identical for any worker
-count and partitioning.  Exact probabilities are kept as integer counts over
-a^(n*n) until display.
+trial in which Lemire's method rejects a draw; and for n > 31, where one
+generator per trial is faster than emulating PCG64 in jump-ahead lanes.
+Results are aggregated as integer counts, so estimates are identical for any
+worker count and partitioning.  Exact probabilities are kept as integer
+counts over a^(n*n) until display.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,11 +87,15 @@ _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_HI, _PCG_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
-_PCG_LO0, _PCG_LO1 = _PCG_LO & _M32, _PCG_LO >> 32
-# the emulated PCG64 takes ~35 numpy operations per two cells, so its cost per
-# trial grows with n^2 while trial_rng's stays near 30 us; they meet near n = 16
-_VECTOR_CELLS = 256
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_HI, _PCG_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (1 << 64) - 1)
+# PCG64 is drawn in lanes: each lane jumps to its first step at once and then
+# takes at most _LANE_STEPS steps (8 was fastest of 4 to 16), so a block of
+# trials takes the same number of numpy operations at any n.  A block holds
+# about CHUNK cells, so its cost per trial grows with n^2; on a 2-core VM it
+# was 5.9 us at n = 24 and met trial_rng's ~10.5 us a trial at n = 32
+_LANE_STEPS = 8
+_VECTOR_CELLS = 961
 
 
 def _hasher(const: int, mult: int):
@@ -111,17 +116,41 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ r >> 16
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """state * multiplier + inc mod 2^128, on (high, low) uint64 word arrays."""
-    # high word of lo * _PCG_LO, from 32-bit halves
+def _mul_add(hi, lo, mult_hi, mult_lo, add_hi, add_lo):
+    """(hi, lo) * (mult_hi, mult_lo) + (add_hi, add_lo) mod 2^128, on (high,
+    low) uint64 words; every operand is an array or scalar that broadcasts."""
+    # high word of lo * mult_lo, from 32-bit halves; no partial sum overflows
     x0, x1 = lo & _M32, lo >> 32
-    p00, p01, p10 = x0 * _PCG_LO0, x0 * _PCG_LO1, x1 * _PCG_LO0
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    carry = x1 * _PCG_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    prod_lo = lo * _PCG_LO
-    new_lo = prod_lo + inc_lo
-    new_hi = carry + lo * _PCG_HI + hi * _PCG_LO + inc_hi
+    m0, m1 = mult_lo & _M32, mult_lo >> 32
+    t = x1 * m0 + (x0 * m0 >> 32)
+    u = x0 * m1 + (t & _M32)
+    carry = x1 * m1 + (t >> 32) + (u >> 32)
+    prod_lo = lo * mult_lo
+    new_lo = prod_lo + add_lo
+    new_hi = carry + lo * mult_hi + hi * mult_lo + add_hi
     return new_hi + (new_lo < prod_lo), new_lo
+
+
+@lru_cache(maxsize=64)
+def _lane_jumps(lanes: int, length: int) -> tuple[np.ndarray, ...]:
+    """(A high, A low, C high, C low) [lanes] words: lane b starts at
+    A * state + C * inc mod 2^128, m = 1 + b * length PCG64 steps on, where
+    A = M^m and C = sum of M^i over i < m (M the multiplier)."""
+    mask = (1 << 128) - 1
+    a, c = _PCG_MULT, 1  # one step: state * M + inc
+    jumps = []
+    for step in range(1 + (lanes - 1) * length):
+        if step % length == 0:
+            jumps.append((a, c))
+        a, c = a * _PCG_MULT & mask, (c * _PCG_MULT + 1) & mask
+    words = tuple(
+        np.array([v >> shift & (1 << 64) - 1 for v in values], dtype=np.uint64)
+        for values in zip(*jumps)
+        for shift in (64, 0)
+    )
+    for array in words:
+        array.flags.writeable = False  # shared by every caller
+    return words
 
 
 def trial_matrices(seed: int, lo: int, hi: int, n: int, a: int) -> np.ndarray:
@@ -152,24 +181,40 @@ def trial_matrices(seed: int, lo: int, hi: int, n: int, a: int) -> np.ndarray:
     hashmix = _hasher(_INIT_B, _MULT_B)
     words = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(2 * _POOL)]
     init_hi, init_lo, seq_hi, seq_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
-    # PCG64 srandom_r: inc = initseq << 1 | 1; state = inc + initstate; step
+    # PCG64 srandom_r: inc = initseq << 1 | 1; state = inc + initstate; step.
+    # Draw j comes from the state 2 + j steps past inc + initstate, so lane b,
+    # which draws j = b * length + i for i < length, starts 1 + b * length steps on
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
     st_lo = inc_lo + init_lo
     st_hi = inc_hi + init_hi + (st_lo < inc_lo)
-    st_hi, st_lo = _pcg_step(st_hi, st_lo, inc_hi, inc_lo)
     steps = (n * n + 1) // 2
-    out = np.empty((count, steps, 2), dtype=np.uint64)
-    for j in range(steps):
-        st_hi, st_lo = _pcg_step(st_hi, st_lo, inc_hi, inc_lo)
-        x = st_hi ^ st_lo
-        rot = st_hi >> 58
-        x = x >> rot | x << (-rot & 63)
-        out[:, j, 0] = x & _M32  # next_uint32 returns the low half first
-        out[:, j, 1] = x >> 32
-    # Generator.integers: Lemire's multiply-shift; a draw whose low word is
-    # below 2^32 mod a is rejected and redrawn, so that trial is redone whole
-    scaled = out.reshape(count, 2 * steps)[:, : n * n] * np.uint64(a)
-    cells = (scaled >> 32).astype(np.int64).reshape(count, n, n)
+    lanes = -(-steps // _LANE_STEPS)
+    length = -(-steps // lanes)
+    if lanes == 1:
+        st_hi, st_lo = _mul_add(st_hi, st_lo, _PCG_HI, _PCG_LO, inc_hi, inc_lo)
+    else:
+        a_hi, a_lo, c_hi, c_lo = (j[:, None] for j in _lane_jumps(lanes, length))
+        add_hi, add_lo = _mul_add(inc_hi, inc_lo, c_hi, c_lo, 0, 0)
+        st_hi, st_lo = _mul_add(st_hi, st_lo, a_hi, a_lo, add_hi, add_lo)
+    # (high, low) words of each draw's state, in draw order [count, lanes, length];
+    # the lanes' states are [lanes, count], so that every operation runs along t
+    high, low = np.empty((2, count, lanes, length), dtype=np.uint64)
+    high_by_lane, low_by_lane = high.transpose(1, 0, 2), low.transpose(1, 0, 2)
+    for i in range(length):
+        st_hi, st_lo = _mul_add(st_hi, st_lo, _PCG_HI, _PCG_LO, inc_hi, inc_lo)
+        high_by_lane[..., i], low_by_lane[..., i] = st_hi, st_lo
+    # XSL-RR output, in place: high ^ low rotated right by high >> 58
+    rot = high >> 58
+    x = np.bitwise_xor(high, low, out=low)
+    left = np.bitwise_and(np.negative(rot, out=high), 63, out=high)
+    x = np.bitwise_or(x >> rot, np.left_shift(x, left, out=left), out=x)
+    # Generator.integers: Lemire's multiply-shift on each 32-bit half, low
+    # half first; a draw whose low word is below 2^32 mod a is rejected and
+    # redrawn, so that trial is redone whole
+    halves = x.astype("<u8", copy=False).view("<u4").reshape(count, -1)[:, : n * n]
+    scaled = halves.astype(np.uint64)
+    scaled *= np.uint64(a)
+    cells = (scaled >> 32).view(np.int64).reshape(count, n, n)
     threshold = (1 << 32) % a
     if threshold:
         for i in np.flatnonzero(((scaled & _M32) < threshold).any(axis=1)).tolist():

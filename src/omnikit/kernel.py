@@ -45,7 +45,11 @@ induces, most significant entry first (``core.encode_target``).
   while L_{j-1} fits in 64 bits, so that no slot straddles a word, and is
   L_{j-1}'s whole words past that; a step is then one shift-OR into one
   word, or one aligned word slice.  The count is the popcount of the OR of
-  L_k over the row subsets.
+  L_k over the row subsets.  Each level is stored word-major, [W_j, row
+  subsets]: word w of every row subset is one contiguous row, so a one-word
+  slot is one scatter and the OR runs along rows.  Where slots span several
+  words every level is slot-major, [row subsets, W_j], so that a slot is one
+  contiguous run of words.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ COVERAGE_GUARD = 2**32  # most bitset bytes, t * a^(k*k), that covered() allocat
 # Predicted costs in automaton word-steps (one level's words of one row subset
 # at one column): on a 2-core VM with numpy 2.4.6 a word-step took 0.2-0.3 ns
 # where levels span many words, a placement code about 2.5 ns and a cell that
-# experiments.trial_matrices draws 13-65 ns.
+# experiments.trial_matrices draws 5-23 ns, about 10 ns for 2 < n < 33.
 CODE_COST, CELL_COST = 10, 100
 
 
@@ -227,8 +231,14 @@ def covered_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     states = trials * len(rowsubs)
     letters = column_words(arrs.astype(small), rowsubs, letterpow.astype(small))
     letters = letters.reshape(cols, states)
-    state = [np.zeros(states * words, dtype=np.uint64) for _, words in levels]
-    starts = [np.arange(0, states * words, words, dtype=np.uint64) for _, words in levels]
+    # levels are word-major unless slots outgrow a word (module docstring);
+    # a level's word w of state s is at first[s] + w * (states or 1)
+    word_major = levels[-1][0] <= 64
+    state = [np.zeros(w * states, dtype=np.uint64) for _, w in levels]
+    by_state = [s.reshape(w, states).T if word_major else s.reshape(states, w)
+                for s, (_, w) in zip(state, levels)]  # [states, W_j] views
+    index = np.arange(states, dtype=np.uint64)
+    first = [index if word_major else index * np.uint64(w) for _, w in levels]
     one, six, low = np.uint64(1), np.uint64(6), np.uint64(63)
     for c in range(cols):
         v = letters[c].astype(np.uint64)
@@ -236,19 +246,21 @@ def covered_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
         for j in range(min(k, c + 1), max(0, k - cols + c), -1):
             stride, words = levels[j - 1]
             prev = state[j - 2] if j > 1 else one
-            bit = v * np.uint64(stride)
             if words == 1:
-                state[j - 1] |= prev << bit
+                state[j - 1] |= prev << v * np.uint64(stride)
             elif stride < 64:  # several slots share a word
-                at = starts[j - 1] + (bit >> six)
+                bit = v * np.uint64(stride)
+                word = bit >> six
+                at = first[j - 1] + (word * np.uint64(states) if word_major else word)
                 state[j - 1][at] |= prev << (bit & low)
-            else:
+            elif stride == 64:  # one word per slot
+                state[j - 1][first[j - 1] + v * np.uint64(states if word_major else 1)] = prev
+            else:  # slot-major, so the slot's words are consecutive
                 # L_{j-1} only grows, so the slot's new value contains its old one
                 width = stride // 64
-                at = starts[j - 1] + v * np.uint64(width)
-                span = at[:, None] + np.arange(width, dtype=np.uint64)
-                state[j - 1][span] = prev.reshape(states, width)
-    last = state[-1].reshape(trials, len(rowsubs), levels[-1][1])
+                at = first[j - 1] + v * np.uint64(width)
+                state[j - 1][at[:, None] + np.arange(width, dtype=np.uint64)] = by_state[j - 2]
+    last = by_state[-1].reshape(trials, len(rowsubs), levels[-1][1])
     return np.bitwise_count(np.bitwise_or.reduce(last, axis=1)).sum(axis=1, dtype=np.int64)
 
 

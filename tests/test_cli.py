@@ -355,6 +355,7 @@ class TestSampleExactOned:
         ["sample", "--n", "4", "--k", "2", "--a", "2", "--trials", "10", "--workers", "-3"],
         ["search", "--k", "2", "--a", "2", "--n", "5", "--max-seconds", "nan"],
         ["bounds", "--k", "1", "--a", "2", "--n", "0"],
+        ["bounds", "--k", "1", "--a", "2", "--n", "5"],  # --n selects the k >= 2 Suen report
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):

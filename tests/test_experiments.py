@@ -505,11 +505,16 @@ def _spy(monkeypatch, *names):
     return calls
 
 
+# the largest side drawn in PCG64 lanes; one past it draws one generator per trial
+_LANE_SIDE = math.isqrt(experiments._VECTOR_CELLS)
+
+
 class TestTrialMatrices:
-    # 2^128 + 7 has five entropy words, more than the pool of four
+    # 2^128 + 7 has five entropy words, more than the pool of four; n = 5, 7
+    # and 13 take 13, 25 and 85 PCG64 steps, not a multiple of a lane's
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7])
     @pytest.mark.parametrize("a", [2, 3, 5, 17, 255, 2**32, 2**32 + 1])
-    @pytest.mark.parametrize("n", [1, 4, 12, 16])
+    @pytest.mark.parametrize("n", [1, 4, 5, 7, 12, 13, 16, _LANE_SIDE, _LANE_SIDE + 1])
     def test_matches_trial_rng(self, seed, a, n):
         for lo, hi in [(0, 7), (2**32 - 3, 2**32)]:
             got = trial_matrices(seed, lo, hi, n, a)
@@ -545,9 +550,29 @@ class TestTrialMatrices:
         trial_matrices(11, 0, 20, 3, 2**31)  # a power of 2 never rejects
         assert redrawn == []
 
+    def test_sequential_steps_do_not_grow_with_n(self, monkeypatch):
+        # lanes jump ahead in two 128-bit multiplies, then each takes at most
+        # _LANE_STEPS steps, so one block's numpy operations do not grow with n
+        calls = 0
+        mul_add = experiments._mul_add
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return mul_add(*args)
+
+        monkeypatch.setattr(experiments, "_mul_add", counting)
+        counts = {}
+        for n in (4, 12, 16, _LANE_SIDE):
+            calls = 0
+            trial_matrices(0, 0, 3, n, 2)
+            counts[n] = calls
+        assert counts[4] == 1 + 8  # one lane: the seeding step and n^2 / 2 draws
+        assert counts[12] == counts[16] == counts[_LANE_SIDE] == 2 + experiments._LANE_STEPS
+
     def test_large_n_draws_per_trial(self, monkeypatch):
-        # the emulated stream costs O(n^2) numpy operations per block, so past
-        # the crossover each trial is drawn by its own generator
+        # an emulated block's cost per trial grows with n^2, so past the
+        # crossover each trial is drawn by its own generator
         drawn = []
 
         def counting_rng(seed, trial):

@@ -276,3 +276,24 @@ def test_covered_counts_on_multiword_levels(n, k, a):
     assert got.tolist() == direct_counts(arrs, k, a).tolist()
     if n <= 6:
         assert got.tolist() == [len(set(placement_codes(arr, k, a))) for arr in arrs]
+
+
+# one size per slot layout of the automaton's levels: L_k in one word; slots
+# sharing words; one word per slot; slots of several words (slot-major levels)
+@pytest.mark.parametrize("n,k,a,layout", [
+    (4, 2, 2, [(1, 1), (4, 1)]),
+    (9, 2, 4, [(1, 1), (16, 4)]),
+    (6, 2, 5, [(1, 1), (32, 13)]),
+    (8, 3, 2, [(1, 1), (8, 1), (64, 8)]),
+    (7, 3, 3, [(1, 1), (32, 14), (896, 378)]),
+])
+def test_covered_counts_per_slot_layout(n, k, a, layout):
+    assert kernel.automaton_levels(k, a) == layout
+    arrs = np.random.default_rng([n, k, a, 1]).integers(0, a, size=(6, n, n))
+    arrs[2] = a - 1  # all equal: one code
+    want = [len(set(placement_codes(arr, k, a))) for arr in arrs]
+    assert want[2] == 1
+    assert kernel.covered_counts(arrs, k, a).tolist() == want
+    # a trial's count does not depend on the trials it is counted with
+    parts = [kernel.covered_counts(arrs[lo : lo + 4], k, a) for lo in (0, 4)]
+    assert np.concatenate(parts).tolist() == want

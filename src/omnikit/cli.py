@@ -195,6 +195,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    check_sizes(a=args.a)
+    if args.k_min < 2:
+        raise MosaicError(f"--k-min must be >= 2, got {args.k_min}")
+    if args.k_min > args.k_max:
+        raise MosaicError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     rows = []  # all computed before any output, so a bad argument prints no header
     for k in range(args.k_min, args.k_max + 1):
         n = bounds.suen_threshold_n(k, args.a).refined

@@ -8,8 +8,9 @@ for a block of trials at once, bit for bit: numpy's SeedSequence hashing,
 PCG64 seeding and output, and Lemire's bounded integers, vectorized over t.
 It falls back to ``trial_rng`` per trial where numpy takes another path:
 a > 2^32 (64-bit bounded integers), t >= 2^32 (two entropy words), and any
-trial in which Lemire's method rejects a draw; and for n > 31, where one
-generator per trial is faster than emulating PCG64 in jump-ahead lanes.
+trial in which Lemire's method rejects a draw; and for n > 31 or blocks of
+fewer than 20 trials, where one generator per trial is faster than emulating
+PCG64 in jump-ahead lanes.
 Results are aggregated as integer counts, so estimates are identical for any
 worker count and partitioning.  Exact probabilities are kept as integer
 counts over a^(n*n) until display.
@@ -96,6 +97,10 @@ _PCG_HI, _PCG_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (1 << 64) -
 # was 5.9 us at n = 24 and met trial_rng's ~10.5 us a trial at n = 32
 _LANE_STEPS = 8
 _VECTOR_CELLS = 961
+# A block of lanes costs about 170-200 us whatever its trial count, and
+# trial_rng about 9-10 us a trial; they broke even at 20 trials at n = 4 and
+# at 23-29 for 8 <= n <= 31, so a block of fewer trials draws one generator each
+_LANE_TRIALS = 20
 
 
 def _hasher(const: int, mult: int):
@@ -157,7 +162,8 @@ def trial_matrices(seed: int, lo: int, hi: int, n: int, a: int) -> np.ndarray:
     """[hi - lo, n, n] int64 stack of trial_rng(seed, t).integers(0, a, size=(n, n))
     for t in [lo, hi), computed across t with numpy and bit-identical to it."""
     count = hi - lo
-    if seed < 0 or a > 1 << 32 or hi > 1 << 32 or n * n > _VECTOR_CELLS:
+    lanes_pay = count >= _LANE_TRIALS and n * n <= _VECTOR_CELLS
+    if seed < 0 or a > 1 << 32 or hi > 1 << 32 or not lanes_pay:
         return np.array(
             [trial_rng(seed, t).integers(0, a, size=(n, n)) for t in range(lo, hi)],
             dtype=np.int64,
@@ -203,22 +209,23 @@ def trial_matrices(seed: int, lo: int, hi: int, n: int, a: int) -> np.ndarray:
     for i in range(length):
         st_hi, st_lo = _mul_add(st_hi, st_lo, _PCG_HI, _PCG_LO, inc_hi, inc_lo)
         high_by_lane[..., i], low_by_lane[..., i] = st_hi, st_lo
-    # XSL-RR output, in place: high ^ low rotated right by high >> 58
-    rot = high >> 58
+    # XSL-RR output, in the state buffers: high ^ low rotated right by high >> 58
+    rot = np.right_shift(high, 58, out=np.empty(high.shape, np.uint8), casting="unsafe")
     x = np.bitwise_xor(high, low, out=low)
-    left = np.bitwise_and(np.negative(rot, out=high), 63, out=high)
-    x = np.bitwise_or(x >> rot, np.left_shift(x, left, out=left), out=x)
+    left = np.left_shift(x, -rot & 63, out=high)
+    x >>= rot
+    x |= left
     # Generator.integers: Lemire's multiply-shift on each 32-bit half, low
     # half first; a draw whose low word is below 2^32 mod a is rejected and
     # redrawn, so that trial is redone whole
     halves = x.astype("<u8", copy=False).view("<u4").reshape(count, -1)[:, : n * n]
-    scaled = halves.astype(np.uint64)
-    scaled *= np.uint64(a)
-    cells = (scaled >> 32).view(np.int64).reshape(count, n, n)
+    scaled = np.multiply(halves, np.uint64(a), dtype=np.uint64)
     threshold = (1 << 32) % a
-    if threshold:
-        for i in np.flatnonzero(((scaled & _M32) < threshold).any(axis=1)).tolist():
-            cells[i] = trial_rng(seed, lo + i).integers(0, a, size=(n, n))
+    rejected = ((scaled & _M32) < threshold).any(axis=1) if threshold else ()
+    scaled >>= 32
+    cells = scaled.view(np.int64).reshape(count, n, n)
+    for i in np.flatnonzero(rejected).tolist():
+        cells[i] = trial_rng(seed, lo + i).integers(0, a, size=(n, n))
     return cells
 
 

@@ -43,13 +43,16 @@ induces, most significant entry first (``core.encode_target``).
   read so far): at column c, from level k down to 1, L_{j-1} is copied into
   slot v_c of L_j.  A level's slot stride is rounded up to a power of two
   while L_{j-1} fits in 64 bits, so that no slot straddles a word, and is
-  L_{j-1}'s whole words past that; a step is then one shift-OR into one
-  word, or one aligned word slice.  The count is the popcount of the OR of
-  L_k over the row subsets.  Each level is stored word-major, [W_j, row
-  subsets]: word w of every row subset is one contiguous row, so a one-word
-  slot is one scatter and the OR runs along rows.  Where slots span several
-  words every level is slot-major, [row subsets, W_j], so that a slot is one
-  contiguous run of words.
+  L_{j-1}'s whole words past that; ``automaton_levels`` gives each level's
+  stride and its W_j words, which ``path_costs`` charges.  A level is held
+  in as few bytes as that allows (``_level_layouts``): a level of at most 64
+  bits in one element of the narrowest unsigned dtype that holds it, where a
+  step is one shift-OR; past 64 bits one element per slot (16, 32 or 64
+  bits), or one run of L_{j-1}'s elements per slot, where a step is one
+  scatter that overwrites the slot, since L_{j-1} only grows; only L_1 of
+  more than 64 letters packs its one-bit slots in words.  Each level is
+  [row subsets, trials, elements], so a slot is one contiguous run and the
+  count, the popcount of the OR of L_k over the row subsets, ORs whole rows.
 """
 
 from __future__ import annotations
@@ -216,52 +219,69 @@ def automaton_levels(k: int, a: int) -> list[tuple[int, int]]:
     return levels
 
 
+def _level_layouts(k: int, a: int) -> list[tuple[int, np.dtype, int, int]]:
+    """[(slot stride in bits, dtype, units, width)]: ``covered_counts`` holds
+    level L_j of each row subset as ``units`` runs of ``width`` elements of
+    ``dtype``: one element, its packed words, or one run per slot (module
+    docstring)."""
+    layouts = []
+    for stride, words in automaton_levels(k, a):
+        if words == 1:  # every slot in one element
+            layouts.append((stride, np.min_scalar_type((1 << a**k * stride) - 1), 1, 1))
+        elif stride == 1:  # one bit per slot, packed in words
+            layouts.append((stride, np.dtype(np.uint64), words, 1))
+        elif stride <= 64:  # one element per slot
+            layouts.append((stride, np.min_scalar_type((1 << stride) - 1), a**k, 1))
+        else:  # a slot holds L_{j-1}'s elements
+            _, dtype, units, width = layouts[-1]
+            layouts.append((stride, dtype, a**k, units * width))
+    return layouts
+
+
 def covered_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     """[t]: number of distinct placement codes of arrs[t], for a stack arrs
     (t, rows, cols), by the subsequence automaton over column letters (module
-    docstring).  Its state is t * C(rows,k) * sum(W_j) uint64 words, W_j the
-    words of ``automaton_levels``; letters and indices add a few words per
-    row subset."""
+    docstring).  Its state is at most t * C(rows,k) * sum(W_j) words of 64
+    bits, W_j the words of ``automaton_levels``; letters and indices add a
+    few words per row subset."""
     trials, rows, cols = arrs.shape
     # one batch of all row subsets, the shared table where it fits; none at k > rows
     rowsubs = next(subset_batches(rows, k, math.comb(rows, k)), np.zeros((0, k), dtype=np.int64))
-    levels = automaton_levels(k, a)
+    layouts = _level_layouts(k, a)
     small = np.min_scalar_type(a**k - 1)
     _, letterpow = powers(k, a)
     states = trials * len(rowsubs)
-    letters = column_words(arrs.astype(small), rowsubs, letterpow.astype(small))
+    # letters[c, s, t] of row subset s in matrix t: gathers whole runs of t
+    by_col = np.ascontiguousarray(arrs.astype(small).transpose(2, 1, 0))  # [c, r, t]
+    letters = sum(w * np.take(by_col, rowsubs[:, i], axis=1)
+                  for i, w in enumerate(letterpow.astype(small)))
     letters = letters.reshape(cols, states)
-    # levels are word-major unless slots outgrow a word (module docstring);
-    # a level's word w of state s is at first[s] + w * (states or 1)
-    word_major = levels[-1][0] <= 64
-    state = [np.zeros(w * states, dtype=np.uint64) for _, w in levels]
-    by_state = [s.reshape(w, states).T if word_major else s.reshape(states, w)
-                for s, (_, w) in zip(state, levels)]  # [states, W_j] views
-    index = np.arange(states, dtype=np.uint64)
-    first = [index if word_major else index * np.uint64(w) for _, w in levels]
-    one, six, low = np.uint64(1), np.uint64(6), np.uint64(63)
+    # level j is [states, units, width], flat, so that a slot's elements are
+    # consecutive; unit u of state s starts at element (first[j][s] + u) * width
+    state = [np.zeros(states * units * width, dtype=dtype) for _, dtype, units, width in layouts]
+    first = [np.arange(0, states * units, units, dtype=np.intp) if units > 1 else None
+             for _, _, units, _ in layouts]
     for c in range(cols):
-        v = letters[c].astype(np.uint64)
+        v = letters[c]
         # L_j can still reach L_k only if k - j columns are left after c
         for j in range(min(k, c + 1), max(0, k - cols + c), -1):
-            stride, words = levels[j - 1]
-            prev = state[j - 2] if j > 1 else one
-            if words == 1:
-                state[j - 1] |= prev << v * np.uint64(stride)
-            elif stride < 64:  # several slots share a word
-                bit = v * np.uint64(stride)
-                word = bit >> six
-                at = first[j - 1] + (word * np.uint64(states) if word_major else word)
-                state[j - 1][at] |= prev << (bit & low)
-            elif stride == 64:  # one word per slot
-                state[j - 1][first[j - 1] + v * np.uint64(states if word_major else 1)] = prev
-            else:  # slot-major, so the slot's words are consecutive
-                # L_{j-1} only grows, so the slot's new value contains its old one
-                width = stride // 64
-                at = first[j - 1] + v * np.uint64(width)
-                state[j - 1][at[:, None] + np.arange(width, dtype=np.uint64)] = by_state[j - 2]
-    last = by_state[-1].reshape(trials, len(rowsubs), levels[-1][1])
-    return np.bitwise_count(np.bitwise_or.reduce(last, axis=1)).sum(axis=1, dtype=np.int64)
+            stride, dtype, units, width = layouts[j - 1]
+            level, at = state[j - 1], first[j - 1]
+            prev = state[j - 2] if j > 1 else dtype.type(1)
+            if units == 1:  # shift-OR into the one element; v * stride < 64
+                shift = v if stride == 1 else v << small.type(stride.bit_length() - 1)
+                level |= np.left_shift(prev, shift, dtype=dtype)
+            elif stride == 1:  # bit v of the packed words
+                at = at + np.right_shift(v, 6, dtype=np.intp)
+                level[at] |= np.left_shift(prev, v & small.type(63), dtype=dtype)
+            elif width == 1:  # one element per slot, overwritten: L_{j-1} only grows
+                level[at + v] = prev
+            else:  # the slot is a row of L_{j-1}'s elements, overwritten likewise
+                level.reshape(-1, width)[at + v] = prev.reshape(states, width)
+    # OR over row subsets, the leading axis of a level
+    _, _, units, width = layouts[-1]
+    last = state[-1].reshape(len(rowsubs), trials, units * width)
+    return np.bitwise_count(np.bitwise_or.reduce(last, axis=0)).sum(axis=1, dtype=np.int64)
 
 
 def row_digits(values: np.ndarray, n: int, a: int) -> np.ndarray:

@@ -343,6 +343,10 @@ class TestSampleExactOned:
         ["search", "--k", "2", "--a", "2", "--n", "40", "--max-nodes", "10"],
         ["search", "--k", "5", "--a", "2"],  # pigeonhole start 17 > search.MAX_N
         ["sweep", "--a", "1"],
+        ["sweep", "--a", "0", "--k-min", "9", "--k-max", "8"],  # an empty range
+        ["sweep", "--a", "2", "--k-min", "9", "--k-max", "8"],
+        ["sweep", "--a", "2", "--k-min", "1", "--k-max", "1"],
+        ["sweep", "--a", "2", "--k-min", "-3", "--k-max", "-5"],
         ["bounds", "--k", "2", "--a", "1"],
         ["oned", "--seq", "abc"],
         ["oned", "--seq", "0101", "--k", "0"],

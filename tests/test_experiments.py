@@ -507,6 +507,8 @@ def _spy(monkeypatch, *names):
 
 # the largest side drawn in PCG64 lanes; one past it draws one generator per trial
 _LANE_SIDE = math.isqrt(experiments._VECTOR_CELLS)
+# the fewest trials a block draws in lanes; a shorter block draws one generator each
+_LANE_TRIALS = experiments._LANE_TRIALS
 
 
 class TestTrialMatrices:
@@ -516,7 +518,7 @@ class TestTrialMatrices:
     @pytest.mark.parametrize("a", [2, 3, 5, 17, 255, 2**32, 2**32 + 1])
     @pytest.mark.parametrize("n", [1, 4, 5, 7, 12, 13, 16, _LANE_SIDE, _LANE_SIDE + 1])
     def test_matches_trial_rng(self, seed, a, n):
-        for lo, hi in [(0, 7), (2**32 - 3, 2**32)]:
+        for lo, hi in [(0, 7), (0, _LANE_TRIALS + 1), (2**32 - _LANE_TRIALS, 2**32)]:
             got = trial_matrices(seed, lo, hi, n, a)
             assert got.dtype == np.int64
             assert np.array_equal(got, _stacked_trial_rng(seed, lo, hi, n, a))
@@ -565,7 +567,7 @@ class TestTrialMatrices:
         counts = {}
         for n in (4, 12, 16, _LANE_SIDE):
             calls = 0
-            trial_matrices(0, 0, 3, n, 2)
+            trial_matrices(0, 0, _LANE_TRIALS, n, 2)
             counts[n] = calls
         assert counts[4] == 1 + 8  # one lane: the seeding step and n^2 / 2 draws
         assert counts[12] == counts[16] == counts[_LANE_SIDE] == 2 + experiments._LANE_STEPS
@@ -581,12 +583,38 @@ class TestTrialMatrices:
 
         monkeypatch.setattr(experiments, "trial_rng", counting_rng)
         side = math.isqrt(experiments._VECTOR_CELLS)
-        trial_matrices(5, 0, 3, side, 2)
+        trial_matrices(5, 0, _LANE_TRIALS, side, 2)
         assert drawn == []
         expected = _stacked_trial_rng(5, 0, 3, side + 1, 2)
         drawn.clear()
         assert np.array_equal(trial_matrices(5, 0, 3, side + 1, 2), expected)
         assert drawn == [0, 1, 2]
+
+    @pytest.mark.parametrize("n", [4, 17, 31])
+    def test_short_blocks_draw_per_trial(self, monkeypatch, n):
+        # a block's lanes cost as much as about _LANE_TRIALS generators, so a
+        # shorter block draws one generator per trial; both sides give trial_rng's
+        # stream, the witness regeneration of an O(17,3,3) included
+        drawn = []
+
+        def counting_rng(seed, trial):
+            drawn.append(trial)
+            return trial_rng(seed, trial)
+
+        monkeypatch.setattr(experiments, "trial_rng", counting_rng)
+        for count in (1, _LANE_TRIALS - 1, _LANE_TRIALS):
+            expected = _stacked_trial_rng(0, 271, 271 + count, n, 3)
+            drawn.clear()
+            assert np.array_equal(trial_matrices(0, 271, 271 + count, n, 3), expected)
+            assert drawn == ([] if count == _LANE_TRIALS else list(range(271, 271 + count)))
+
+    @pytest.mark.parametrize("n", [5, 7, 13])
+    def test_draws_a_writable_contiguous_int64_stack(self, n):
+        # at odd n a trial's cells are a strided slice of its 32-bit halves
+        cells = trial_matrices(3, 0, 2 * _LANE_TRIALS, n, 5)
+        assert cells.dtype == np.int64 and cells.shape == (2 * _LANE_TRIALS, n, n)
+        assert cells.flags.c_contiguous and cells.flags.writeable
+        assert np.array_equal(cells, _stacked_trial_rng(3, 0, 2 * _LANE_TRIALS, n, 5))
 
 
 class TestOneD:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -296,4 +297,45 @@ def test_covered_counts_per_slot_layout(n, k, a, layout):
     assert kernel.covered_counts(arrs, k, a).tolist() == want
     # a trial's count does not depend on the trials it is counted with
     parts = [kernel.covered_counts(arrs[lo : lo + 4], k, a) for lo in (0, 4)]
+    assert np.concatenate(parts).tolist() == want
+
+
+def _letters(arr, k, a):
+    """Every column letter of arr over its row subsets, one at a time."""
+    return {sum(a ** (k - 1 - i) * int(arr[r, c]) for i, r in enumerate(rows))
+            for rows in itertools.combinations(range(len(arr)), k) for c in range(arr.shape[1])}
+
+
+def _every_letter(n, k, a):
+    """An n×n matrix whose columns hold all a^k letters: the entries 0, 1, ...
+    mod a in row-major order, or else the first seeded one that does."""
+    candidates = itertools.chain(
+        [np.arange(n * n).reshape(n, n) % a],
+        (np.random.default_rng([n, k, a, seed]).integers(0, a, size=(n, n))
+         for seed in range(1000)),
+    )
+    return next(arr for arr in candidates if len(_letters(arr, k, a)) == a**k)
+
+
+# the level dtypes at each width of a one-element level: L_1 of 4 and L_2 of
+# 16 bits at (2,2), L_1 of 9 bits at (1,9) and at (2,3), where L_2 has 16-bit
+# slots, 25 at (2,5), 40 at (1,40), 64 at (1,64); (1,65) packs bits in words
+@pytest.mark.parametrize("n,k,a,dtypes", [
+    (4, 2, 2, [np.uint8, np.uint16]),
+    (5, 1, 9, [np.uint16]),
+    (5, 2, 3, [np.uint16, np.uint16]),
+    (6, 2, 5, [np.uint32, np.uint32]),
+    (7, 1, 40, [np.uint64]),
+    (8, 1, 64, [np.uint64]),
+    (9, 1, 65, [np.uint64]),
+])
+def test_covered_counts_across_level_dtypes(n, k, a, dtypes):
+    assert [dtype for _, dtype, _, _ in kernel._level_layouts(k, a)] == dtypes
+    rng = np.random.default_rng([n, k, a, 2])
+    arrs = np.stack([np.full((n, n), a - 1), np.zeros((n, n), dtype=np.int64),
+                     _every_letter(n, k, a), *rng.integers(0, a, size=(3, n, n))])
+    want = [len(set(placement_codes(arr, k, a))) for arr in arrs]
+    assert want[:2] == [1, 1]
+    assert kernel.covered_counts(arrs, k, a).tolist() == want
+    parts = [kernel.covered_counts(arrs[lo : lo + 3], k, a) for lo in (0, 3)]
     assert np.concatenate(parts).tolist() == want

@@ -585,10 +585,10 @@ class TestTrialMatrices:
         side = math.isqrt(experiments._VECTOR_CELLS)
         trial_matrices(5, 0, _LANE_TRIALS, side, 2)
         assert drawn == []
-        expected = _stacked_trial_rng(5, 0, 3, side + 1, 2)
+        expected = _stacked_trial_rng(5, 0, _LANE_TRIALS, side + 1, 2)
         drawn.clear()
-        assert np.array_equal(trial_matrices(5, 0, 3, side + 1, 2), expected)
-        assert drawn == [0, 1, 2]
+        assert np.array_equal(trial_matrices(5, 0, _LANE_TRIALS, side + 1, 2), expected)
+        assert drawn == list(range(_LANE_TRIALS))
 
     @pytest.mark.parametrize("n", [4, 17, 31])
     def test_short_blocks_draw_per_trial(self, monkeypatch, n):

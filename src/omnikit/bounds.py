@@ -150,6 +150,13 @@ def _exp_guarded(x: float) -> float:
     return math.inf if x > 700 else math.exp(x)
 
 
+def _lemma_preconditions(n: int, k: int, a: int) -> tuple[bool, bool, bool]:
+    """Whether n >= k^2*a/2 + k - 2, n <= a^k/k and n <= a^(k-1)/k, the phi
+    lemmas' small, large and critical preconditions, in exact integers."""
+    large, critical = (power_exceeds(a, e, n * k - 1) for e in (k, k - 1))  # a^e >= n*k
+    return 2 * n >= k * k * a + 2 * k - 4, large, critical
+
+
 def suen_report(n: int, k: int, a: int) -> BoundsReport:
     """Per-matrix and total missing-probability bounds from the correlation inequality.
 
@@ -176,8 +183,7 @@ def suen_report(n: int, k: int, a: int) -> BoundsReport:
     # a probability bound: exp(exponent) is capped at 1
     log_missing = min(0.0, exponent)
     log_total = k * k * ln_a + log_missing
-    small_ok = n >= k * k * a / 2 + k - 2
-    large_ok = power_exceeds(a, k, n * k - 1)  # n <= a^k / k, exactly
+    small_ok, large_ok, _ = _lemma_preconditions(n, k, a)
     return BoundsReport(
         n=n,
         k=k,
@@ -304,13 +310,12 @@ def check_lemma_properties(n: int, k: int, a: int) -> LemmaVerdicts:
             break
     v.checks.append(LemmaCheck("unimodal_rows", True, passed, ce))
 
-    pre = n >= k * k * a / 2 + k - 2
-    res = phi(1, 1) >= phi(2, 1) - _EPS if pre else None
-    v.checks.append(LemmaCheck("small_overlap", pre, res))
+    small, large, critical = _lemma_preconditions(n, k, a)
+    res = phi(1, 1) >= phi(2, 1) - _EPS if small else None
+    v.checks.append(LemmaCheck("small_overlap", small, res))
 
-    pre = n <= a**k / k
-    res = phi(k, k) >= phi(k - 1, k) - _EPS if pre else None
-    v.checks.append(LemmaCheck("large_overlap", pre, res))
+    res = phi(k, k) >= phi(k - 1, k) - _EPS if large else None
+    v.checks.append(LemmaCheck("large_overlap", large, res))
 
     gammas = [0.5 * phi(r, r) for r in range(1, k)]
     diffs = [b - x for x, b in zip(gammas, gammas[1:])]
@@ -332,8 +337,7 @@ def check_lemma_properties(n: int, k: int, a: int) -> LemmaVerdicts:
     peak_res = phi(k - 1, k) >= phi(1, 1) - _EPS if peak_pre else None
     v.checks.append(LemmaCheck("peak_dominates", peak_pre, peak_res))
 
-    pre = peak_pre and n <= a ** (k - 1) / k
-    if pre:
+    if peak_pre and critical:
         best = -math.inf
         arg = None
         for r in range(1, k + 1):

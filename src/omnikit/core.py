@@ -134,7 +134,8 @@ class Placement:
 
 @lru_cache(maxsize=256)
 def target_space(k: int, a: int) -> int:
-    """Number of k-by-k targets, a**(k*k); rejects spaces beyond 2**63 codes."""
+    """Number of k-by-k targets, a**(k*k); rejects k < 1, a < 2 and over 2**63."""
+    check_sizes(k=k, a=a)
     if power_exceeds(a, k * k, MAX_TARGET_SPACE):
         raise MosaicError(f"target space {a}^{k * k} too large, over 2^63 codes")
     return a ** (k * k)

@@ -55,9 +55,9 @@ class ExperimentConfig:
             raise MosaicError(f"seed must be >= 0, got {self.seed}")
         check_sizes(self.n, self.k, self.a)
         target_space(self.k, self.a)
-        # a trial's codes are held at once, so they share the enumeration
-        # guard; so is its automaton state, C(n,k) * sum(W_j) words, which is
-        # under CODE_COST * C(n,k)^2 / n wherever kernel.distinct_counts picks it
+        # a trial's codes are held at once, so they share the enumeration guard;
+        # so is its automaton state, C(n,k) * kernel.level_bytes(k, a) bytes,
+        # under 8 * CODE_COST * C(n,k)^2 / n wherever kernel.distinct_counts picks it
         if math.comb(self.n, self.k) ** 2 > ENUMERATION_GUARD:
             raise MosaicError(
                 f"C({self.n},{self.k})^2 placements per trial exceed guard {ENUMERATION_GUARD}"

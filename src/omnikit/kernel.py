@@ -17,9 +17,9 @@ induces, most significant entry first (``core.encode_target``).
   when they are fewer than its a^(k*k) targets (the counting bound,
   C(rows,k) * C(cols,k) < a^(k*k)), and marks them with ``covered`` when
   they are not.  ``path_costs`` charges the automaton its
-  C(rows,k) * cols * sum(W_j) word-steps and the direct path its
-  C(rows,k) * C(cols,k) codes; ``trial_cost`` adds the n^2 cells of a
-  Monte-Carlo trial's draw.
+  C(rows,k) * cols * B / 8 word-steps, B the bytes of one row subset's
+  levels (``level_bytes``), and the direct path its C(rows,k) * C(cols,k)
+  codes; ``trial_cost`` adds the n^2 cells of a Monte-Carlo trial's draw.
 * ``enumerate_coverage`` covers every one of the a^(n*n) n×n matrices at once,
   for k < n, through one row-tuple table of tracked codes.  Rows are base-a
   ints in [0, a^n), first column most significant.  It tracks a list of at
@@ -43,14 +43,13 @@ induces, most significant entry first (``core.encode_target``).
   read so far): at column c, from level k down to 1, L_{j-1} is copied into
   slot v_c of L_j.  A level's slot stride is rounded up to a power of two
   while L_{j-1} fits in 64 bits, so that no slot straddles a word, and is
-  L_{j-1}'s whole words past that; ``automaton_levels`` gives each level's
-  stride and its W_j words, which ``path_costs`` charges.  A level is held
-  in as few bytes as that allows (``_level_layouts``): a level of at most 64
-  bits in one element of the narrowest unsigned dtype that holds it, where a
-  step is one shift-OR; past 64 bits one element per slot (16, 32 or 64
-  bits), or one run of L_{j-1}'s elements per slot, where a step is one
-  scatter that overwrites the slot, since L_{j-1} only grows; only L_1 of
-  more than 64 letters packs its one-bit slots in words.  Each level is
+  the bits of L_{j-1}'s elements past that.  A level is held in as few
+  bytes as that allows, as ``automaton_levels`` gives it: a level of at
+  most 64 bits in one element of the narrowest unsigned dtype that holds
+  it, where a step is one shift-OR; past 64 bits one element per slot (16,
+  32 or 64 bits), or one run of L_{j-1}'s elements per slot, where a step
+  is one scatter that overwrites the slot, since L_{j-1} only grows; only
+  L_1 of more than 64 letters packs its one-bit slots in words.  Each level is
   [row subsets, trials, elements], so a slot is one contiguous run and the
   count, the popcount of the OR of L_k over the row subsets, ORs whole rows.
 """
@@ -70,9 +69,9 @@ from omnikit.core import MosaicError, power_exceeds
 # matrix guard, so its masks never exceed 8 MB.
 CHUNK = 1 << 16
 COVERAGE_GUARD = 2**32  # most bitset bytes, t * a^(k*k), that covered() allocates
-# Predicted costs in automaton word-steps (one level's words of one row subset
+# Predicted costs in automaton word-steps (8 bytes of one row subset's levels
 # at one column): on a 2-core VM with numpy 2.4.6 a word-step took 0.2-0.3 ns
-# where levels span many words, a placement code about 2.5 ns and a cell that
+# where levels are wide, a placement code about 2.5 ns and a cell that
 # experiments.trial_matrices draws 5-23 ns, about 10 ns for 2 < n < 33.
 CODE_COST, CELL_COST = 10, 100
 
@@ -164,8 +163,7 @@ def path_costs(rows: int, cols: int, k: int, a: int) -> tuple[int, int]:
     """(automaton, direct): the predicted cost of counting one rows×cols
     matrix's codes by ``covered_counts`` and by the direct path, in word-steps."""
     placements = math.comb(rows, k)
-    words = sum(w for _, w in automaton_levels(k, a))
-    return placements * cols * words, CODE_COST * placements * math.comb(cols, k)
+    return placements * cols * level_bytes(k, a) // 8, CODE_COST * placements * math.comb(cols, k)
 
 
 def trial_cost(n: int, k: int, a: int) -> int:
@@ -177,16 +175,16 @@ def trial_cost(n: int, k: int, a: int) -> int:
 def distinct_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     """[t]: number of distinct placement codes of arrs[t], for a stack arrs
     (t, rows, cols), by the rule of the module docstring.  A step holds
-    max(CHUNK, one matrix's) automaton words, or codes; a bitset holds no
-    more bytes than its matrices' codes."""
+    max(8 * CHUNK, one matrix's) bytes of automaton levels, or of codes at 8
+    bytes each; a bitset holds no more bytes than its matrices' codes."""
     trials, rows, cols = arrs.shape
     if k > min(rows, cols):
         return np.zeros(trials, dtype=np.int64)
     automaton_cost, direct_cost = path_costs(rows, cols, k, a)
     automaton = automaton_cost < direct_cost
     codes = math.comb(rows, k) * math.comb(cols, k)
-    held = automaton_cost // cols if automaton else codes  # words: C(rows,k) * sum(W_j)
-    step = max(1, CHUNK // held)
+    held = math.comb(rows, k) * level_bytes(k, a) if automaton else 8 * codes  # bytes
+    step = max(1, 8 * CHUNK // held)
     parts = [arrs[lo : lo + step] for lo in range(0, trials, step)]
     if automaton:
         return np.concatenate([covered_counts(part, k, a) for part in parts])
@@ -205,49 +203,45 @@ def _sorted_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     return 1 + np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
 
 
-def automaton_levels(k: int, a: int) -> list[tuple[int, int]]:
-    """[(slot stride in bits, uint64 words)] of the bitsets L_1 ... L_k that
-    ``covered_counts`` keeps per row subset; L_j has a^k slots."""
+def automaton_levels(k: int, a: int) -> list[tuple[int, np.dtype, int, int]]:
+    """[(slot stride in bits, dtype, units, width)] of the bitsets L_1 ... L_k
+    that ``covered_counts`` keeps per row subset: L_j has a^k slots, held as
+    ``units`` runs of ``width`` elements of ``dtype``: one element, its packed
+    words, or one run per slot (module docstring)."""
     letters = a**k
     levels = []
-    bits, words = 1, 1  # L_0: the empty subsequence
+    bits = 1  # L_0: the empty subsequence
     for _ in range(k):
-        stride = 1 << (bits - 1).bit_length() if bits <= 64 else 64 * words
+        if bits > 64:  # a slot holds L_{j-1}'s elements
+            _, dtype, units, width = levels[-1]
+            stride, units, width = 8 * dtype.itemsize * units * width, letters, units * width
+        else:  # a slot of L_{j-1}'s bits rounded up to a power of two
+            stride, width = 1 << (bits - 1).bit_length(), 1
+            if letters * stride <= 64:  # every slot in one element
+                dtype, units = np.min_scalar_type((1 << letters * stride) - 1), 1
+            elif stride == 1:  # one bit per slot, packed in words
+                dtype, units = np.dtype(np.uint64), -(-letters // 64)
+            else:  # one element per slot
+                dtype, units = np.min_scalar_type((1 << stride) - 1), letters
         bits = letters * stride
-        words = -(-bits // 64)
-        levels.append((stride, words))
+        levels.append((stride, dtype, units, width))
     return levels
 
 
-def _level_layouts(k: int, a: int) -> list[tuple[int, np.dtype, int, int]]:
-    """[(slot stride in bits, dtype, units, width)]: ``covered_counts`` holds
-    level L_j of each row subset as ``units`` runs of ``width`` elements of
-    ``dtype``: one element, its packed words, or one run per slot (module
-    docstring)."""
-    layouts = []
-    for stride, words in automaton_levels(k, a):
-        if words == 1:  # every slot in one element
-            layouts.append((stride, np.min_scalar_type((1 << a**k * stride) - 1), 1, 1))
-        elif stride == 1:  # one bit per slot, packed in words
-            layouts.append((stride, np.dtype(np.uint64), words, 1))
-        elif stride <= 64:  # one element per slot
-            layouts.append((stride, np.min_scalar_type((1 << stride) - 1), a**k, 1))
-        else:  # a slot holds L_{j-1}'s elements
-            _, dtype, units, width = layouts[-1]
-            layouts.append((stride, dtype, a**k, units * width))
-    return layouts
+def level_bytes(k: int, a: int) -> int:
+    """Bytes of the levels L_1 ... L_k of one row subset (``automaton_levels``)."""
+    return sum(dtype.itemsize * units * width for _, dtype, units, width in automaton_levels(k, a))
 
 
 def covered_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     """[t]: number of distinct placement codes of arrs[t], for a stack arrs
     (t, rows, cols), by the subsequence automaton over column letters (module
-    docstring).  Its state is at most t * C(rows,k) * sum(W_j) words of 64
-    bits, W_j the words of ``automaton_levels``; letters and indices add a
-    few words per row subset."""
+    docstring).  Its state is t * C(rows,k) * ``level_bytes(k, a)`` bytes;
+    letters and indices add a few words per row subset."""
     trials, rows, cols = arrs.shape
     # one batch of all row subsets, the shared table where it fits; none at k > rows
     rowsubs = next(subset_batches(rows, k, math.comb(rows, k)), np.zeros((0, k), dtype=np.int64))
-    layouts = _level_layouts(k, a)
+    levels = automaton_levels(k, a)
     small = np.min_scalar_type(a**k - 1)
     _, letterpow = powers(k, a)
     states = trials * len(rowsubs)
@@ -258,14 +252,14 @@ def covered_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     letters = letters.reshape(cols, states)
     # level j is [states, units, width], flat, so that a slot's elements are
     # consecutive; unit u of state s starts at element (first[j][s] + u) * width
-    state = [np.zeros(states * units * width, dtype=dtype) for _, dtype, units, width in layouts]
+    state = [np.zeros(states * units * width, dtype=dtype) for _, dtype, units, width in levels]
     first = [np.arange(0, states * units, units, dtype=np.intp) if units > 1 else None
-             for _, _, units, _ in layouts]
+             for _, _, units, _ in levels]
     for c in range(cols):
         v = letters[c]
         # L_j can still reach L_k only if k - j columns are left after c
         for j in range(min(k, c + 1), max(0, k - cols + c), -1):
-            stride, dtype, units, width = layouts[j - 1]
+            stride, dtype, units, width = levels[j - 1]
             level, at = state[j - 1], first[j - 1]
             prev = state[j - 2] if j > 1 else dtype.type(1)
             if units == 1:  # shift-OR into the one element; v * stride < 64
@@ -279,7 +273,7 @@ def covered_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
             else:  # the slot is a row of L_{j-1}'s elements, overwritten likewise
                 level.reshape(-1, width)[at + v] = prev.reshape(states, width)
     # OR over row subsets, the leading axis of a level
-    _, _, units, width = layouts[-1]
+    _, _, units, width = levels[-1]
     last = state[-1].reshape(len(rowsubs), trials, units * width)
     return np.bitwise_count(np.bitwise_or.reduce(last, axis=0)).sum(axis=1, dtype=np.int64)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from omnikit import kernel
-from omnikit.core import MosaicError, MosaicMatrix, Placement, check_sizes, target_space
+from omnikit.core import MosaicError, MosaicMatrix, Placement, target_space
 
 MISSING_SAMPLE = 32  # missing codes a report lists
 
@@ -36,7 +36,6 @@ class VerifyReport:
 
 def coverage(m: MosaicMatrix, k: int) -> np.ndarray:
     """Bitset over target codes: entry c is True iff target c occurs in m."""
-    check_sizes(k=k)
     size = target_space(k, m.a)
     if size > kernel.COVERAGE_GUARD:
         raise MosaicError(

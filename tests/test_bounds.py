@@ -281,6 +281,24 @@ class TestLemmaProperties:
         assert v.check("large_overlap").precondition_holds
         assert v.check("large_overlap").passed
 
+    # n = floor(a^k/k) and one past it; at (62, 2) a float 2^62/62 falls
+    # below that n, so a float form says the precondition fails there
+    @pytest.mark.parametrize("k,a", [(4, 2), (6, 3), (62, 2), (30, 7)])
+    def test_preconditions_agree_with_suen_report(self, k, a):
+        for n in (a**k // k, a**k // k + 1):
+            rep = bounds.suen_report(n, k, a)
+            v = bounds.check_lemma_properties(n, k, a)
+            large = v.check("large_overlap").precondition_holds
+            assert large == rep.lemma_large_overlap_ok == (n * k <= a**k)
+            small = v.check("small_overlap").precondition_holds
+            assert small == rep.lemma_small_overlap_ok == (2 * n >= k * k * a + 2 * k - 4)
+
+    def test_preconditions_of_huge_sizes_are_exact(self):
+        # a^k/k of (60, 10^6) overflowed a float division
+        v = bounds.check_lemma_properties(10**9, 60, 10**6)
+        assert v.check("large_overlap").precondition_holds
+        assert not v.check("small_overlap").precondition_holds
+
     def test_critical_point_window(self):
         k, a = 6, 3
         hi = a ** (k - 1) // k  # 40

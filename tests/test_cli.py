@@ -199,6 +199,14 @@ class TestContains:
         )
         assert code == EXIT_FALSE and not payload["present"]
 
+    def test_k_below_one_names_k(self, capsys, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(serialize_matrix(WITNESS_4X4))
+        code, out, err = run(capsys, "contains", str(path), "--k", "0", "--target-code", "0")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:") and "k must be >= 1" in err
+
 
 class TestSearch:
     def test_found(self, capsys):

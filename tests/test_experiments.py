@@ -374,11 +374,12 @@ class TestMonteCarlo:
         assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
                 stats.ex_missing_stderr) == expected
 
-    # C(n,k) * n * sum(W_j) automaton word-steps against CODE_COST per code
-    # picks the automaton or the direct path; sum(W_j) = 2 at (k, a) = (2, 2),
-    # 10 at (3, 2), 393 at (3, 3), 1093 at (4, 2), 164 at (2, 9), 4161 at
-    # (3, 4), 65 at (2, 8).  The direct path sorts a trial's C(n,k)^2 codes
-    # when they are fewer than its a^(k*k) targets, and takes the bitset when not.
+    # C(n,k) * n * B / 8 automaton word-steps, B the bytes of a row subset's
+    # levels, against CODE_COST per code picks the automaton or the direct
+    # path; B = 3 at (k, a) = (2, 2), 73 at (3, 2), 3028 at (3, 3), 8738 at
+    # (4, 2), 1312 at (2, 9), 33 288 at (3, 4), 520 at (2, 8).  The direct path
+    # sorts a trial's C(n,k)^2 codes when they are fewer than its a^(k*k)
+    # targets, and takes the bitset when not.
     PATHS = {
         (12, 3, 2): "covered_counts", (10, 3, 2): "covered_counts",
         (14, 3, 2): "covered_counts", (16, 2, 3): "covered_counts",
@@ -394,10 +395,12 @@ class TestMonteCarlo:
         # 5.5, 2.5 and 1.3 codes per target
         (20, 2, 9): "covered", (12, 3, 3): "covered", (14, 2, 9): "covered",
     }
+    # sorted while levels were priced in whole 64-bit words a level
+    BYTE_PRICED = {(2, 2, 4): "covered_counts", (4, 3, 2): "covered_counts"}
 
-    @pytest.mark.parametrize(
-        "n,k,a,automaton", [(*size, path == "covered_counts") for size, path in PATHS.items()]
-    )
+    @pytest.mark.parametrize("n,k,a,automaton", [
+        (*size, path == "covered_counts") for size, path in (PATHS | BYTE_PRICED).items()
+    ])
     def test_path_rule_and_both_paths_agree(self, monkeypatch, n, k, a, automaton):
         # kernel.distinct_counts takes one path; the automaton, the bitset and
         # sorting must give the same counts
@@ -405,13 +408,13 @@ class TestMonteCarlo:
         arrs = trial_matrices(31, 0, 6, n, a)
         calls = _spy(monkeypatch, "covered_counts", "covered", "_sorted_counts")
         got = kernel.distinct_counts(arrs, k, a).tolist()
-        assert {name for name, _ in calls} == {self.PATHS[n, k, a]}
+        assert {name for name, _ in calls} == {(self.PATHS | self.BYTE_PRICED)[n, k, a]}
         assert kernel.covered_counts(arrs, k, a).tolist() == got
         assert np.count_nonzero(kernel.covered(arrs, k, a), axis=1).tolist() == got
         assert kernel._sorted_counts(arrs, k, a).tolist() == got
-        if automaton:  # levels too wide to pay make the rule take the direct path
+        if automaton:  # an automaton priced above the direct path is not taken
             calls.clear()
-            monkeypatch.setattr(kernel, "automaton_levels", lambda k, a: [(64, n * n)] * k)
+            monkeypatch.setattr(kernel, "path_costs", lambda *args: (1, 0))
             assert kernel.distinct_counts(arrs, k, a).tolist() == got
             sparse = math.comb(n, k) ** 2 < a ** (k * k)
             assert {name for name, _ in calls} == {"_sorted_counts" if sparse else "covered"}
@@ -419,22 +422,24 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("n,k,a", [(10, 3, 2), (16, 2, 3), (5, 2, 8), (14, 2, 9)])
     @pytest.mark.parametrize("chunk", ["8", "3 trials"])
     def test_automaton_steps_are_bounded(self, monkeypatch, n, k, a, chunk):
-        # a step holds max(CHUNK, one trial's) automaton words on the
-        # automaton, and codes on either direct path
+        # a step holds max(8 * CHUNK, one trial's) bytes: automaton levels on
+        # the automaton, codes at 8 bytes each on either direct path
         kernel = experiments.kernel
         arrs = trial_matrices(5, 0, 10, n, a)
         want = kernel.distinct_counts(arrs, k, a).tolist()
         path = self.PATHS[n, k, a]
         if path == "covered_counts":
-            per_trial = math.comb(n, k) * sum(w for _, w in kernel.automaton_levels(k, a))
+            per_trial = math.comb(n, k) * sum(
+                dtype.itemsize * units * width
+                for _, dtype, units, width in kernel.automaton_levels(k, a))
         else:
-            per_trial = math.comb(n, k) ** 2
-        monkeypatch.setattr(kernel, "CHUNK", 8 if chunk == "8" else 3 * per_trial + 1)
+            per_trial = 8 * math.comb(n, k) ** 2
+        monkeypatch.setattr(kernel, "CHUNK", 8 if chunk == "8" else 3 * per_trial // 8 + 1)
         calls = _spy(monkeypatch, "covered_counts", "covered", "_sorted_counts")
         assert kernel.distinct_counts(arrs, k, a).tolist() == want
         assert {name for name, _ in calls} == {path}
         held = [len(part) * per_trial for _, (part, _, _) in calls]
-        assert max(held) <= max(kernel.CHUNK, per_trial)
+        assert max(held) <= max(8 * kernel.CHUNK, per_trial)
         assert len(held) == (10 if chunk == "8" else 4)
 
     @pytest.mark.parametrize("n,k,a", [(3, 5, 2), (2, 3, 128)])

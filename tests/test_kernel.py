@@ -211,13 +211,17 @@ def test_enumeration_refuses_k_at_least_n_before_allocating(monkeypatch, n, k, a
         next(kernel.enumerate_coverage(n, k, a, [0]))
 
 
+U8, U16, U32, U64 = np.uint8, np.uint16, np.uint32, np.uint64
+
+
 @pytest.mark.parametrize("k,a,levels", [
-    (1, 3, [(1, 1)]),
-    (2, 2, [(1, 1), (4, 1)]),  # L_2 fills 16 of 64 bits
-    (3, 2, [(1, 1), (8, 1), (64, 8)]),  # L_2 is exactly one word
-    (2, 3, [(1, 1), (16, 3)]),  # 9 letters: slots padded to 16 bits, 4 a word
-    (3, 3, [(1, 1), (32, 14), (896, 378)]),  # past one word, whole words
-    (4, 2, [(1, 1), (16, 4), (256, 64), (4096, 1024)]),
+    (1, 3, [(1, U8, 1, 1)]),
+    (2, 2, [(1, U8, 1, 1), (4, U16, 1, 1)]),  # L_2: 4 slots of 4 bits, one element
+    (3, 2, [(1, U8, 1, 1), (8, U64, 1, 1), (64, U64, 8, 1)]),  # L_2 is exactly one word
+    (2, 3, [(1, U16, 1, 1), (16, U16, 9, 1)]),  # 9 letters: slots padded to 16 bits
+    # past 64 bits a slot holds L_{j-1}'s elements: 27 uint32, 864 bits
+    (3, 3, [(1, U32, 1, 1), (32, U32, 27, 1), (864, U32, 27, 27)]),
+    (4, 2, [(1, U16, 1, 1), (16, U16, 16, 1), (256, U16, 16, 16), (4096, U16, 16, 256)]),
 ])
 def test_automaton_levels(k, a, levels):
     assert kernel.automaton_levels(k, a) == levels
@@ -279,14 +283,14 @@ def test_covered_counts_on_multiword_levels(n, k, a):
         assert got.tolist() == [len(set(placement_codes(arr, k, a))) for arr in arrs]
 
 
-# one size per slot layout of the automaton's levels: L_k in one word; slots
-# sharing words; one word per slot; slots of several words (slot-major levels)
+# one size per slot layout of the automaton's levels: L_k in one element; one
+# uint16, uint32 or uint64 element per slot; slots of L_{k-1}'s elements
 @pytest.mark.parametrize("n,k,a,layout", [
-    (4, 2, 2, [(1, 1), (4, 1)]),
-    (9, 2, 4, [(1, 1), (16, 4)]),
-    (6, 2, 5, [(1, 1), (32, 13)]),
-    (8, 3, 2, [(1, 1), (8, 1), (64, 8)]),
-    (7, 3, 3, [(1, 1), (32, 14), (896, 378)]),
+    (4, 2, 2, [(1, U8, 1, 1), (4, U16, 1, 1)]),
+    (9, 2, 4, [(1, U16, 1, 1), (16, U16, 16, 1)]),
+    (6, 2, 5, [(1, U32, 1, 1), (32, U32, 25, 1)]),
+    (8, 3, 2, [(1, U8, 1, 1), (8, U64, 1, 1), (64, U64, 8, 1)]),
+    (7, 3, 3, [(1, U32, 1, 1), (32, U32, 27, 1), (864, U32, 27, 27)]),
 ])
 def test_covered_counts_per_slot_layout(n, k, a, layout):
     assert kernel.automaton_levels(k, a) == layout
@@ -321,16 +325,16 @@ def _every_letter(n, k, a):
 # 16 bits at (2,2), L_1 of 9 bits at (1,9) and at (2,3), where L_2 has 16-bit
 # slots, 25 at (2,5), 40 at (1,40), 64 at (1,64); (1,65) packs bits in words
 @pytest.mark.parametrize("n,k,a,dtypes", [
-    (4, 2, 2, [np.uint8, np.uint16]),
-    (5, 1, 9, [np.uint16]),
-    (5, 2, 3, [np.uint16, np.uint16]),
-    (6, 2, 5, [np.uint32, np.uint32]),
-    (7, 1, 40, [np.uint64]),
-    (8, 1, 64, [np.uint64]),
-    (9, 1, 65, [np.uint64]),
+    (4, 2, 2, [U8, U16]),
+    (5, 1, 9, [U16]),
+    (5, 2, 3, [U16, U16]),
+    (6, 2, 5, [U32, U32]),
+    (7, 1, 40, [U64]),
+    (8, 1, 64, [U64]),
+    (9, 1, 65, [U64]),
 ])
 def test_covered_counts_across_level_dtypes(n, k, a, dtypes):
-    assert [dtype for _, dtype, _, _ in kernel._level_layouts(k, a)] == dtypes
+    assert [dtype for _, dtype, _, _ in kernel.automaton_levels(k, a)] == dtypes
     rng = np.random.default_rng([n, k, a, 2])
     arrs = np.stack([np.full((n, n), a - 1), np.zeros((n, n), dtype=np.int64),
                      _every_letter(n, k, a), *rng.integers(0, a, size=(3, n, n))])

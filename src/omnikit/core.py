@@ -225,19 +225,47 @@ class _Memo(dict):
 
 
 def serialize_matrix(m: MosaicMatrix) -> str:
-    name = _Memo(str).__getitem__
-    lines = [MAGIC, f"{m.rows} {m.cols} {m.a}"]
-    lines += [" ".join(map(name, m.row(i))) for i in range(m.rows)]
-    return "\n".join(lines) + "\n"
+    head = f"{MAGIC}\n{m.rows} {m.cols} {m.a}\n"
+    if m.a > 10:  # letters of several characters: one join a row
+        name = _Memo(str).__getitem__
+        lines = [" ".join(map(name, m.row(i))) for i in range(m.rows)]
+        return head + "\n".join(lines) + "\n"
+    # one ASCII digit a letter: the whole text in one byte buffer, decoded once
+    buf = np.full(len(head) + 2 * m.rows * m.cols, ord(" "), np.uint8)
+    buf[: len(head)] = np.frombuffer(head.encode(), np.uint8)
+    body = buf[len(head) :].reshape(m.rows, 2 * m.cols)
+    body[:, -1] = ord("\n")
+    body[:, ::2] = np.frombuffer(bytes(m.entries), np.uint8).reshape(m.rows, m.cols)
+    body[:, ::2] += ord("0")
+    return str(buf, "ascii")
+
+
+def _bulk_letters(text: str, start: int, rows: int, cols: int, a: int) -> tuple[int, ...] | None:
+    """The letters of the rows from text[start:] if they are exactly as
+    serialize_matrix writes them at a <= 10, read with one pass of numpy:
+    each letter one digit below a, single spaces between, one "\n" at the
+    end of each row and none after the last.  None for any other text."""
+    if not start or a > 10 or not text.isascii() or len(text) - start != 2 * rows * cols:
+        return None
+    body = np.frombuffer(text.encode("ascii"), np.uint8, offset=start).reshape(rows, 2 * cols)
+    letters = body[:, ::2] - np.uint8(ord("0"))  # a byte below "0" wraps to over 200
+    seps = body[:, 1::2]
+    if (letters >= a).any() or (seps[:, :-1] != ord(" ")).any() or (seps[:, -1] != ord("\n")).any():
+        return None
+    return tuple(letters.tobytes())
 
 
 def parse_matrix(text: str) -> MosaicMatrix:
-    lines = text.split("\n")
-    if not lines or lines[0] != MAGIC:
+    """The matrix of a v1 text.  Rows exactly as serialize_matrix writes them
+    at a <= 10 are read in bulk, any other text field by field; both give the
+    same matrix, and the field-by-field reader names the line of a fault."""
+    if not text.startswith(MAGIC + "\n"):
+        if text == MAGIC:
+            raise ParseError("missing dimension line", 2)
         raise ParseError(f"expected header {MAGIC!r}", 1)
-    if len(lines) < 2:
-        raise ParseError("missing dimension line", 2)
-    parts = lines[1].split()
+    dims = len(MAGIC) + 1  # where the dimension line starts
+    start = text.find("\n", dims) + 1  # where row 1 starts; 0 if no line follows
+    parts = text[dims : start - 1 if start else len(text)].split()
     if len(parts) != 3:
         raise ParseError("dimension line must be '<rows> <cols> <a>'", 2)
     try:
@@ -248,16 +276,22 @@ def parse_matrix(text: str) -> MosaicMatrix:
         raise ParseError("dimensions must be positive", 2)
     if a < 2:
         raise ParseError(f"alphabet size must be >= 2, got {a}", 2)
+    bulk = _bulk_letters(text, start, rows, cols, a)
+    if bulk is not None:
+        return MosaicMatrix(rows, cols, a, bulk)
 
     def letter(field: str) -> int:
-        try:
+        try:  # int() alone also takes "+1", "1_0" and non-ASCII digits
+            if not (field.isascii() and field.isdigit()):
+                raise ValueError
             e = int(field)
-        except ValueError:
+        except ValueError:  # also past int()'s limit on digits
             raise MosaicError(f"bad entry {field!r}") from None
         if not 0 <= e < a:
             raise MosaicError(f"entry {e} outside alphabet [0, {a})")
         return e
 
+    lines = text.split("\n")
     entries: list[int] = []
     letters = _Memo(letter).__getitem__  # each distinct spelling is checked once
     for i in range(rows):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -19,7 +20,7 @@ from omnikit.cli import (
 from omnikit import cli, kernel
 from omnikit.construct import square_omnimosaic, thin_strip
 from omnikit.core import parse_matrix, serialize_matrix
-from conftest import WITNESS_4X4
+from conftest import WITNESS_4X4, v1_join
 
 
 def run(capsys, *argv):
@@ -101,6 +102,18 @@ class TestConstructVerifyPipe:
         m = parse_matrix(out)
         assert (m.rows, m.cols) == (8, 2)
 
+    @pytest.mark.parametrize("a,strip", [(10, False), (11, False), (10, True)])
+    def test_pipe_on_both_sides_of_one_digit_letters(self, capsys, monkeypatch, a, strip):
+        # letters are one digit up to a = 10, where the text is read in bulk
+        code, out, _ = run(capsys, "construct", "--k", "2", "--a", str(a), *["--strip"] * strip)
+        assert code == EXIT_OK
+        assert out == v1_join(thin_strip(2, a) if strip else square_omnimosaic(2, a))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, payload, _ = run_json(capsys, "verify", "-", "--k", "2")
+        assert code == EXIT_OK
+        assert payload["is_omni"] is True
+        assert payload["covered"] == a**4
+
 
 class TestErrors:
     def test_parse_error_exit_2(self, capsys, tmp_path):
@@ -110,6 +123,13 @@ class TestErrors:
         assert code == EXIT_ERROR
         assert out == ""
         assert "error" in err
+
+    @pytest.mark.parametrize("field", ["0_0", "+1", "-0", "\uff10"])
+    def test_entry_that_only_int_takes_exit_2(self, capsys, monkeypatch, field):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"omnimosaic v1\n2 2 2\n0 1\n1 {field}\n"))
+        code, out, err = run(capsys, "verify", "-", "--k", "1")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert f"line 4: bad entry {field!r}" in err
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope"), "--k", "2")

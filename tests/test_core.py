@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,7 @@ from omnikit.core import (
 )
 from omnikit import kernel
 from omnikit.experiments import exact_enumeration
-from conftest import WITNESS_4X4, matrices
+from conftest import WITNESS_4X4, matrices, v1_fields, v1_join
 
 
 def M(rows, a=2):
@@ -189,6 +191,112 @@ class TestFormat:
         assert parse_matrix(serialize_matrix(m)) == m
 
 
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+@st.composite
+def _v1_matrices(draw):
+    """Matrices of shape 1x1, 1xc, rx1 or rxc at a = 2..12, both sides of
+    the one-digit letters that serialize_matrix writes in bulk."""
+    a = draw(st.integers(2, 12))
+    r, c = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    rows, cols = draw(st.sampled_from([(1, 1), (1, c), (r, 1), (r, c)]))
+    letters = st.lists(st.integers(0, a - 1), min_size=rows * cols, max_size=rows * cols)
+    return MosaicMatrix(rows, cols, a, tuple(draw(letters)))
+
+
+@st.composite
+def _perturbed_v1(draw):
+    """A v1 text with one fault or one accepted variant at a drawn place."""
+    m = draw(_v1_matrices())
+    text = v1_join(m)
+    start = len(text) - 2 * m.rows * m.cols  # where row 1 starts
+    i, j = draw(st.integers(0, m.rows - 1)), draw(st.integers(0, m.cols - 1))
+    at = start + 2 * (i * m.cols + j)  # the letter (i, j); its separator follows
+    end = start + 2 * (i + 1) * m.cols - 1  # the "\n" of row i
+    kind = draw(st.sampled_from([
+        "tab", "double space", "other separator", "leading zero", "short row", "long row",
+        "letter a", "no trailing newline", "extra newline", "non-ASCII", "blank line",
+    ]))
+    if kind == "tab":  # in place of a space or a "\n"
+        return text[: at + 1] + "\t" + text[at + 2 :]
+    if kind == "double space":
+        return text[: at + 1] + " " + text[at + 1 :]
+    if kind == "other separator":  # same length: "0 1" becomes "001" or "0,1"
+        return text[: at + 1] + draw(st.sampled_from("0,x")) + text[at + 2 :]
+    if kind == "leading zero":
+        return text[:at] + "0" + text[at:]
+    if kind == "short row":  # drop letter (i, j) and a separator beside it, if it has one
+        cut, to = (at, at + 2) if j < m.cols - 1 else (at - (j > 0), at + 1)
+        return text[:cut] + text[to:]
+    if kind == "long row":
+        return text[:end] + f" {draw(st.integers(0, m.a - 1))}" + text[end:]
+    if kind == "letter a":
+        return text[:at] + str(m.a) + text[at + 1 :]
+    if kind == "no trailing newline":
+        return text[:-1]
+    if kind == "extra newline":
+        return text + "\n"
+    if kind == "non-ASCII":  # a letter or a separator: a fullwidth or Arabic-Indic digit, Unicode spaces
+        place = at + draw(st.integers(0, 1))
+        return text[:place] + draw(st.sampled_from("\u00e9\uff10\u0663\u00a0\u2003")) + text[place + 1 :]
+    line = start + 2 * m.cols * draw(st.integers(0, m.rows))  # blank line: before a row or at the end
+    return text[:line] + "\n" + text[line:]
+
+
+class TestBulkText:
+    """serialize_matrix and parse_matrix take one byte buffer at a <= 10 and
+    one field at a time otherwise; both agree with the references in
+    conftest."""
+
+    @given(_v1_matrices())
+    @settings(max_examples=150)
+    def test_serialize_and_parse_match_the_references(self, m):
+        text = serialize_matrix(m)
+        assert text == v1_join(m)
+        assert parse_matrix(text) == m
+
+    @given(_perturbed_v1())
+    @settings(max_examples=600)
+    def test_perturbed_texts_read_as_field_by_field(self, text):
+        assert _outcome(parse_matrix, text) == _outcome(v1_fields, text)
+
+    @pytest.mark.parametrize("field", ["0_0", "+1", "-0", "\uff10", "\u0661"])
+    def test_refuses_spellings_only_int_takes(self, field):
+        text = f"omnimosaic v1\n2 2 2\n0 1\n1 {field}\n"
+        with pytest.raises(ParseError, match=rf"^line 4: bad entry {re.escape(repr(field))}$"):
+            parse_matrix(text)
+
+    def test_leading_zeros_stay_letters(self):
+        assert parse_matrix("omnimosaic v1\n1 3 3\n00 01 0002\n").entries == (0, 1, 2)
+
+    def test_memory_stays_under_the_field_by_field_peaks(self):
+        # tracemalloc peaks of the one-call-a-cell writer and reader on this
+        # 1024x1024 binary matrix (Python 3.11.7, numpy 2.4.6): the byte
+        # buffer may hold no more
+        m = MosaicMatrix.from_numpy(np.random.default_rng(0).integers(0, 2, size=(1024, 1024)), 2)
+
+        def peak(call, arg):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = call(arg)
+            return out, tracemalloc.get_traced_memory()[1] - before
+
+        tracemalloc.start()
+        try:
+            text, written = peak(serialize_matrix, m)
+            read, parsed = peak(parse_matrix, text)
+        finally:
+            tracemalloc.stop()
+        assert read == m
+        assert written <= 6_349_813
+        assert parsed <= 21_100_001
+
+
 class TestMatrixBasics:
     def test_entry_validation(self):
         with pytest.raises(MosaicError):
@@ -266,7 +374,9 @@ class TestLetterRange:
         with pytest.raises(ParseError) as exc:
             parse_matrix(text)
         assert exc.value.line == 5
-        assert str(exc.value) == f"line 5: entry {bad} outside alphabet [0, 3)"
+        # "-1" is no digit string; "3" is one, past the alphabet
+        message = "bad entry '-1'" if bad == "-1" else "entry 3 outside alphabet [0, 3)"
+        assert str(exc.value) == f"line 5: {message}"
 
     def test_parse_bad_field_before_range(self):
         with pytest.raises(ParseError, match=r"^line 4: bad entry 'x'$"):
@@ -274,7 +384,7 @@ class TestLetterRange:
 
     def test_parse_same_spelling_on_a_later_line(self):
         # a spelling seen valid on one line stays valid; a bad one fails anew
-        m = parse_matrix("omnimosaic v1\n3 2 3\n+1 01\n+1 2\n01 0\n")
+        m = parse_matrix("omnimosaic v1\n3 2 3\n001 01\n001 2\n01 0\n")
         assert m.entries == (1, 1, 1, 2, 1, 0)
         with pytest.raises(ParseError, match="^line 5: entry 7"):
             parse_matrix("omnimosaic v1\n3 2 3\n0 1\n1 2\n2 7\n")

@@ -227,7 +227,7 @@ class _Memo(dict):
 def serialize_matrix(m: MosaicMatrix) -> str:
     head = f"{MAGIC}\n{m.rows} {m.cols} {m.a}\n"
     if m.a > 10:  # letters of several characters: one join a row
-        name = _Memo(str).__getitem__
+        name = _Memo(lambda e: str(operator.index(e))).__getitem__  # True == 1: both "1"
         lines = [" ".join(map(name, m.row(i))) for i in range(m.rows)]
         return head + "\n".join(lines) + "\n"
     # one ASCII digit a letter: the whole text in one byte buffer, decoded once
@@ -268,9 +268,12 @@ def parse_matrix(text: str) -> MosaicMatrix:
     parts = text[dims : start - 1 if start else len(text)].split()
     if len(parts) != 3:
         raise ParseError("dimension line must be '<rows> <cols> <a>'", 2)
-    try:
-        rows, cols, a = (int(p) for p in parts)
-    except ValueError:
+    unsigned = [p.removeprefix("-") for p in parts]
+    try:  # int() alone also takes "+1", "1_0" and non-ASCII digits
+        if not all(u.isascii() and u.isdigit() for u in unsigned):
+            raise ValueError
+        rows, cols, a = map(int, parts)
+    except ValueError:  # also past int()'s limit on digits
         raise ParseError("dimensions must be decimal integers", 2) from None
     if rows < 1 or cols < 1:
         raise ParseError("dimensions must be positive", 2)

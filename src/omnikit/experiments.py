@@ -56,8 +56,9 @@ class ExperimentConfig:
         check_sizes(self.n, self.k, self.a)
         target_space(self.k, self.a)
         # a trial's codes are held at once, so they share the enumeration guard;
-        # so is its automaton state, C(n,k) * kernel.level_bytes(k, a) bytes,
-        # under 8 * CODE_COST * C(n,k)^2 / n wherever kernel.distinct_counts picks it
+        # the automaton holds max(32 * CHUNK, one row subset's) bytes of levels
+        # at once (kernel.automaton_parts) and, wherever kernel.distinct_counts
+        # picks it, a top level of under 8 * CODE_COST * C(n,k) bytes a trial
         if math.comb(self.n, self.k) ** 2 > ENUMERATION_GUARD:
             raise MosaicError(
                 f"C({self.n},{self.k})^2 placements per trial exceed guard {ENUMERATION_GUARD}"

@@ -3,23 +3,60 @@ exact enumeration and the exact search.
 
 A placement is a k-subset of rows crossed with a k-subset of columns, both
 increasing.  Its code is the row-major base-a number of the submatrix it
-induces, most significant entry first (``core.encode_target``).
+induces, most significant entry first (``core.encode_target``).  Two paths
+read the codes of a stack of t matrices, and each has two readouts: the
+covered set, a code-order bool bitset per matrix, and its size.
 
-* ``code_batches``, the one generator of placement codes, gives those of a
-  stack of t matrices about CHUNK at a time, through row words: for a block
-  of about CHUNK / (t * rows) column subsets, row r's word holds its entries
-  at each subset (weights ``colpow``), built once per block, and a batch of
-  row subsets sums k gathered whole rows of words, each a contiguous copy
-  of the block's width.  ``covered`` marks them in a bitset per matrix.
-* ``distinct_counts``, the one counting entry point, counts each matrix's
-  codes by the automaton of ``covered_counts`` when ``path_costs`` predicts
-  it cheaper than the direct path.  Otherwise it sorts each matrix's codes
-  when they are fewer than its a^(k*k) targets (the counting bound,
-  C(rows,k) * C(cols,k) < a^(k*k)), and marks them with ``covered`` when
-  they are not.  ``path_costs`` charges the automaton its
-  C(rows,k) * cols * B / 8 word-steps, B the bytes of one row subset's
-  levels (``level_bytes``), and the direct path its C(rows,k) * C(cols,k)
-  codes; ``trial_cost`` adds the n^2 cells of a Monte-Carlo trial's draw.
+* The direct path.  ``code_batches``, the one generator of placement codes,
+  gives them about CHUNK at a time, through row words: for a block of about
+  CHUNK / (t * rows) column subsets, row r's word holds its entries at each
+  subset (weights ``colpow``), built once per block, and a batch of row
+  subsets sums k gathered whole rows of words, each a contiguous copy of
+  the block's width.  ``covered`` marks them in a bitset per matrix; below
+  the counting bound, C(rows,k) * C(cols,k) < a^(k*k), ``_sorted_counts``
+  sorts each matrix's codes instead and counts the changes.
+* The subsequence automaton (``top_levels``) builds, for every row subset,
+  the set of codes it covers without enumerating column subsets.  For a row
+  subset r_0 < ... < r_{k-1}, column c's letter v_c = sum_i a^(k-1-i) X[r_i, c]
+  lies in [0, a^k) and fixes the column's k entries, so a k×k submatrix is
+  fixed by its k letters: the codes a row subset covers are in bijection
+  with the length-k subsequences of v_0 ... v_{n-1}, and, as the letters
+  give the submatrix back, so are the codes of all row subsets with the
+  union of their subsequence sets.  One left-to-right pass builds those sets
+  as bitsets L_1 ... L_k per row subset (L_j: the length-j subsequences of
+  the prefix read so far): at column c, from level k down to 1, L_{j-1} is
+  copied into slot v_c of L_j.  A level's slot stride is rounded up to a
+  power of two while L_{j-1} fits in 64 bits, so that no slot straddles a
+  word, and is the bits of L_{j-1}'s elements past that.  A level is held in
+  as few bytes as that allows, as ``automaton_levels`` gives it: a level of
+  at most 64 bits in one element of the narrowest unsigned dtype that holds
+  it, where a step is one shift-OR; past 64 bits one element per slot (16,
+  32 or 64 bits), or one run of L_{j-1}'s elements per slot, where a step is
+  one scatter that overwrites the slot, since L_{j-1} only grows; only L_1
+  of more than 64 letters packs its one-bit slots in words.  Each level is
+  [row subsets, trials, elements], so a slot is one contiguous run.  The
+  automaton runs in parts of row subsets × trials (``automaton_parts``) of
+  at most max(32 * CHUNK, one row subset's) bytes of levels, and ORs each
+  part's L_k over its row subsets into one top level per matrix, so a large
+  host never holds all of its row subsets at once.  ``covered_counts``
+  reads the top level's popcount.  ``automaton_covered`` reads the set: bit
+  sum_j v_j * stride_j of L_k marks the subsequence v_1 ... v_k, so a fixed
+  cut of each slot to the a^k slots of the level below, a split of each
+  letter into its k digits and a transpose of those digits into row-major
+  order give the code-order bitset, with no table of positions.
+
+``path_costs`` prices a stack on each path in word-steps.  The direct path
+costs CODE_COST per placement code.  The automaton costs, per row subset of
+a matrix, the bytes each column touches at 8 bytes a word-step: one element
+of a shift-OR level, one slot and two index words of a scatter level; plus,
+once, the zero-fill of its levels (``level_bytes``) and the reduction of its
+top level; plus LEVEL_COST, the fixed numpy calls of one level at one
+column, per level, column and part.  ``distinct_counts``, the one counting
+entry point, prices a stack as the trials one part holds, so that a size
+takes one path whatever the length of the block it is drawn in, and takes
+the cheaper path; ``verify.coverage`` prices its one host.  ``trial_cost``
+adds the n^2 cells of a Monte-Carlo trial's draw.
+
 * ``enumerate_coverage`` covers every one of the a^(n*n) n×n matrices at once,
   for k < n, through one row-tuple table of tracked codes.  Rows are base-a
   ints in [0, a^n), first column most significant.  It tracks a list of at
@@ -31,32 +68,12 @@ induces, most significant entry first (``core.encode_target``).
   max(CHUNK, a^(n(n-1))) matrices.  k >= n needs no enumeration (a matrix's
   one placement is itself at k = n, and it has none at k > n), so
   ``experiments`` counts it and this function refuses it.
-* ``covered_counts`` counts the distinct codes of each matrix of a stack
-  without enumerating column subsets.  For a row subset r_0 < ... < r_{k-1},
-  column c's letter v_c = sum_i a^(k-1-i) X[r_i, c] lies in [0, a^k) and
-  fixes the column's k entries, so a k×k submatrix is fixed by its k
-  letters: the codes a row subset covers are in bijection with the length-k
-  subsequences of v_0 ... v_{n-1}, and, as the letters give the submatrix
-  back, so are the codes of all row subsets with the union of their
-  subsequence sets.  One left-to-right pass builds those sets as bitsets
-  L_1 ... L_k per row subset (L_j: the length-j subsequences of the prefix
-  read so far): at column c, from level k down to 1, L_{j-1} is copied into
-  slot v_c of L_j.  A level's slot stride is rounded up to a power of two
-  while L_{j-1} fits in 64 bits, so that no slot straddles a word, and is
-  the bits of L_{j-1}'s elements past that.  A level is held in as few
-  bytes as that allows, as ``automaton_levels`` gives it: a level of at
-  most 64 bits in one element of the narrowest unsigned dtype that holds
-  it, where a step is one shift-OR; past 64 bits one element per slot (16,
-  32 or 64 bits), or one run of L_{j-1}'s elements per slot, where a step
-  is one scatter that overwrites the slot, since L_{j-1} only grows; only
-  L_1 of more than 64 letters packs its one-bit slots in words.  Each level is
-  [row subsets, trials, elements], so a slot is one contiguous run and the
-  count, the popcount of the OR of L_k over the row subsets, ORs whole rows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from itertools import combinations, islice
 
@@ -68,12 +85,15 @@ from omnikit.core import MosaicError, power_exceeds
 # leading-row value's a^(n(n-1)) matrices, at most 2^20 under the 2^25
 # matrix guard, so its masks never exceed 8 MB.
 CHUNK = 1 << 16
-COVERAGE_GUARD = 2**32  # most bitset bytes, t * a^(k*k), that covered() allocates
-# Predicted costs in automaton word-steps (8 bytes of one row subset's levels
-# at one column): on a 2-core VM with numpy 2.4.6 a word-step took 0.2-0.3 ns
-# where levels are wide, a placement code about 2.5 ns and a cell that
-# experiments.trial_matrices draws 5-23 ns, about 10 ns for 2 < n < 33.
-CODE_COST, CELL_COST = 10, 100
+COVERAGE_GUARD = 2**32  # most bitset bytes that covered() and automaton_covered() allocate
+# Predicted costs in automaton word-steps (8 bytes that the automaton
+# touches).  Fitted to both paths forced on 103 stacks, 1 to 16 384 matrices
+# of 2 to 36 columns, on a 2-core AMD EPYC VM with numpy 2.4.6: a word-step
+# took about 0.18 ns, a level at one column of one part about 2.0 us of
+# fixed numpy calls, and a placement code on the direct path 2.1-2.4 ns; a
+# cell that experiments.trial_matrices draws takes 5-23 ns, about 10 ns for
+# 2 < n < 33.
+CODE_COST, CELL_COST, LEVEL_COST = 12, 100, 12_000
 
 
 def powers(k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,35 +179,48 @@ def covered(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     return bits.reshape(len(arrs), total)
 
 
-def path_costs(rows: int, cols: int, k: int, a: int) -> tuple[int, int]:
-    """(automaton, direct): the predicted cost of counting one rows×cols
-    matrix's codes by ``covered_counts`` and by the direct path, in word-steps."""
+def path_costs(trials: int, rows: int, cols: int, k: int, a: int) -> tuple[int, int]:
+    """(automaton, direct): the predicted cost of reading the codes of a stack
+    of ``trials`` rows×cols matrices by the automaton and by the direct path,
+    in word-steps (module docstring)."""
     placements = math.comb(rows, k)
-    return placements * cols * level_bytes(k, a) // 8, CODE_COST * placements * math.comb(cols, k)
+    subsets_a_part, trials_a_part = automaton_parts(trials, rows, k, a)
+    parts = -(-placements // subsets_a_part) * -(-trials // trials_a_part)
+    levels = automaton_levels(k, a)
+    # a column touches one element of a shift-OR level, one slot and two
+    # index words of a scatter level
+    touched = sum(dtype.itemsize * width + 16 * (units > 1) for _, dtype, units, width in levels)
+    _, dtype, units, width = levels[-1]
+    held = level_bytes(k, a) + dtype.itemsize * units * width  # zero-filled, then reduced
+    automaton = trials * placements * (cols * touched + held) // 8 + LEVEL_COST * k * cols * parts
+    return automaton, CODE_COST * trials * placements * math.comb(cols, k)
 
 
 def trial_cost(n: int, k: int, a: int) -> int:
     """Predicted cost of one n×n Monte-Carlo trial: its draw and its count by
-    the cheaper path, in word-steps."""
-    return CELL_COST * n * n + min(path_costs(n, n, k, a))
+    the cheaper path, priced as ``distinct_counts`` prices it, in word-steps."""
+    part_trials = automaton_parts(sys.maxsize, n, k, a)[1]
+    return CELL_COST * n * n + min(path_costs(part_trials, n, n, k, a)) // part_trials
 
 
 def distinct_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     """[t]: number of distinct placement codes of arrs[t], for a stack arrs
-    (t, rows, cols), by the rule of the module docstring.  A step holds
-    max(8 * CHUNK, one matrix's) bytes of automaton levels, or of codes at 8
-    bytes each; a bitset holds no more bytes than its matrices' codes."""
+    (t, rows, cols), by the rule of the module docstring.  The automaton runs
+    in parts (``automaton_parts``); a direct step holds max(8 * CHUNK, one
+    matrix's) bytes of codes at 8 bytes each, and a bitset holds no more
+    bytes than its matrices' codes."""
     trials, rows, cols = arrs.shape
     if k > min(rows, cols):
         return np.zeros(trials, dtype=np.int64)
-    automaton_cost, direct_cost = path_costs(rows, cols, k, a)
-    automaton = automaton_cost < direct_cost
+    # priced as the trials one automaton part holds, so that a size takes one
+    # path whatever the length of the block it is drawn in
+    part_trials = automaton_parts(sys.maxsize, rows, k, a)[1]
+    automaton_cost, direct_cost = path_costs(part_trials, rows, cols, k, a)
+    if automaton_cost < direct_cost:
+        return covered_counts(arrs, k, a)
     codes = math.comb(rows, k) * math.comb(cols, k)
-    held = math.comb(rows, k) * level_bytes(k, a) if automaton else 8 * codes  # bytes
-    step = max(1, 8 * CHUNK // held)
+    step = max(1, CHUNK // codes)
     parts = [arrs[lo : lo + step] for lo in range(0, trials, step)]
-    if automaton:
-        return np.concatenate([covered_counts(part, k, a) for part in parts])
     if power_exceeds(a, k * k, codes):  # fewer codes than targets
         return np.concatenate([_sorted_counts(part, k, a) for part in parts])
     return np.concatenate([np.count_nonzero(covered(part, k, a), axis=1) for part in parts])
@@ -203,9 +236,10 @@ def _sorted_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     return 1 + np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
 
 
-def automaton_levels(k: int, a: int) -> list[tuple[int, np.dtype, int, int]]:
+@lru_cache(maxsize=64)
+def automaton_levels(k: int, a: int) -> tuple[tuple[int, np.dtype, int, int], ...]:
     """[(slot stride in bits, dtype, units, width)] of the bitsets L_1 ... L_k
-    that ``covered_counts`` keeps per row subset: L_j has a^k slots, held as
+    that the automaton keeps per row subset: L_j has a^k slots, held as
     ``units`` runs of ``width`` elements of ``dtype``: one element, its packed
     words, or one run per slot (module docstring)."""
     letters = a**k
@@ -225,7 +259,7 @@ def automaton_levels(k: int, a: int) -> list[tuple[int, np.dtype, int, int]]:
                 dtype, units = np.min_scalar_type((1 << stride) - 1), letters
         bits = letters * stride
         levels.append((stride, dtype, units, width))
-    return levels
+    return tuple(levels)
 
 
 def level_bytes(k: int, a: int) -> int:
@@ -233,20 +267,79 @@ def level_bytes(k: int, a: int) -> int:
     return sum(dtype.itemsize * units * width for _, dtype, units, width in automaton_levels(k, a))
 
 
+def automaton_parts(trials: int, rows: int, k: int, a: int) -> tuple[int, int]:
+    """(row subsets, trials) of one part of the automaton over a stack of
+    ``trials`` matrices of ``rows`` rows: every row subset of as many trials
+    as 32 * CHUNK bytes of levels hold, else as many row subsets of one
+    trial; at least one of each."""
+    states = max(1, 32 * CHUNK // level_bytes(k, a))
+    placements = max(1, math.comb(rows, k))
+    if placements <= states:
+        return placements, max(1, min(trials, states // placements))
+    return states, 1
+
+
 def covered_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     """[t]: number of distinct placement codes of arrs[t], for a stack arrs
-    (t, rows, cols), by the subsequence automaton over column letters (module
-    docstring).  Its state is t * C(rows,k) * ``level_bytes(k, a)`` bytes;
-    letters and indices add a few words per row subset."""
-    trials, rows, cols = arrs.shape
-    # one batch of all row subsets, the shared table where it fits; none at k > rows
-    rowsubs = next(subset_batches(rows, k, math.comb(rows, k)), np.zeros((0, k), dtype=np.int64))
+    (t, rows, cols): the popcount of its top level (``top_levels``)."""
+    return np.bitwise_count(top_levels(arrs, k, a)).sum(axis=1, dtype=np.int64)
+
+
+def automaton_covered(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
+    """[t, a^(k*k)] bool, as ``covered`` gives it, read off the top level of
+    each matrix (``top_levels``).  Bit sum_j v_j * stride_j of L_k marks the
+    subsequence v_1 ... v_k, so cutting each slot to a^k slots of the level
+    below and each letter into its k digits, then taking the digits in row-
+    major order, gives the code-order bitset.  Refuses, before allocating,
+    t padded top levels of more than COVERAGE_GUARD bits in all."""
+    trials = len(arrs)
     levels = automaton_levels(k, a)
-    small = np.min_scalar_type(a**k - 1)
+    _, dtype, units, width = levels[-1]
+    if trials * 8 * dtype.itemsize * units * width > COVERAGE_GUARD:
+        raise MosaicError(
+            f"{trials} top levels of {a}^{k * k} targets exceed coverage guard {COVERAGE_GUARD}"
+        )
+    top = np.ascontiguousarray(top_levels(arrs, k, a), dtype=dtype.newbyteorder("<"))
+    bits = np.unpackbits(top.view(np.uint8), axis=1, bitorder="little").view(bool)
+    letters = a**k
+    for stride, *_ in reversed(levels):  # [t, v_k, ..., v_j, slot]
+        bits = bits[..., : letters * stride].reshape(*bits.shape[:-1], letters, stride)
+    digits = bits.reshape(trials, *(a,) * (k * k))  # letter v_j's k digits, v_k first
+    order = [1 + (k - 1 - col) * k + i for i in range(k) for col in range(k)]
+    return digits.transpose(0, *order).reshape(trials, a ** (k * k))
+
+
+def top_levels(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
+    """[t, elements]: the OR of L_k over the row subsets of each matrix of a
+    stack arrs (t, rows, cols), by the subsequence automaton over column
+    letters (module docstring), run in parts of ``automaton_parts`` row
+    subsets × trials; all zeros where there is no placement."""
+    trials, rows, cols = arrs.shape
+    _, dtype, units, width = automaton_levels(k, a)[-1]
+    top = np.zeros((trials, units * width), dtype=dtype)
+    if k > min(rows, cols):
+        return top
+    subsets_a_part, trials_a_part = automaton_parts(trials, rows, k, a)
+    # letters gather whole runs of trials
+    by_col = np.ascontiguousarray(arrs.astype(np.min_scalar_type(a**k - 1)).transpose(2, 1, 0))
+    for rowsubs in subset_batches(rows, k, subsets_a_part):
+        for lo in range(0, trials, trials_a_part):
+            top[lo : lo + trials_a_part] |= _automaton_part(
+                by_col[:, :, lo : lo + trials_a_part], rowsubs, k, a)
+    return top
+
+
+def _automaton_part(by_col: np.ndarray, rowsubs: np.ndarray, k: int, a: int) -> np.ndarray:
+    """[t, elements]: the OR of L_k over rowsubs of each matrix of a stack
+    by_col [c, r, t] of letters.  Its state is t * len(rowsubs) *
+    ``level_bytes(k, a)`` bytes; letters and indices add a few words per row
+    subset."""
+    cols, _, trials = by_col.shape
+    levels = automaton_levels(k, a)
+    small = by_col.dtype
     _, letterpow = powers(k, a)
     states = trials * len(rowsubs)
-    # letters[c, s, t] of row subset s in matrix t: gathers whole runs of t
-    by_col = np.ascontiguousarray(arrs.astype(small).transpose(2, 1, 0))  # [c, r, t]
+    # letters[c, s, t] of row subset s in matrix t
     letters = sum(w * np.take(by_col, rowsubs[:, i], axis=1)
                   for i, w in enumerate(letterpow.astype(small)))
     letters = letters.reshape(cols, states)
@@ -274,8 +367,7 @@ def covered_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
                 level.reshape(-1, width)[at + v] = prev.reshape(states, width)
     # OR over row subsets, the leading axis of a level
     _, _, units, width = levels[-1]
-    last = state[-1].reshape(len(rowsubs), trials, units * width)
-    return np.bitwise_count(np.bitwise_or.reduce(last, axis=0)).sum(axis=1, dtype=np.int64)
+    return np.bitwise_or.reduce(state[-1].reshape(len(rowsubs), trials, units * width), axis=0)
 
 
 def row_digits(values: np.ndarray, n: int, a: int) -> np.ndarray:

@@ -1,13 +1,18 @@
 """Deciding the omnimosaic property and locating targets by search.
 
-coverage() enumerates every k-subset of rows crossed with every k-subset of
-columns, encodes each induced submatrix and marks it in a bitset over the
-a^(k*k) target codes.  First it drops every row past the k-th of a run of
-equal adjacent rows: a placement takes at most k rows of a run and any k of
-them are alike, so the set of codes is unchanged.  The construction pads its
-odd-k squares with copies of the last row, so they shrink this way, (3,4)
-from 36 to 26 rows.  The enumeration is exact; the only approximation
-anywhere is the guard that refuses target spaces too large to bitset.
+coverage() reads the covered set of a host: the code-order bitset over the
+a^(k*k) targets of every k-subset of rows crossed with every k-subset of
+columns.  First it drops every row past the k-th of a run of equal adjacent
+rows: a placement takes at most k rows of a run and any k of them are
+alike, so the set of codes is unchanged.  The construction pads its odd-k
+squares with copies of the last row, so they shrink this way, (3,4) from 36
+to 26 rows.  Then it takes the cheaper of the kernel's two paths, as
+``kernel.path_costs`` prices the host: the direct path encodes each
+placement and marks its code (``kernel.covered``); the subsequence
+automaton ORs the top level of every row subset's automaton and reads that
+as the bitset (``kernel.automaton_covered``).  Both are exact; the only
+approximations anywhere are the guards that refuse target spaces too large
+to bitset and hosts with too many placements to read.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from omnikit import kernel
 from omnikit.core import MosaicError, MosaicMatrix, Placement, target_space
 
 MISSING_SAMPLE = 32  # missing codes a report lists
+PLACEMENT_GUARD = 2**34  # most placements, C(rows,k) * C(cols,k), that coverage() reads
 
 
 @dataclass
@@ -42,7 +48,16 @@ def coverage(m: MosaicMatrix, k: int) -> np.ndarray:
             f"target space {size} exceeds coverage guard {kernel.COVERAGE_GUARD}; "
             "check individual targets with contains_target instead"
         )
-    return kernel.covered(_cut_runs(m.to_numpy(), k)[None], k, m.a)[0]
+    placements = math.comb(m.rows, k) * math.comb(m.cols, k)
+    if placements > PLACEMENT_GUARD:
+        raise MosaicError(
+            f"{placements} placements exceed placement guard {PLACEMENT_GUARD}; "
+            "check individual targets with contains_target instead"
+        )
+    arrs = _cut_runs(m.to_numpy(), k)[None]
+    automaton, direct = kernel.path_costs(*arrs.shape, k, m.a)
+    read = kernel.automaton_covered if automaton < direct else kernel.covered
+    return read(arrs, k, m.a)[0]
 
 
 def _cut_runs(arr: np.ndarray, k: int) -> np.ndarray:

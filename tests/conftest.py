@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -67,8 +68,10 @@ def v1_fields(text):
     if len(dims) != 3:
         raise ParseError("dimension line must be '<rows> <cols> <a>'", 2)
     try:
+        if not all(re.fullmatch("-?[0-9]+", field) for field in dims):
+            raise ValueError
         rows, cols, a = map(int, dims)
-    except ValueError:
+    except ValueError:  # also past int()'s limit on digits
         raise ParseError("dimensions must be decimal integers", 2) from None
     if rows < 1 or cols < 1:
         raise ParseError("dimensions must be positive", 2)

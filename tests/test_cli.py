@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -130,6 +131,24 @@ class TestErrors:
         code, out, err = run(capsys, "verify", "-", "--k", "1")
         assert (code, out) == (EXIT_ERROR, "")
         assert f"line 4: bad entry {field!r}" in err
+
+    @pytest.mark.parametrize("dims", ["+1 1_0 \uff12", "2 +2 2", "--1 2 2"])
+    def test_dimensions_not_decimal_exit_2(self, capsys, monkeypatch, dims):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"omnimosaic v1\n{dims}\n0 1 0 1 0 1 0 1 0 1\n"))
+        code, out, err = run(capsys, "verify", "-", "--k", "1")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: line 2: dimensions must be decimal integers\n"
+
+    def test_verify_over_placement_guard_exits_2_at_once(self, capsys, monkeypatch):
+        # 210x210: C(210,3)^2 placements, which took 856 s to score one at a time
+        code, built, _ = run(capsys, "construct", "--k", "3", "--a", "10")
+        assert code == EXIT_OK
+        monkeypatch.setattr(sys, "stdin", io.StringIO(built))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "-", "--k", "3")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith(f"error: {math.comb(210, 3) ** 2} placements exceed placement guard")
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope"), "--k", "2")

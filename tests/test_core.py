@@ -271,6 +271,31 @@ class TestBulkText:
         with pytest.raises(ParseError, match=rf"^line 4: bad entry {re.escape(repr(field))}$"):
             parse_matrix(text)
 
+    @pytest.mark.parametrize("dims,message", [
+        ("+1 1_0 \uff12", "dimensions must be decimal integers"),
+        ("2 +2 2", "dimensions must be decimal integers"),
+        ("2 2 \u0663", "dimensions must be decimal integers"),
+        ("--1 2 2", "dimensions must be decimal integers"),
+        ("- 2 2", "dimensions must be decimal integers"),
+        ("-1 2 2", "dimensions must be positive"),
+        ("2 -0 2", "dimensions must be positive"),
+        ("2 2 -3", "alphabet size must be >= 2, got -3"),
+    ])
+    def test_dimension_spellings(self, dims, message):
+        text = f"omnimosaic v1\n{dims}\n" + "0 1 0 1 0 1 0 1 0 1\n"
+        with pytest.raises(ParseError, match=rf"^line 2: {re.escape(message)}$"):
+            parse_matrix(text)
+        with pytest.raises(ParseError, match=rf"^line 2: {re.escape(message)}$"):
+            v1_fields(text)
+        assert parse_matrix("omnimosaic v1\n01 002 2\n0 1\n").entries == (0, 1)
+
+    @pytest.mark.parametrize("entries", [(True, 1, 0), (1, True, 0)])
+    def test_bool_entries_are_written_as_ints(self, entries):
+        m = MosaicMatrix(1, 3, 11, entries)
+        text = serialize_matrix(m)
+        assert text.endswith("\n1 1 0\n")
+        assert parse_matrix(text) == MosaicMatrix(1, 3, 11, (1, 1, 0))
+
     def test_leading_zeros_stay_letters(self):
         assert parse_matrix("omnimosaic v1\n1 3 3\n00 01 0002\n").entries == (0, 1, 2)
 

@@ -374,32 +374,39 @@ class TestMonteCarlo:
         assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
                 stats.ex_missing_stderr) == expected
 
-    # C(n,k) * n * B / 8 automaton word-steps, B the bytes of a row subset's
-    # levels, against CODE_COST per code picks the automaton or the direct
-    # path; B = 3 at (k, a) = (2, 2), 73 at (3, 2), 3028 at (3, 3), 8738 at
-    # (4, 2), 1312 at (2, 9), 33 288 at (3, 4), 520 at (2, 8).  The direct path
-    # sorts a trial's C(n,k)^2 codes when they are fewer than its a^(k*k)
-    # targets, and takes the bitset when not.
+    # kernel.path_costs prices a trial as one of the trials one automaton part
+    # holds: per row subset, the bytes each column touches (one element of a
+    # shift-OR level, one slot and two index words of a scatter level), the
+    # zero-fill of its B bytes of levels and the reduction of its top level,
+    # at 8 bytes a word-step, plus LEVEL_COST per level, column and part,
+    # against CODE_COST per code; B = 3 at (k, a) = (2, 2), 34 at (2, 4), 73 at
+    # (3, 2), 3028 at (3, 3), 8738 at (4, 2), 1312 at (2, 9), 33 288 at
+    # (3, 4), 520 at (2, 8).  The direct path sorts a trial's C(n,k)^2 codes
+    # when they are fewer than its a^(k*k) targets, and takes the bitset
+    # when not.
     PATHS = {
         (12, 3, 2): "covered_counts", (10, 3, 2): "covered_counts",
         (14, 3, 2): "covered_counts", (16, 2, 3): "covered_counts",
         (20, 3, 2): "covered_counts", (4, 2, 2): "covered_counts",
         (5, 2, 2): "covered_counts", (8, 2, 3): "covered_counts",
         (9, 2, 4): "covered_counts", (6, 2, 5): "covered_counts",
-        (8, 3, 2): "covered_counts",
-        # 0.73, 0.019, 0.062, 0.66, 0.0015, 0.0008 and 0.024 codes per target
+        (8, 3, 2): "covered_counts", (4, 3, 2): "covered_counts",
+        # 0.73, 0.019, 0.062, 0.0015, 0.0008 and 0.024 codes per target
         (10, 3, 3): "_sorted_counts", (7, 4, 2): "_sorted_counts",
-        (7, 3, 3): "_sorted_counts", (12, 2, 9): "_sorted_counts",
-        (6, 3, 4): "_sorted_counts", (4, 3, 3): "_sorted_counts",
-        (5, 2, 8): "_sorted_counts",
-        # 5.5, 2.5 and 1.3 codes per target
-        (20, 2, 9): "covered", (12, 3, 3): "covered", (14, 2, 9): "covered",
+        (7, 3, 3): "_sorted_counts", (6, 3, 4): "_sorted_counts",
+        (4, 3, 3): "_sorted_counts", (5, 2, 8): "_sorted_counts",
+        # 1.2 and 1.7 codes per target; at (11,4,2) the automaton, forced on
+        # the same trials, was 1.3x faster: its run slots are priced high
+        (16, 3, 4): "covered", (11, 4, 2): "covered",
     }
-    # sorted while levels were priced in whole 64-bit words a level
-    BYTE_PRICED = {(2, 2, 4): "covered_counts", (4, 3, 2): "covered_counts"}
+    # moved by the per-level price: the automaton, forced on the same trials,
+    # was faster at the first four and slower at (2,2,4), one code a trial
+    REFIT = {(12, 2, 9): "covered_counts", (20, 2, 9): "covered_counts",
+             (12, 3, 3): "covered_counts", (14, 2, 9): "covered_counts",
+             (2, 2, 4): "_sorted_counts"}
 
     @pytest.mark.parametrize("n,k,a,automaton", [
-        (*size, path == "covered_counts") for size, path in (PATHS | BYTE_PRICED).items()
+        (*size, path == "covered_counts") for size, path in (PATHS | REFIT).items()
     ])
     def test_path_rule_and_both_paths_agree(self, monkeypatch, n, k, a, automaton):
         # kernel.distinct_counts takes one path; the automaton, the bitset and
@@ -408,7 +415,7 @@ class TestMonteCarlo:
         arrs = trial_matrices(31, 0, 6, n, a)
         calls = _spy(monkeypatch, "covered_counts", "covered", "_sorted_counts")
         got = kernel.distinct_counts(arrs, k, a).tolist()
-        assert {name for name, _ in calls} == {(self.PATHS | self.BYTE_PRICED)[n, k, a]}
+        assert {name for name, _ in calls} == {(self.PATHS | self.REFIT)[n, k, a]}
         assert kernel.covered_counts(arrs, k, a).tolist() == got
         assert np.count_nonzero(kernel.covered(arrs, k, a), axis=1).tolist() == got
         assert kernel._sorted_counts(arrs, k, a).tolist() == got
@@ -419,28 +426,42 @@ class TestMonteCarlo:
             sparse = math.comb(n, k) ** 2 < a ** (k * k)
             assert {name for name, _ in calls} == {"_sorted_counts" if sparse else "covered"}
 
-    @pytest.mark.parametrize("n,k,a", [(10, 3, 2), (16, 2, 3), (5, 2, 8), (14, 2, 9)])
+    @pytest.mark.parametrize("n,k,a", [(10, 3, 2), (16, 2, 3), (5, 2, 8), (14, 2, 9), (11, 4, 2)])
     @pytest.mark.parametrize("chunk", ["8", "3 trials"])
     def test_automaton_steps_are_bounded(self, monkeypatch, n, k, a, chunk):
-        # a step holds max(8 * CHUNK, one trial's) bytes: automaton levels on
-        # the automaton, codes at 8 bytes each on either direct path
+        # a step holds max(32 * CHUNK, one row subset's) bytes of automaton
+        # levels on the automaton, and max(8 * CHUNK, one trial's) bytes of
+        # codes at 8 bytes each on either direct path
         kernel = experiments.kernel
         arrs = trial_matrices(5, 0, 10, n, a)
         want = kernel.distinct_counts(arrs, k, a).tolist()
-        path = self.PATHS[n, k, a]
-        if path == "covered_counts":
-            per_trial = math.comb(n, k) * sum(
+        path = (self.PATHS | self.REFIT)[n, k, a]
+        automaton = path == "covered_counts"
+        if automaton:
+            name, budget, unit = "_automaton_part", 32, sum(  # bytes of a row subset
                 dtype.itemsize * units * width
                 for _, dtype, units, width in kernel.automaton_levels(k, a))
+            per_trial = math.comb(n, k) * unit
         else:
-            per_trial = 8 * math.comb(n, k) ** 2
-        monkeypatch.setattr(kernel, "CHUNK", 8 if chunk == "8" else 3 * per_trial // 8 + 1)
-        calls = _spy(monkeypatch, "covered_counts", "covered", "_sorted_counts")
+            name, budget = path, 8
+            unit = per_trial = 8 * math.comb(n, k) ** 2
+        monkeypatch.setattr(kernel, "CHUNK", 8 if chunk == "8" else 3 * per_trial // budget + 1)
+        # forced, since parts of a smaller CHUNK cost more
+        monkeypatch.setattr(kernel, "path_costs", lambda *args: (1 - automaton, automaton))
+        calls = _spy(monkeypatch, "covered_counts", "covered", "_sorted_counts", "_automaton_part")
         assert kernel.distinct_counts(arrs, k, a).tolist() == want
-        assert {name for name, _ in calls} == {path}
-        held = [len(part) * per_trial for _, (part, _, _) in calls]
-        assert max(held) <= max(8 * kernel.CHUNK, per_trial)
-        assert len(held) == (10 if chunk == "8" else 4)
+        assert {called for called, _ in calls} == {path, name}
+        if automaton:  # by_col [c, r, t] and a batch of row subsets; at CHUNK = 8
+            # a part holds as many row subsets of one trial as fit
+            held = [args[0].shape[2] * len(args[1]) * unit for called, args in calls
+                    if called == name]
+            parts = 10 * -(-math.comb(n, k) // max(1, budget * kernel.CHUNK // unit))
+        else:
+            held = [len(args[0]) * per_trial for _, args in calls]
+            parts = 10
+        assert max(held) <= max(budget * kernel.CHUNK, unit)
+        assert sum(held) == 10 * per_trial
+        assert len(held) == (parts if chunk == "8" else 4)
 
     @pytest.mark.parametrize("n,k,a", [(3, 5, 2), (2, 3, 128)])
     def test_k_exceeds_n_misses_everything(self, n, k, a):

@@ -224,7 +224,7 @@ U8, U16, U32, U64 = np.uint8, np.uint16, np.uint32, np.uint64
     (4, 2, [(1, U16, 1, 1), (16, U16, 16, 1), (256, U16, 16, 16), (4096, U16, 16, 256)]),
 ])
 def test_automaton_levels(k, a, levels):
-    assert kernel.automaton_levels(k, a) == levels
+    assert kernel.automaton_levels(k, a) == tuple(levels)
 
 
 def direct_counts(arrs, k, a):
@@ -293,7 +293,7 @@ def test_covered_counts_on_multiword_levels(n, k, a):
     (7, 3, 3, [(1, U32, 1, 1), (32, U32, 27, 1), (864, U32, 27, 27)]),
 ])
 def test_covered_counts_per_slot_layout(n, k, a, layout):
-    assert kernel.automaton_levels(k, a) == layout
+    assert kernel.automaton_levels(k, a) == tuple(layout)
     arrs = np.random.default_rng([n, k, a, 1]).integers(0, a, size=(6, n, n))
     arrs[2] = a - 1  # all equal: one code
     want = [len(set(placement_codes(arr, k, a))) for arr in arrs]

@@ -1,13 +1,14 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omnikit import kernel, verify
+from omnikit import bounds, kernel, verify
 from omnikit.construct import Placement, square_omnimosaic
 from omnikit.core import (
     MosaicError,
@@ -55,6 +56,110 @@ class TestCoverage:
         monkeypatch.setattr(np, "zeros", no_alloc)
         with pytest.raises(MosaicError, match="contains_target"):
             coverage(m, 2)
+
+
+class TestPlacementGuard:
+    def test_refuses_before_allocating(self, monkeypatch):
+        m = square_omnimosaic(2, 3)  # 6x6: C(6,2)^2 = 225 placements
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the placement guard")
+
+        monkeypatch.setattr(verify, "PLACEMENT_GUARD", 224)
+        with monkeypatch.context() as patch:
+            for name in ("zeros", "array", "empty"):
+                patch.setattr(np, name, no_alloc)
+            with pytest.raises(MosaicError, match="^225 placements exceed placement guard 224;"):
+                coverage(m, 2)
+        monkeypatch.setattr(verify, "PLACEMENT_GUARD", 225)
+        assert coverage(m, 2).all()
+
+    @pytest.mark.parametrize("k,a", [(3, 6), (4, 3)])
+    def test_largest_verified_constructions_stay_under(self, k, a):
+        # about 5.8e9 and 3.5e9 placements; (3,7) has 3.5e10 and is refused
+        n = bounds.construction_upper(k, a)
+        assert math.comb(n, k) ** 2 <= verify.PLACEMENT_GUARD
+        n = bounds.construction_upper(3, 7)
+        assert math.comb(n, 3) ** 2 > verify.PLACEMENT_GUARD
+
+
+# (k, a) per kind of automaton level: k = 1; shift-OR levels at (2,2) and
+# (3,2); packed words at (2,9), 81 letters; one element per slot and run
+# slots at (3,3) and (3,4)
+READOUT_SIZES = [(1, 2), (1, 5), (2, 2), (3, 2), (2, 9), (3, 3), (3, 4)]
+
+
+@st.composite
+def readout_hosts(draw):
+    """(arr, k, a): 1 to 9 rows, in runs of 1 to k + 1 equal rows, by 1 to 9
+    columns, over all a letters or fewer."""
+    k, a = draw(st.sampled_from(READOUT_SIZES))
+    runs = draw(st.lists(st.integers(1, k + 1), min_size=1, max_size=9))
+    cols, letters = draw(st.integers(1, 9)), draw(st.integers(1, a))
+    seed = draw(st.integers(0, 2**32 - 1))
+    base = np.random.default_rng(seed).integers(0, letters, size=(len(runs), cols))
+    return base.repeat(runs, axis=0)[:9], k, a
+
+
+def _readout_host(rows, cols, k, a):
+    return np.random.default_rng([rows, cols, k, a]).integers(0, a, size=(rows, cols)), k, a
+
+
+class TestAutomatonReadout:
+    """The OR of the automaton's top level over row subsets, read as a
+    code-order bitset, against the direct bitset and brute force; verify
+    reports the same on both paths."""
+
+    # CHUNK = 8 runs the automaton in parts of one row subset
+    @given(readout_hosts(), st.sampled_from([kernel.CHUNK, 8]))
+    @example(_readout_host(9, 2, 2, 2), 8)  # tall
+    @example(_readout_host(2, 9, 2, 9), kernel.CHUNK)  # wide, packed words
+    @example(_readout_host(2, 9, 3, 3), kernel.CHUNK)  # rows < k
+    @example(_readout_host(9, 9, 3, 4), 8)  # run slots of 64 uint64
+    @example(_readout_host(4, 7, 1, 5), kernel.CHUNK)  # k = 1
+    @example((np.ones((9, 5), dtype=np.int64), 3, 3), 8)  # one run of equal rows
+    @settings(max_examples=150, deadline=None)
+    def test_matches_direct_bitset_and_brute_force(self, host, chunk):
+        arr, k, a = host
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "CHUNK", chunk)
+            self._check(arr, k, a)
+
+    @staticmethod
+    def _check(arr, k, a):
+        bits = kernel.automaton_covered(arr[None], k, a)[0]
+        assert bits.dtype == bool and bits.shape == (a ** (k * k),)
+        assert np.array_equal(bits, kernel.covered(arr[None], k, a)[0])
+        assert set(np.flatnonzero(bits).tolist()) == set(placement_codes(arr, k, a))
+        m = MosaicMatrix.from_numpy(arr, a)
+        reports = {}
+        for path, costs in [("automaton_covered", (0, 1)), ("covered", (1, 0))]:
+            called = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernel, "path_costs", lambda *args, costs=costs: costs)
+                real = getattr(kernel, path)
+                mp.setattr(kernel, path, lambda *args, real=real: called.append(args) or real(*args))
+                reports[path] = asdict(is_omnimosaic(m, k))
+            assert len(called) == 1
+            del reports[path]["elapsed"]
+        assert reports["automaton_covered"] == reports["covered"]
+
+    def test_padded_top_level_is_guarded_before_allocating(self, monkeypatch):
+        # at (2,3) L_2 holds 9 slots of 16 bits: 144 bits for 81 targets
+        arrs = np.zeros((2, 3, 3), dtype=int)
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the coverage guard")
+
+        monkeypatch.setattr(kernel, "COVERAGE_GUARD", 2 * 144 - 1)
+        assert np.count_nonzero(kernel.covered(arrs, 2, 3), axis=1).tolist() == [1, 1]
+        assert np.count_nonzero(kernel.automaton_covered(arrs[:1], 2, 3)) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "zeros", no_alloc)
+            with pytest.raises(MosaicError, match="coverage guard"):
+                kernel.automaton_covered(arrs, 2, 3)
+        monkeypatch.setattr(kernel, "COVERAGE_GUARD", 2 * 144)
+        assert np.array_equal(kernel.automaton_covered(arrs, 2, 3), kernel.covered(arrs, 2, 3))
 
 
 @st.composite

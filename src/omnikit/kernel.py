@@ -38,12 +38,17 @@ covered set, a code-order bool bitset per matrix, and its size.
   automaton runs in parts of row subsets × trials (``automaton_parts``) of
   at most max(32 * CHUNK, one row subset's) bytes of levels, and ORs each
   part's L_k over its row subsets into one top level per matrix, so a large
-  host never holds all of its row subsets at once.  ``covered_counts``
-  reads the top level's popcount.  ``automaton_covered`` reads the set: bit
-  sum_j v_j * stride_j of L_k marks the subsequence v_1 ... v_k, so a fixed
-  cut of each slot to the a^k slots of the level below, a split of each
-  letter into its k digits and a transpose of those digits into row-major
-  order give the code-order bitset, with no table of positions.
+  host never holds all of its row subsets at once.  A stack of several such
+  parts, each of every row subset of some matrices, runs in as many rounds
+  instead: round r steps the spread row subsets table[r::rounds] of every
+  matrix whose top level is not yet full (``full_top``), so a matrix that
+  covers every target early, as most do above the paper's upper bound,
+  steps no later round.  ``covered_counts`` reads the top level's
+  popcount.  ``automaton_covered`` reads the set: bit sum_j v_j * stride_j
+  of L_k marks the subsequence v_1 ... v_k, so a fixed cut of each slot to
+  the a^k slots of the level below, a split of each letter into its k
+  digits and a transpose of those digits into row-major order give the
+  code-order bitset, with no table of positions.
 
 ``path_costs`` prices a stack on each path in word-steps.  The direct path
 costs CODE_COST per placement code.  The automaton costs, per row subset of
@@ -51,11 +56,13 @@ a matrix, the bytes each column touches at 8 bytes a word-step: one element
 of a shift-OR level, one slot and two index words of a scatter level; plus,
 once, the zero-fill of its levels (``level_bytes``) and the reduction of its
 top level; plus LEVEL_COST, the fixed numpy calls of one level at one
-column, per level, column and part.  ``distinct_counts``, the one counting
-entry point, prices a stack as the trials one part holds, so that a size
-takes one path whatever the length of the block it is drawn in, and takes
-the cheaper path; ``verify.coverage`` prices its one host.  ``trial_cost``
-adds the n^2 cells of a Monte-Carlo trial's draw.
+column, per level, column and part.  It prices every row subset, so it
+overprices sizes whose trials fill their top level early.
+``distinct_counts``, the one counting entry point, prices a stack as the
+trials one part holds, so that a size takes one path whatever the length of
+the block it is drawn in, and takes the cheaper path; ``verify.coverage``
+prices its one host.  ``trial_cost`` adds the n^2 cells of a Monte-Carlo
+trial's draw.
 
 * ``enumerate_coverage`` covers every one of the a^(n*n) n×n matrices at once,
   for k < n, through one row-tuple table of tracked codes.  Rows are base-a
@@ -75,7 +82,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -120,8 +127,8 @@ def subset_batches(n: int, k: int, size: int):
         yield _subset_table(n, k)
         return
     combos = combinations(range(n), k)
-    while batch := list(islice(combos, size)):
-        yield np.array(batch, dtype=np.int64)
+    while len(batch := np.fromiter(chain.from_iterable(islice(combos, size)), np.int64)):
+        yield batch.reshape(-1, k)
 
 
 @lru_cache(maxsize=16)  # at most CHUNK int64 entries each
@@ -135,8 +142,13 @@ def column_words(arr: np.ndarray, rowsubs: np.ndarray, rowpow: np.ndarray) -> np
     """words[c, ..., s]: column c of arr (..., rows, cols) restricted to row
     subset s, its entries weighted by rowpow.  Columns come first, so that
     gathering the columns of a placement copies whole contiguous rows."""
-    cols_first = np.ascontiguousarray(np.moveaxis(arr, -1, 0))
-    return sum(rowpow[i] * cols_first[..., rowsubs[:, i]] for i in range(len(rowpow)))
+    if not len(rowpow):
+        return 0
+    cols_first = np.ascontiguousarray(arr.transpose(-1, *range(arr.ndim - 1)))
+    words = rowpow[0] * cols_first[..., rowsubs[:, 0]]
+    for i in range(1, len(rowpow)):
+        words += rowpow[i] * cols_first[..., rowsubs[:, i]]
+    return words
 
 
 def code_batches(arrs: np.ndarray, k: int, a: int):
@@ -313,27 +325,75 @@ def top_levels(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     """[t, elements]: the OR of L_k over the row subsets of each matrix of a
     stack arrs (t, rows, cols), by the subsequence automaton over column
     letters (module docstring), run in parts of ``automaton_parts`` row
-    subsets × trials; all zeros where there is no placement."""
+    subsets × trials; all zeros where there is no placement.
+
+    Where a part holds every row subset of some matrices and the stack
+    takes several such parts, it runs in as many rounds instead, each one
+    part of no more states: round r steps the row subsets table[r::rounds]
+    of every matrix whose top level is not yet full (``full_top``).  A full
+    top level cannot change, so a matrix that covers every target early
+    steps no later round, and the result is the same."""
     trials, rows, cols = arrs.shape
     _, dtype, units, width = automaton_levels(k, a)[-1]
     top = np.zeros((trials, units * width), dtype=dtype)
     if k > min(rows, cols):
         return top
+    placements = math.comb(rows, k)
     subsets_a_part, trials_a_part = automaton_parts(trials, rows, k, a)
+    rounds = -(-trials // trials_a_part)
     # letters gather whole runs of trials
     by_col = np.ascontiguousarray(arrs.astype(np.min_scalar_type(a**k - 1)).transpose(2, 1, 0))
-    for rowsubs in subset_batches(rows, k, subsets_a_part):
-        for lo in range(0, trials, trials_a_part):
-            top[lo : lo + trials_a_part] |= _automaton_part(
-                by_col[:, :, lo : lo + trials_a_part], rowsubs, k, a)
+    # in rounds only where a round of every matrix fits one part
+    if (rounds <= 1 or subsets_a_part < placements
+            or trials * -(-placements // rounds) > placements * trials_a_part):
+        for rowsubs in subset_batches(rows, k, subsets_a_part):
+            for lo in range(0, trials, trials_a_part):
+                top[lo : lo + trials_a_part] |= _automaton_part(
+                    by_col[:, :, lo : lo + trials_a_part], rowsubs, k, a)
+        return top
+    table, full = next(subset_batches(rows, k, placements)), full_top(k, a)
+    live, acc = np.arange(trials), top  # the matrices short of a full top level, and theirs
+    for r in range(rounds):
+        if r:  # drop the matrices whose top level is full, comparing one element first
+            maybe = np.flatnonzero(acc[:, -1] == full[-1])
+            done = maybe[(acc[maybe] == full).all(axis=1)]
+            if len(done):
+                keep = np.ones(len(live), dtype=bool)
+                keep[done] = False
+                top[live[done]] = acc[done]
+                live, acc, by_col = live[keep], acc[keep], by_col[:, :, keep]
+                if not len(live):
+                    return top
+        acc |= _automaton_part(by_col, table[r::rounds], k, a)
+    if acc is not top:
+        top[live] = acc
     return top
+
+
+@lru_cache(maxsize=64)
+def full_top(k: int, a: int) -> np.ndarray:
+    """[elements]: the top level of a matrix that covers every a^(k*k) target:
+    bit sum_j v_j * stride_j set for every k letters v_j < a^k, and no bit of
+    a slot's padding.  Read-only."""
+    levels = automaton_levels(k, a)
+    bits = np.ones(1, dtype=bool)  # L_0: the empty subsequence
+    for stride, *_ in levels:  # a^k slots of stride bits, each holding L_{j-1}
+        slot = np.zeros(stride, dtype=bool)
+        slot[: len(bits)] = bits
+        bits = np.tile(slot, a**k)
+    _, dtype, units, width = levels[-1]
+    held = np.zeros(8 * dtype.itemsize * units * width, dtype=bool)
+    held[: len(bits)] = bits
+    full = np.packbits(held, bitorder="little").view(dtype.newbyteorder("<")).astype(dtype)
+    full.flags.writeable = False
+    return full
 
 
 def _automaton_part(by_col: np.ndarray, rowsubs: np.ndarray, k: int, a: int) -> np.ndarray:
     """[t, elements]: the OR of L_k over rowsubs of each matrix of a stack
-    by_col [c, r, t] of letters.  Its state is t * len(rowsubs) *
-    ``level_bytes(k, a)`` bytes; letters and indices add a few words per row
-    subset."""
+    by_col [c, r, t] of letters.  Its state is one buffer of t * len(rowsubs)
+    * ``level_bytes(k, a)`` bytes, each level rounded up to whole words;
+    letters and indices add a few words per row subset."""
     cols, _, trials = by_col.shape
     levels = automaton_levels(k, a)
     small = by_col.dtype
@@ -344,8 +404,18 @@ def _automaton_part(by_col: np.ndarray, rowsubs: np.ndarray, k: int, a: int) -> 
                   for i, w in enumerate(letterpow.astype(small)))
     letters = letters.reshape(cols, states)
     # level j is [states, units, width], flat, so that a slot's elements are
-    # consecutive; unit u of state s starts at element (first[j][s] + u) * width
-    state = [np.zeros(states * units * width, dtype=dtype) for _, dtype, units, width in levels]
+    # consecutive; unit u of state s starts at element (first[j][s] + u) * width.
+    # One zeroed buffer holds every level, each from a multiple of 8 bytes.
+    # glibc returns the top of its heap to the system once it passes twice
+    # the largest block it has unmapped; with a block per level, the rounds'
+    # smaller parts at (12,3,2) left that limit under a part's temporaries,
+    # so every Monte-Carlo block faulted its memory back in
+    buffer = np.zeros(states * level_bytes(k, a) + 8 * k, dtype=np.uint8)
+    state, start = [], 0
+    for _, dtype, units, width in levels:
+        end = start + states * units * width * dtype.itemsize
+        state.append(buffer[start:end].view(dtype))
+        start = -(-end // 8) * 8
     first = [np.arange(0, states * units, units, dtype=np.intp) if units > 1 else None
              for _, _, units, _ in levels]
     for c in range(cols):

@@ -1,5 +1,7 @@
+import collections
 import functools
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnikit import kernel, verify
+from omnikit.construct import square_omnimosaic
 from omnikit.core import MosaicError, MosaicMatrix, decode_target
 
 from conftest import placement_codes
@@ -164,6 +167,27 @@ def test_row_subset_tables_are_shared_read_only_and_bounded(monkeypatch):
         batches = list(kernel.subset_batches(9, 2, size))
         assert all(b.flags.writeable and len(b) <= size for b in batches)
         assert np.array_equal(np.concatenate(batches), table)
+
+
+# streamed: (60,3) past CHUNK entries, (9,2) and (7,1) past one batch; none at k > n
+@pytest.mark.parametrize("n,k,size", [(60, 3, 10_000), (9, 2, 10), (7, 1, 3), (2, 3, 5)])
+def test_streamed_subset_batches_match_subsets(n, k, size):
+    batches = list(kernel.subset_batches(n, k, size))
+    assert all(b.shape[1:] == (k,) and len(b) <= size and b.dtype == np.int64 for b in batches)
+    assert len(batches) == -(-math.comb(n, k) // size)
+    assert np.array_equal(np.concatenate(batches or [np.empty((0, k))]), kernel.subsets(n, k))
+
+
+# k = 1 in the search: no weights, and the sum is 0
+@pytest.mark.parametrize("shape,k", [((5, 7), 2), ((3, 5, 7), 3), ((4, 6), 0)])
+def test_column_words_weight_rows_of_column_first_arrays(shape, k):
+    arr = np.random.default_rng(list(shape)).integers(0, 3, size=shape)
+    rowsubs = kernel.subsets(shape[-2], max(k, 1))[:, :k]
+    rowpow = kernel.powers(max(k, 1), 3)[0][:k]
+    cols_first = np.moveaxis(arr, -1, 0)
+    want = sum(rowpow[i] * cols_first[..., rowsubs[:, i]] for i in range(k))
+    got = kernel.column_words(arr, rowsubs, rowpow)
+    assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
@@ -343,3 +367,101 @@ def test_covered_counts_across_level_dtypes(n, k, a, dtypes):
     assert kernel.covered_counts(arrs, k, a).tolist() == want
     parts = [kernel.covered_counts(arrs[lo : lo + 3], k, a) for lo in (0, 3)]
     assert np.concatenate(parts).tolist() == want
+
+
+# one size per slot layout of the top level: one element (1,2), (2,2); packed
+# words (1,70); one element per slot (2,3), (2,9), (3,2); runs of L_{k-1}'s
+# elements (3,3), (4,2)
+@pytest.mark.parametrize("k,a", [(1, 2), (1, 70), (2, 2), (2, 3), (2, 9), (3, 2), (3, 3), (4, 2)])
+def test_full_top_is_the_top_level_of_an_omnimosaic(k, a):
+    full = kernel.full_top(k, a)
+    assert not full.flags.writeable
+    assert np.bitwise_count(full).sum() == a ** (k * k)  # no padding bit
+    host = square_omnimosaic(k, a).to_numpy()
+    assert np.array_equal(kernel.top_levels(host[None], k, a)[0], full)
+
+
+def _small_chunk(n, k, a):
+    """A CHUNK at which an automaton part holds every row subset of 3 n×n matrices."""
+    return 3 * math.comb(n, k) * kernel.level_bytes(k, a) // 32 + 1
+
+
+def _spy_parts(monkeypatch, arrs):
+    """[(matrices, row subsets, top levels)] of each automaton part, matrices
+    as indices into arrs."""
+    index = {arr.tobytes(): t for t, arr in enumerate(arrs.astype(np.uint8))}
+    calls, real = [], kernel._automaton_part
+
+    def spy(by_col, rowsubs, k, a):
+        trials = [index[by_col[:, :, j].T.astype(np.uint8).tobytes()]
+                  for j in range(by_col.shape[2])]
+        top = real(by_col, rowsubs, k, a)
+        calls.append((trials, [tuple(s) for s in rowsubs.tolist()], top))
+        return top
+
+    monkeypatch.setattr(kernel, "_automaton_part", spy)
+    return calls
+
+
+# (12,3,2) and (10,3,2) mix matrices that cover every target with ones that
+# do not; at the small CHUNK every (12,3,2) and (13,3,2) matrix covers them
+# all and no (9,3,2) one does
+@pytest.mark.parametrize("n,k,a", [(12, 3, 2), (13, 3, 2), (10, 3, 2), (9, 3, 2)])
+@pytest.mark.parametrize("chunk", ["default", "small"])
+def test_covered_counts_in_rounds_match_the_bitset(monkeypatch, n, k, a, chunk):
+    if chunk == "small":
+        monkeypatch.setattr(kernel, "CHUNK", _small_chunk(n, k, a))
+        trials = 20
+    else:
+        trials = 2 * kernel.automaton_parts(10**9, n, k, a)[1] + 1
+    arrs = np.random.default_rng([n, k, a]).integers(0, a, size=(trials, n, n))
+    want = kernel.covered(arrs, k, a)
+    calls = _spy_parts(monkeypatch, arrs)
+    got = kernel.covered_counts(arrs, k, a)
+    assert got.tolist() == np.count_nonzero(want, axis=1).tolist()
+    assert len(calls) > 1 and all(len(subs) < math.comb(n, k) for _, subs, _ in calls)  # rounds
+    assert kernel.covered_counts(arrs[:0], k, a).shape == (0,)
+    if n in (12, 10) and chunk == "default":
+        assert 0 < np.count_nonzero(got == a ** (k * k)) < trials
+    _, dtype, units, width = kernel.automaton_levels(k, a)[-1]
+    if trials * 8 * dtype.itemsize * units * width <= kernel.COVERAGE_GUARD:
+        assert np.array_equal(kernel.automaton_covered(arrs, k, a), want)
+
+
+# at the small CHUNK the stack runs in ceil(trials / 3) rounds; no (12,3,3)
+# matrix covers every target, and some (12,3,2) and (10,3,2) ones do before
+# their last round
+@pytest.mark.parametrize("n,k,a,trials", [(12, 3, 2, 20), (10, 3, 2, 20), (12, 3, 3, 10)])
+def test_rounds_drop_matrices_whose_top_level_is_full(monkeypatch, n, k, a, trials):
+    monkeypatch.setattr(kernel, "CHUNK", _small_chunk(n, k, a))
+    arrs = np.random.default_rng([n, k, a, trials]).integers(0, a, size=(trials, n, n))
+    calls = _spy_parts(monkeypatch, arrs)
+    top = kernel.top_levels(arrs, k, a)
+    subsets = [tuple(s) for s in kernel.subsets(n, k).tolist()]
+    # a part holds no more states than one of every row subset of 3 matrices
+    assert max(len(ts) * len(subs) for ts, subs, _ in calls) <= 3 * len(subsets)
+    stepped = collections.Counter((t, s) for ts, subs, _ in calls for t in ts for s in subs)
+    assert max(stepped.values()) == 1
+    full = kernel.full_top(k, a)
+    filled = (top == full).all(axis=1)
+    if not filled.any():  # every row subset of every matrix, in as many parts as before
+        assert set(stepped) == set(itertools.product(range(trials), subsets))
+        assert len(calls) == -(-trials // 3)
+        return
+    # a matrix takes no part after the one that fills its top level
+    acc = np.zeros_like(top)
+    for ts, _, part in calls:
+        assert not (acc[ts] == full).all(axis=1).any()
+        acc[ts] |= part
+    assert np.array_equal(acc, top)
+    assert len(stepped) < trials * len(subsets)
+    for t in np.flatnonzero(~filled):
+        assert {s for (u, s) in stepped if u == t} == set(subsets)
+
+
+def test_one_matrix_steps_every_row_subset(monkeypatch):
+    # an omnimosaic fills its top level early, but one matrix takes one part
+    host = square_omnimosaic(3, 2).to_numpy()[None]
+    calls = _spy_parts(monkeypatch, host)
+    assert np.array_equal(kernel.top_levels(host, 3, 2)[0], kernel.full_top(3, 2))
+    assert [(ts, len(subs)) for ts, subs, _ in calls] == [([0], math.comb(len(host[0]), 3))]

@@ -226,6 +226,7 @@ def _cmd_sample(args) -> int:
             "k": args.k,
             "a": args.a,
             "seed": args.seed,
+            "stream": experiments.STREAM,
             **asdict(stats),
         }
     )

@@ -97,10 +97,11 @@ COVERAGE_GUARD = 2**32  # most bitset bytes that covered() and automaton_covered
 # touches).  Fitted to both paths forced on 103 stacks, 1 to 16 384 matrices
 # of 2 to 36 columns, on a 2-core AMD EPYC VM with numpy 2.4.6: a word-step
 # took about 0.18 ns, a level at one column of one part about 2.0 us of
-# fixed numpy calls, and a placement code on the direct path 2.1-2.4 ns; a
-# cell that experiments.trial_matrices draws takes 5-23 ns, about 10 ns for
-# 2 < n < 33.
-CODE_COST, CELL_COST, LEVEL_COST = 12, 100, 12_000
+# fixed numpy calls, and a placement code on the direct path 2.1-2.4 ns.  A
+# cell of a stream block (experiments, one generator a block of about 2^16
+# cells) took 3.1-3.6 ns at every n from 2 to 64 on a 2-core Intel Xeon VM,
+# about 18 word-steps at 0.18 ns.
+CODE_COST, CELL_COST, LEVEL_COST = 12, 18, 12_000
 
 
 def powers(k: int, a: int) -> tuple[np.ndarray, np.ndarray]:

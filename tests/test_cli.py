@@ -300,6 +300,13 @@ class TestSampleExactOned:
         _, out2, _ = run(capsys, *args, "--workers", "2")
         assert out1 == out2
 
+    def test_sample_names_its_stream_at_the_largest_alphabet(self, capsys):
+        # 2^63 letters, the most target_space admits at k = 1
+        code, payload, _ = run_json(capsys, "sample", "--n", "2", "--k", "1", "--a", str(2**63),
+                                    "--trials", "3")
+        assert code == EXIT_OK
+        assert payload["stream"] == 2 and payload["ex_missing"] > 2**63 - 5
+
     def test_exact_payload(self, capsys, monkeypatch):
         from omnikit import experiments
 

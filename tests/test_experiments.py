@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnikit import bounds, experiments
@@ -22,12 +22,8 @@ from omnikit.experiments import (
     oneD_exhaustive_mean_missing,
     oneD_is_omni,
     oneD_missing_count,
-    trial_matrices,
-    trial_rng,
 )
 from omnikit.verify import coverage, is_omnimosaic
-
-from conftest import placement_codes
 
 
 class TestExactEnumeration:
@@ -251,42 +247,22 @@ class TestMonteCarlo:
             ExperimentConfig(n=n, k=k, a=a, trials=1)
 
     def test_deterministic_across_workers(self, monkeypatch):
-        # above the floor, so two workers start; parts split by trial index
-        config = ExperimentConfig(n=4, k=2, a=2, trials=30_000, seed=7)
+        # above the floor, so two workers start; parts split on block boundaries
+        config = ExperimentConfig(n=4, k=2, a=2, trials=140_000, seed=7)
         assert config.trials * experiments.kernel.trial_cost(4, 2, 2) >= 2 * experiments.POOL_FLOOR
         started = []
-
-        class RecordedPool(experiments.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordedPool)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _recorded_pool(started))
         assert estimate(config, workers=4) == estimate(config, workers=1)
         assert started == [2]
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
-        # a pool starts all its workers at once; this fake one records how
-        # many were asked for and runs the parts in this process
+        # a pool starts all its workers at once, so the fake one records how
+        # many were asked for
         asked = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *args):
-                return map(fn, *args)
-
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
-        config = ExperimentConfig(n=4, k=2, a=2, trials=40_000, seed=7)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _in_process_pool(asked))
+        config = ExperimentConfig(n=4, k=2, a=2, trials=250_000, seed=7)
         assert config.trials * experiments.kernel.trial_cost(4, 2, 2) >= 3 * experiments.POOL_FLOOR
         assert estimate(config, workers=100) == estimate(config, workers=1)
         assert asked == [3]
@@ -312,67 +288,82 @@ class TestMonteCarlo:
                      "thread_time_ns"):
             monkeypatch.setattr(time, name, no_clock)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # (12,3,2)x4 000 has 9 blocks and (4,2,2)x200 000 has 49; (10,3,3)x300
+        # has work for two workers but one block, which ends early
         sizes = {(12, 3, 2, 400): 1, (4, 2, 2, 10_000): 1, (6, 3, 6, 50): 1,
-                 (8, 3, 2, 20_000): 2, (4, 2, 2, 100_000): 2, (12, 3, 2, 4_000): 2}
+                 (8, 3, 2, 20_000): 2, (4, 2, 2, 100_000): 1, (4, 2, 2, 200_000): 2,
+                 (12, 3, 2, 4_000): 2, (10, 3, 3, 300): 1}
         for (n, k, a, trials), want in sizes.items():
             config = ExperimentConfig(n=n, k=k, a=a, trials=trials)
             assert experiments._worker_count(config, 2) == want, (n, k, a, trials)
             assert experiments._worker_count(config, 8) == want
             assert experiments._worker_count(config, 1) == 1
 
-    # recorded with the per-trial np.unique implementation; batching and
-    # bitset dedup must reproduce every count
-    @pytest.mark.parametrize(
-        "n,k,a,trials,expected",
-        [
-            (12, 3, 2, 400, (400, 0.9875, 0.005555121510822233, 0.0175,
-                             0.008255589736945623)),
-            (4, 2, 2, 2000, (2000, 0.0185, 0.003013117156700018, 4.1955,
-                             0.05145837013478434)),
-        ],
-    )
+    def test_workers_capped_at_block_count(self, monkeypatch):
+        # work for six workers, but two blocks of the stream, the second ended
+        # early: no worker gets an empty part
+        config = ExperimentConfig(n=10, k=3, a=3, trials=700, seed=6)
+        assert config.trials * experiments.kernel.trial_cost(10, 3, 3) >= 6 * experiments.POOL_FLOOR
+        assert experiments.block_size(10) == 655
+        started = []
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _recorded_pool(started))
+        runs = [estimate(config, workers=w) for w in (1, 2, 8)]
+        assert runs[0] == runs[1] == runs[2]
+        assert started == [2, 2]
+
+    # Stream 2 values at seed 2024 (and seed 0 at (6,3,6)), recorded from
+    # _oracle_estimate: test_golden_values_match_the_oracle checks them there
+    GOLDEN = [
+        (12, 3, 2, 400, (400, 0.99, 0.004974937185533102, 0.0325, 0.020424305511793975)),
+        (4, 2, 2, 2000, (2000, 0.0265, 0.0035915003828483716, 4.071, 0.04964082599839472)),
+    ]
+    # these sizes take the subsequence automaton (kernel.covered_counts)
+    GOLDEN_AUTOMATON = [
+        (10, 3, 2, 300, (300, 0.38, 0.0280237994093116, 3.0633333333333335,
+                         0.26213676182984796)),
+        (16, 2, 3, 300, (300, 1.0, 0.0, 0.0, 0.0)),
+        (10, 2, 3, 300, (300, 0.9966666666666667, 0.0033277731404159692,
+                         0.0033333333333333335, 0.0033333333333333335)),
+    ]
+    # (6,3,6)x50: a trial's C(6,3)^2 codes are fewer than its 6^9 targets, so
+    # they are deduplicated by sorting
+    GOLDEN_SORTED = [
+        (0, (50, 0.0, 0.0, 10077307.34, 2.6748259527586127)),
+        (2024, (50, 0.0, 0.0, 10077305.48, 1.5096965501283321)),
+    ]
+
+    @pytest.mark.parametrize("n,k,a,trials,seed,expected", [
+        *[(n, k, a, trials, 2024, want) for n, k, a, trials, want in GOLDEN + GOLDEN_AUTOMATON],
+        *[(6, 3, 6, 50, seed, want) for seed, want in GOLDEN_SORTED],
+    ])
+    def test_golden_values_match_the_oracle(self, n, k, a, trials, seed, expected):
+        assert _oracle_estimate(n, k, a, trials, seed) == expected
+
+    @pytest.mark.parametrize("n,k,a,trials,expected", GOLDEN)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_golden_estimates(self, n, k, a, trials, expected, workers):
         stats = estimate(ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=2024),
                          workers=workers)
-        assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
-                stats.ex_missing_stderr) == expected
+        assert _fields(stats) == expected
 
-    # recorded with placement_codes + distinct_counts; these sizes now take
-    # the subsequence automaton (kernel.covered_counts)
-    @pytest.mark.parametrize(
-        "n,k,a,trials,expected",
-        [
-            (10, 3, 2, 300, (300, 0.3433333333333333, 0.027413838084414933,
-                             2.5433333333333334, 0.22910899750721014)),
-            (16, 2, 3, 300, (300, 1.0, 0.0, 0.0, 0.0)),
-            (10, 2, 3, 300, (300, 0.9866666666666667, 0.0066220730781117,
-                             0.013333333333333334, 0.006633137535414968)),
-        ],
-    )
+    @pytest.mark.parametrize("n,k,a,trials,expected", GOLDEN_AUTOMATON)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_golden_estimates_on_the_automaton(self, monkeypatch, n, k, a, trials, expected,
                                                workers):
         calls = _spy(monkeypatch, "covered_counts")
-        experiments._run_trials(ExperimentConfig(n=n, k=k, a=a, trials=1), 0, 1)
+        experiments._run_blocks(ExperimentConfig(n=n, k=k, a=a, trials=1), 0, 1)
         assert calls
         stats = estimate(ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=2024),
                          workers=workers)
-        assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
-                stats.ex_missing_stderr) == expected
+        assert _fields(stats) == expected
 
-    # recorded with placement_codes + distinct_counts: a trial's C(6,3)^2
-    # codes are fewer than its 6^9 targets, so they are deduplicated by sorting
-    @pytest.mark.parametrize("seed,expected", [
-        (0, (50, 0.0, 0.0, 10077304.52, 1.4596616885079772)),
-        (2024, (50, 0.0, 0.0, 10077306.04, 1.622545241657221)),
-    ])
+    @pytest.mark.parametrize("seed,expected", GOLDEN_SORTED)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_golden_estimates_without_a_bitset(self, seed, expected, workers):
         assert math.comb(6, 3) ** 2 < 6**9
         stats = estimate(ExperimentConfig(n=6, k=3, a=6, trials=50, seed=seed), workers=workers)
-        assert (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
-                stats.ex_missing_stderr) == expected
+        assert _fields(stats) == expected
 
     # kernel.path_costs prices a trial as one of the trials one automaton part
     # holds: per row subset, the bytes each column touches (one element of a
@@ -412,7 +403,7 @@ class TestMonteCarlo:
         # kernel.distinct_counts takes one path; the automaton, the bitset and
         # sorting must give the same counts
         kernel = experiments.kernel
-        arrs = trial_matrices(31, 0, 6, n, a)
+        arrs = np.random.default_rng(31).integers(0, a, size=(6, n, n))
         calls = _spy(monkeypatch, "covered_counts", "covered", "_sorted_counts")
         got = kernel.distinct_counts(arrs, k, a).tolist()
         assert {name for name, _ in calls} == {(self.PATHS | self.REFIT)[n, k, a]}
@@ -433,7 +424,7 @@ class TestMonteCarlo:
         # levels on the automaton, and max(8 * CHUNK, one trial's) bytes of
         # codes at 8 bytes each on either direct path
         kernel = experiments.kernel
-        arrs = trial_matrices(5, 0, 10, n, a)
+        arrs = np.random.default_rng(5).integers(0, a, size=(10, n, n))
         want = kernel.distinct_counts(arrs, k, a).tolist()
         path = (self.PATHS | self.REFIT)[n, k, a]
         automaton = path == "covered_counts"
@@ -476,13 +467,6 @@ class TestMonteCarlo:
         total = a ** (k * k)
         assert (stats.p_omni, stats.ex_missing, stats.ex_missing_stderr) == (0, total, 0)
 
-    def test_trial_rng_independent_of_partition(self):
-        a = trial_rng(3, 17).integers(0, 1000, size=4)
-        b = trial_rng(3, 17).integers(0, 1000, size=4)
-        assert (a == b).all()
-        c = trial_rng(3, 18).integers(0, 1000, size=4)
-        assert not (a == c).all()
-
     def test_converges_to_exact(self):
         exact = exact_enumeration(4, 2, 2)
         config = ExperimentConfig(n=4, k=2, a=2, trials=20_000, seed=1)
@@ -498,31 +482,147 @@ class TestMonteCarlo:
             stats.ex_missing_stderr, 1e-4
         )
 
-    def test_golden_seed(self):
-        arr = trial_rng(0, 0).integers(0, 2, size=(4, 4))
-        again = trial_rng(0, 0).integers(0, 2, size=(4, 4))
-        assert (arr == again).all()
+    def test_golden_seed(self, monkeypatch):
+        # trial 0 of seed 0 opens the block default_rng([0, 0]) draws, on every run
+        config = ExperimentConfig(n=4, k=2, a=2, trials=1, seed=0)
+        first, again = (_drawn(monkeypatch, config, 0, 1)[0] for _ in range(2))
+        assert np.array_equal(first, again)
+        assert np.array_equal(first, np.random.default_rng([0, 0]).integers(0, 2, size=(1, 4, 4)))
+
+    def test_trial_rng_independent_of_partition(self, monkeypatch):
+        # a trial's matrix and counts depend on the seed and its index alone,
+        # not on the blocks a part counts beside it
+        config = ExperimentConfig(n=12, k=3, a=2, trials=3 * experiments.block_size(12) - 5,
+                                  seed=3)
+        counts = [experiments._run_blocks(config, *edges) for edges in [(0, 3), (0, 1), (1, 3)]]
+        assert counts[0] == tuple(map(sum, zip(*counts[1:])))
+        whole = np.concatenate(_drawn(monkeypatch, config, 0, 3))
+        parts = _drawn(monkeypatch, config, 0, 1) + _drawn(monkeypatch, config, 1, 3)
+        assert np.array_equal(whole, np.concatenate(parts))
+        assert not np.array_equal(whole[0], whole[1])
 
     def test_rejects_zero_trials(self):
         with pytest.raises(MosaicError):
             ExperimentConfig(n=4, k=2, a=2, trials=0)
 
-    @given(n=st.integers(1, 5), k=st.integers(1, 3), a=st.integers(2, 5),
-           trials=st.integers(1, 40), seed=st.integers(0, 2**130))
+    @given(size=st.one_of(
+               st.tuples(st.integers(1, 8), st.integers(1, 3), st.integers(2, 5)),
+               st.tuples(st.sampled_from([60, 100, 200]), st.just(1),
+                         st.sampled_from([2, 5, 2**32 + 5]))),
+           blocks=st.integers(0, 2), offset=st.integers(-2, 2),
+           seed=st.integers(0, 2**130), workers=st.sampled_from([1, 2]))
+    @example(size=(4, 2, 2), blocks=1, offset=1, seed=2**130, workers=2)
+    @example(size=(100, 1, 5), blocks=2, offset=-1, seed=7, workers=2)
     @settings(max_examples=15, deadline=None)
-    def test_estimate_matches_per_trial_draws(self, n, k, a, trials, seed):
-        # the reference draws each trial from its own trial_rng, one at a time
+    def test_estimate_matches_per_trial_draws(self, size, blocks, offset, seed, workers):
+        # trial counts on both sides of a block boundary; with two workers the
+        # parts are cut on block boundaries and counted in this process
+        n, k, a = size
+        trials = max(1, blocks * max(1, 2**16 // (n * n)) + offset)
         config = ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=seed)
-        got = [estimate(config, workers=w) for w in (1, 2)]
+        asked = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments, "trial_matrices", _stacked_trial_rng)
-            assert got == [estimate(config, workers=1)] * 2
+            mp.setattr(os, "cpu_count", lambda: 2)
+            mp.setattr(experiments, "POOL_FLOOR", 1)
+            mp.setattr(experiments, "ProcessPoolExecutor", _in_process_pool(asked))
+            stats = estimate(config, workers=workers)
+        assert _fields(stats) == _oracle_estimate(n, k, a, trials, seed)
+        two_blocks = trials > max(1, 2**16 // (n * n))
+        assert asked == ([2] if workers == 2 and two_blocks else [])
+
+    def test_largest_alphabet(self):
+        # k = 1 admits a up to 2^63, whose draws fill all but the sign bit
+        for trials in (1, 3):
+            stats = estimate(ExperimentConfig(n=2, k=1, a=2**63, trials=trials, seed=4))
+            assert _fields(stats) == _oracle_estimate(2, 1, 2**63, trials, 4)
+
+    def test_stream_does_not_follow_the_kernel_chunk(self, monkeypatch):
+        # the stream's blocks are its own: a kernel CHUNK of 2^12 cells would
+        # draw (4,2,2) trials in blocks of 256, not 4 096
+        config = ExperimentConfig(n=4, k=2, a=2, trials=5_000, seed=8)
+        want = estimate(config)
+        monkeypatch.setattr(experiments.kernel, "CHUNK", 1 << 12)
+        assert estimate(config) == want
 
 
-def _stacked_trial_rng(seed, lo, hi, n, a):
-    """The stream's definition: one generator per trial."""
-    draws = [trial_rng(seed, t).integers(0, a, size=(n, n)) for t in range(lo, hi)]
-    return np.array(draws, dtype=np.int64).reshape(hi - lo, n, n)
+def _oracle_estimate(n, k, a, trials, seed):
+    """(trials, p_omni, its stderr, ex_missing, its stderr) of stream 2 over
+    _stream_trials; every k×k placement of every trial is listed by
+    itertools.combinations and its code built entry by entry, most
+    significant first."""
+    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    misses = []
+    for m in _stream_trials(seed, 0, trials, n, a):
+        codes = 0
+        for i, j in itertools.product(range(k), repeat=2):
+            codes = codes * a + m[subsets[:, i]][:, subsets[:, j]]
+        misses.append(a ** (k * k) - len(np.unique(codes)))
+    omni, s1, s2 = misses.count(0), sum(misses), sum(m * m for m in misses)
+    p_hat = omni / trials
+    var = (s2 - s1 * s1 / trials) / (trials - 1) if trials > 1 else 0.0
+    return (trials, p_hat, math.sqrt(p_hat * (1 - p_hat) / trials), s1 / trials,
+            math.sqrt(max(var, 0.0) / trials))
+
+
+def _stream_trials(seed, lo, hi, n, a):
+    """Trials [lo, hi) of stream 2 at side n, written out: block b of
+    B = max(1, 2^16 // n^2) trials is default_rng([seed, b]).integers(0, a,
+    size=(B, n, n)), drawn whole, and trial t is entry t mod B of block t // B."""
+    size = max(1, 2**16 // (n * n))
+    blocks = [np.random.default_rng([seed, b]).integers(0, a, size=(size, n, n), dtype=np.int64)
+              for b in range(lo // size, -(-hi // size))]
+    return np.concatenate(blocks)[lo % size:][:hi - lo]
+
+
+def _drawn(monkeypatch, config, first, last):
+    """The arrays experiments._run_blocks draws for blocks [first, last) of
+    config's run, in order; a stand-in for kernel.distinct_counts records
+    them and counts nothing."""
+    drawn = []
+
+    def record(block, k, a):
+        drawn.append(block)
+        return np.zeros(len(block), dtype=np.int64)
+
+    monkeypatch.setattr(experiments.kernel, "distinct_counts", record)
+    experiments._run_blocks(config, first, last)
+    return drawn
+
+
+def _fields(stats):
+    return (stats.trials, stats.p_omni, stats.p_omni_stderr, stats.ex_missing,
+            stats.ex_missing_stderr)
+
+
+def _recorded_pool(started):
+    """ProcessPoolExecutor that records each pool's worker count in ``started``."""
+
+    class Pool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    return Pool
+
+
+def _in_process_pool(asked):
+    """A stand-in for ProcessPoolExecutor that records each pool's worker
+    count in ``asked`` and runs the parts in this process."""
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    return Pool
 
 
 def _spy(monkeypatch, *names):
@@ -537,116 +637,99 @@ def _spy(monkeypatch, *names):
     return calls
 
 
-# the largest side drawn in PCG64 lanes; one past it draws one generator per trial
-_LANE_SIDE = math.isqrt(experiments._VECTOR_CELLS)
-# the fewest trials a block draws in lanes; a shorter block draws one generator each
-_LANE_TRIALS = experiments._LANE_TRIALS
-
-
 class TestTrialMatrices:
-    # 2^128 + 7 has five entropy words, more than the pool of four; n = 5, 7
-    # and 13 take 13, 25 and 85 PCG64 steps, not a multiple of a lane's
+    """The trials stream 2 hands the kernel, against _stream_trials."""
+
+    # 2^128 + 7 has five 32-bit entropy words; block sizes at n = 1, 31 and 32
+    # are 65 536, 68 and 64 trials
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7])
     @pytest.mark.parametrize("a", [2, 3, 5, 17, 255, 2**32, 2**32 + 1])
-    @pytest.mark.parametrize("n", [1, 4, 5, 7, 12, 13, 16, _LANE_SIDE, _LANE_SIDE + 1])
-    def test_matches_trial_rng(self, seed, a, n):
-        for lo, hi in [(0, 7), (0, _LANE_TRIALS + 1), (2**32 - _LANE_TRIALS, 2**32)]:
-            got = trial_matrices(seed, lo, hi, n, a)
+    @pytest.mark.parametrize("n", [1, 4, 5, 7, 12, 13, 16, 31, 32])
+    def test_matches_trial_rng(self, monkeypatch, seed, a, n):
+        # runs ending inside the first block, one trial past it, and inside
+        # block 2^32, whose index takes two entropy words; a last block that
+        # ends early is the prefix of the whole block
+        size = experiments.block_size(n)
+        for first, trials in [(0, 7), (0, size + 1), (2**32 - 1, (2**32 + 1) * size - 2)]:
+            config = ExperimentConfig(n=n, k=1, a=a, trials=trials, seed=seed)
+            got = np.concatenate(_drawn(monkeypatch, config, first, -(-trials // size)))
             assert got.dtype == np.int64
-            assert np.array_equal(got, _stacked_trial_rng(seed, lo, hi, n, a))
+            assert np.array_equal(got, _stream_trials(seed, first * size, trials, n, a))
 
     @pytest.mark.parametrize("lo,hi", [(0, 40), (2**32 - 2, 2**32 + 2)])
     def test_run_trials_across_two_entropy_words(self, lo, hi):
-        # t >= 2^32 falls back to trial_rng; counts come from a pure-Python oracle
-        config = ExperimentConfig(n=4, k=2, a=3, trials=1, seed=2**32)
-        misses = [
-            3**4 - len(set(placement_codes(m, 2, 3)))
-            for m in _stacked_trial_rng(config.seed, lo, hi, 4, 3)
-        ]
+        # a block holds one trial at n = 256, so blocks past 2^32 take two
+        # entropy words, as seed 2^32 does; counts come from a pure-Python oracle
+        n, a = 256, 2**15
+        assert experiments.block_size(n) == 1
+        config = ExperimentConfig(n=n, k=1, a=a, trials=hi, seed=2**32)
+        misses = [a - len(set(m.ravel().tolist()))
+                  for m in _stream_trials(config.seed, lo, hi, n, a)]
         expected = (sum(m == 0 for m in misses), sum(misses), sum(m * m for m in misses))
-        assert experiments._run_trials(config, lo, hi) == expected
+        assert experiments._run_blocks(config, lo, hi) == expected
 
     def test_lemire_rejections_are_redrawn(self, monkeypatch):
-        # 2^32 mod 3*2^30 = 2^30: a quarter of the draws are rejected (sample
-        # allows this a at k = 1)
-        a = 3 * 2**30
-        expected = _stacked_trial_rng(11, 0, 20, 3, a)
-        redrawn = []
-
-        def counting_rng(seed, trial):
-            redrawn.append(trial)
-            return trial_rng(seed, trial)
-
-        monkeypatch.setattr(experiments, "trial_rng", counting_rng)
-        assert np.array_equal(trial_matrices(11, 0, 20, 3, a), expected)
-        assert 0 < len(redrawn) < 20
-        redrawn.clear()
-        trial_matrices(11, 0, 20, 3, 2**31)  # a power of 2 never rejects
-        assert redrawn == []
+        # 2^32 mod 3*2^30 = 2^30: numpy rejects and redraws a quarter of its
+        # 32-bit draws, and a run that ends early must still be the prefix of
+        # its whole block (sample allows this a at k = 1); a power of 2 never
+        # rejects
+        for a in (3 * 2**30, 2**31):
+            whole = _stream_trials(11, 0, experiments.block_size(3), 3, a)
+            for trials in (1, 19, 20):
+                config = ExperimentConfig(n=3, k=1, a=a, trials=trials, seed=11)
+                got = np.concatenate(_drawn(monkeypatch, config, 0, 1))
+                assert np.array_equal(got, whole[:trials])
 
     def test_sequential_steps_do_not_grow_with_n(self, monkeypatch):
-        # lanes jump ahead in two 128-bit multiplies, then each takes at most
-        # _LANE_STEPS steps, so one block's numpy operations do not grow with n
-        calls = 0
-        mul_add = experiments._mul_add
+        # one generator a block, seeded [seed, b], at every side
+        made = []
+        real = np.random.default_rng
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return mul_add(*args)
+        def counting(seed):
+            made.append(seed)
+            return real(seed)
 
-        monkeypatch.setattr(experiments, "_mul_add", counting)
-        counts = {}
-        for n in (4, 12, 16, _LANE_SIDE):
-            calls = 0
-            trial_matrices(0, 0, _LANE_TRIALS, n, 2)
-            counts[n] = calls
-        assert counts[4] == 1 + 8  # one lane: the seeding step and n^2 / 2 draws
-        assert counts[12] == counts[16] == counts[_LANE_SIDE] == 2 + experiments._LANE_STEPS
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        for n in (4, 12, 16, 31):
+            made.clear()
+            config = ExperimentConfig(n=n, k=1, a=2, trials=3 * experiments.block_size(n) - 1,
+                                      seed=9)
+            _drawn(monkeypatch, config, 0, 3)
+            assert made == [[9, 0], [9, 1], [9, 2]]
 
     def test_large_n_draws_per_trial(self, monkeypatch):
-        # an emulated block's cost per trial grows with n^2, so past the
-        # crossover each trial is drawn by its own generator
-        drawn = []
-
-        def counting_rng(seed, trial):
-            drawn.append(trial)
-            return trial_rng(seed, trial)
-
-        monkeypatch.setattr(experiments, "trial_rng", counting_rng)
-        side = math.isqrt(experiments._VECTOR_CELLS)
-        trial_matrices(5, 0, _LANE_TRIALS, side, 2)
-        assert drawn == []
-        expected = _stacked_trial_rng(5, 0, _LANE_TRIALS, side + 1, 2)
-        drawn.clear()
-        assert np.array_equal(trial_matrices(5, 0, _LANE_TRIALS, side + 1, 2), expected)
-        assert drawn == list(range(_LANE_TRIALS))
+        # from n = 182 on a block holds one trial, so trial t is drawn by its
+        # own generator, default_rng([seed, t])
+        assert experiments.block_size(181) == 2 and experiments.block_size(182) == 1
+        config = ExperimentConfig(n=182, k=1, a=2, trials=3, seed=5)
+        drawn = _drawn(monkeypatch, config, 0, 3)
+        assert [len(block) for block in drawn] == [1, 1, 1]
+        for t, block in enumerate(drawn):
+            expected = np.random.default_rng([5, t]).integers(0, 2, size=(1, 182, 182))
+            assert np.array_equal(block, expected)
 
     @pytest.mark.parametrize("n", [4, 17, 31])
     def test_short_blocks_draw_per_trial(self, monkeypatch, n):
-        # a block's lanes cost as much as about _LANE_TRIALS generators, so a
-        # shorter block draws one generator per trial; both sides give trial_rng's
-        # stream, the witness regeneration of an O(17,3,3) included
-        drawn = []
-
-        def counting_rng(seed, trial):
-            drawn.append(trial)
-            return trial_rng(seed, trial)
-
-        monkeypatch.setattr(experiments, "trial_rng", counting_rng)
-        for count in (1, _LANE_TRIALS - 1, _LANE_TRIALS):
-            expected = _stacked_trial_rng(0, 271, 271 + count, n, 3)
-            drawn.clear()
-            assert np.array_equal(trial_matrices(0, 271, 271 + count, n, 3), expected)
-            assert drawn == ([] if count == _LANE_TRIALS else list(range(271, 271 + count)))
+        # a run whose last block ends early draws only the trials it needs,
+        # the prefix of the whole block; (17,3,3)'s side included
+        size = experiments.block_size(n)
+        whole = _stream_trials(0, 0, 2 * size, n, 3)
+        for trials in (1, size - 1, size, size + 1, 2 * size - 1):
+            config = ExperimentConfig(n=n, k=1, a=3, trials=trials, seed=0)
+            drawn = _drawn(monkeypatch, config, 0, -(-trials // size))
+            assert [len(block) for block in drawn] == [min(size, trials - b * size)
+                                                      for b in range(len(drawn))]
+            assert np.array_equal(np.concatenate(drawn), whole[:trials])
 
     @pytest.mark.parametrize("n", [5, 7, 13])
-    def test_draws_a_writable_contiguous_int64_stack(self, n):
-        # at odd n a trial's cells are a strided slice of its 32-bit halves
-        cells = trial_matrices(3, 0, 2 * _LANE_TRIALS, n, 5)
-        assert cells.dtype == np.int64 and cells.shape == (2 * _LANE_TRIALS, n, n)
-        assert cells.flags.c_contiguous and cells.flags.writeable
-        assert np.array_equal(cells, _stacked_trial_rng(3, 0, 2 * _LANE_TRIALS, n, 5))
+    def test_draws_a_writable_contiguous_int64_stack(self, monkeypatch, n):
+        size = experiments.block_size(n)
+        config = ExperimentConfig(n=n, k=1, a=5, trials=2 * size - 1, seed=3)
+        drawn = _drawn(monkeypatch, config, 0, 2)
+        for cells in drawn:
+            assert cells.dtype == np.int64 and cells.shape[1:] == (n, n)
+            assert cells.flags.c_contiguous and cells.flags.writeable
+        assert np.array_equal(np.concatenate(drawn), _stream_trials(3, 0, 2 * size - 1, n, 5))
 
 
 class TestOneD:

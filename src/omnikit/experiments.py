@@ -10,6 +10,14 @@ draws are prefix-stable, so they are the first entries of the whole block.
 Workers count whole blocks and results are aggregated as integer counts, so
 estimates are identical for any worker count.  Exact probabilities are kept
 as integer counts over a^(n*n) until display.
+
+Exact enumeration walks only the a^(n*n-1) matrices whose entry (0, 0) is 0
+(``kernel.enumerate_coverage``).  The letter transposition tau_l = (0 l),
+tau_0 the identity, maps them one-to-one onto those whose entry (0, 0) is l
+and keeps the omni property, and a target t occurs in tau_l(M) iff tau_l(t)
+occurs in M.  So the omni count is a times the slice's, and the matrices
+that cover t number sum_l covered_0[tau_l(t)], where covered_0 counts in the
+slice (``_letter_swaps`` gives tau_l of codes).
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ ENUMERATION_GUARD = 2**25
 # of work at (12,3,2) and (16,2,3), about 20 ms, and stayed within the spread
 # between runs of one worker from 50 M to 130 M at (4,2,2).
 POOL_FLOOR = 20_000_000
-_MASK_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -155,20 +162,34 @@ def _check_enumeration_guard(n: int, k: int, a: int) -> int:
     return a ** (n * n)
 
 
+def _letter_swaps(codes, k: int, a: int) -> np.ndarray:
+    """[l, c]: the code of target codes[c] with letters 0 and l swapped, the
+    transposition tau_l = (0 l), tau_0 the identity."""
+    digits = kernel.row_digits(np.asarray(codes, dtype=np.int64), k * k, a)  # [c, entry]
+    letters = np.arange(a)[:, None, None]
+    swapped = np.where(digits == 0, letters, np.where(digits == letters, 0, digits))
+    return swapped @ a ** np.arange(k * k - 1, -1, -1)
+
+
 def exact_enumeration(n: int, k: int, a: int) -> MissingStats:
-    """Iterate every a^(n*n) matrix; exact P(omni), E(X) and per-target missing
-    probabilities as rationals."""
+    """Exact P(omni), E(X) and per-target missing probabilities over every
+    a^(n*n) matrix, as rationals, from the matrices whose entry (0, 0) is 0
+    (module docstring)."""
     total_matrices = _check_enumeration_guard(n, k, a)
     total_targets = target_space(k, a)
-    if total_targets > _MASK_BITS:
+    if total_targets > kernel.MASK_BITS:
         raise MosaicError("too many targets for exhaustive per-matrix masks")
     omni = 0
     if k < n:
         full = (1 << total_targets) - 1
-        covered = 0
+        covered = 0  # [t]: matrices with entry (0, 0) = 0 that cover t
         for masks in kernel.enumerate_coverage(n, k, a, range(total_targets)):
             omni += int(np.count_nonzero(masks == full))
             covered = covered + kernel.bit_counts(masks, total_targets)
+        # tau_l maps those matrices onto the ones with entry (0, 0) = l, keeps
+        # the omni ones omni, and puts t in tau_l(M) iff tau_l(t) is in M
+        omni *= a
+        covered = covered[_letter_swaps(range(total_targets), k, a)].sum(axis=0)
     else:
         # k = n: a matrix's one placement is itself, so each target occurs in
         # exactly one matrix; k > n: in none.  Either way no matrix is omni.
@@ -194,14 +215,23 @@ def exact_enumeration(n: int, k: int, a: int) -> MissingStats:
 def exact_target_missing_probability(n: int, k: int, a: int, code: int) -> Fraction:
     """Exact P(a single target is missing) by full enumeration; cheaper than
     exact_enumeration when only one target matters, and not limited to 64
-    targets."""
+    targets.  The matrices with entry (0, 0) = l that cover the code are
+    those with entry (0, 0) = 0 that cover its image under tau_l, so the
+    enumeration tracks the code's distinct images, 64 at a time."""
     total_matrices = _check_enumeration_guard(n, k, a)
     if not 0 <= code < target_space(k, a):
         raise MosaicError("target code out of range")
     if k < n:
-        present = sum(
-            int(np.count_nonzero(block)) for block in kernel.enumerate_coverage(n, k, a, [code])
-        )
+        images = _letter_swaps([code], k, a)[:, 0].tolist()  # by l
+        distinct = sorted(set(images))
+        count = {}  # image -> matrices with entry (0, 0) = 0 that cover it
+        for lo in range(0, len(distinct), kernel.MASK_BITS):
+            group = distinct[lo : lo + kernel.MASK_BITS]
+            covered = 0
+            for masks in kernel.enumerate_coverage(n, k, a, group):
+                covered = covered + kernel.bit_counts(masks, len(group))
+            count.update(zip(group, covered.tolist()))
+        present = sum(count[image] for image in images)
     else:  # counted as in exact_enumeration
         present = int(k == n)
     return Fraction(total_matrices - present, total_matrices)

@@ -64,17 +64,22 @@ the block it is drawn in, and takes the cheaper path; ``verify.coverage``
 prices its one host.  ``trial_cost`` adds the n^2 cells of a Monte-Carlo
 trial's draw.
 
-* ``enumerate_coverage`` covers every one of the a^(n*n) n×n matrices at once,
-  for k < n, through one row-tuple table of tracked codes.  Rows are base-a
-  ints in [0, a^n), first column most significant.  It tracks a list of at
-  most 64 target codes through one lookup, ``bit[codes[j]] = 1 << j`` and 0
-  for every other code; the table T over k-tuples of rows ORs ``bit[code]``
-  over the codes the k×n strip of those rows covers.  A matrix covers the OR
-  of T over its C(n,k) row subsets; that OR is evaluated by broadcasting
-  over the rows, a block of leading-row values at a time, so a step holds
-  max(CHUNK, a^(n(n-1))) matrices.  k >= n needs no enumeration (a matrix's
-  one placement is itself at k = n, and it has none at k > n), so
-  ``experiments`` counts it and this function refuses it.
+* ``enumerate_coverage`` covers the a^(n*n-1) n×n matrices whose entry (0, 0)
+  is 0 at once, for k < n, through one row-tuple table of tracked codes.
+  Rows are base-a ints in [0, a^n), first column most significant, so those
+  matrices are the ones whose row 0 lies in [0, a^(n-1)).  The letter
+  transposition tau_l = (0 l), tau_0 the identity, maps them one-to-one onto
+  the matrices whose entry (0, 0) is l, keeps the omni ones omni, and puts a
+  target t in tau_l(M) iff tau_l(t) is in M, so ``experiments`` recovers
+  every other matrix from this slice.  It tracks a list of at most 64
+  distinct target codes through one lookup, ``bit[codes[j]] = 1 << j`` and
+  0 for every other code; the table T over k-tuples of rows ORs
+  ``bit[code]`` over the codes the k×n strip of those rows covers.  A matrix
+  covers the OR of T over its C(n,k) row subsets; that OR is evaluated by
+  broadcasting over the rows, a block of leading-row values at a time, so a
+  step holds max(CHUNK, a^(n(n-1))) matrices.  k >= n needs no enumeration
+  (a matrix's one placement is itself at k = n, and it has none at k > n),
+  so ``experiments`` counts it and this function refuses it.
 """
 
 from __future__ import annotations
@@ -92,6 +97,7 @@ from omnikit.core import MosaicError, power_exceeds
 # leading-row value's a^(n(n-1)) matrices, at most 2^20 under the 2^25
 # matrix guard, so its masks never exceed 8 MB.
 CHUNK = 1 << 16
+MASK_BITS = 64  # most codes enumerate_coverage tracks: one bit each of a uint64 mask
 COVERAGE_GUARD = 2**32  # most bitset bytes that covered() and automaton_covered() allocate
 # Predicted costs in automaton word-steps (8 bytes that the automaton
 # touches).  Fitted to both paths forced on 103 stacks, 1 to 16 384 matrices
@@ -447,19 +453,28 @@ def row_digits(values: np.ndarray, n: int, a: int) -> np.ndarray:
 
 
 def enumerate_coverage(n: int, k: int, a: int, codes):
-    """Yield which of ``codes`` (at most 64 target codes) every n×n matrix over
-    [0, a) covers, for k < n, a block at a time.
+    """Yield which of ``codes`` (at most 64 distinct target codes) every n×n
+    matrix over [0, a) whose entry (0, 0) is 0 covers, for k < n, a block at
+    a time.
 
     Each block has shape (m, a^n, ..., a^n) with n axes, one per row; entry
     [r0, ..., r_{n-1}] belongs to the matrix with those row values, and its
-    bit j says whether codes[j] occurs in it.
+    bit j says whether codes[j] occurs in it.  The blocks' leading row values
+    run over [0, a^(n-1)), the rows whose first entry is 0, so they cover
+    a^(n*n-1) matrices; the letter swaps give the rest (module docstring).
+    Refuses k >= n, more than 64 codes and a repeated code before allocating.
     """
     if k >= n:
         raise ValueError(f"enumeration needs k < n, got k={k}, n={n}")
+    codes = [int(c) for c in codes]
+    if len(codes) > MASK_BITS:
+        raise ValueError(f"{len(codes)} codes do not fit {MASK_BITS}-bit masks")
+    if len(set(codes)) < len(codes):
+        raise ValueError("codes must be distinct: a repeated code leaves a bit unset")
     width = a**n
     rowpow, colpow = powers(k, a)
     bit = np.zeros(a ** (k * k), dtype=np.min_scalar_type((1 << len(codes)) - 1))
-    bit[list(codes)] = [1 << j for j in range(len(codes))]
+    bit[codes] = [1 << j for j in range(len(codes))]
     subs = subsets(n, k)
     # [c, v]: the word of row value v at column subset c
     rowwords = column_words(row_digits(np.arange(width), n, a).T, subs, colpow).T
@@ -467,12 +482,12 @@ def enumerate_coverage(n: int, k: int, a: int, codes):
     table = np.zeros((width,) * k, dtype=bit.dtype)
     for words in rowwords:
         table |= bit[sum(w * axis for w, axis in zip(rowpow, np.ix_(*[words] * k)))]
-    step = max(1, CHUNK // width ** (n - 1))
-    for lo in range(0, width, step):
-        acc = np.zeros((min(step, width - lo),) + (width,) * (n - 1), dtype=table.dtype)
+    step, first = max(1, CHUNK // width ** (n - 1)), width // a  # row 0 < first: m00 = 0
+    for lo in range(0, first, step):
+        acc = np.zeros((min(step, first - lo),) + (width,) * (n - 1), dtype=table.dtype)
         for rows in subs:
             # a row subset that starts at row 0 takes the block's leading rows
-            part = table[lo : lo + step] if rows[0] == 0 else table
+            part = table[lo : lo + len(acc)] if rows[0] == 0 else table
             shape = [1] * n
             for r in rows:
                 shape[r] = width

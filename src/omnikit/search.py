@@ -11,13 +11,15 @@ search visits only matrices that satisfy these rules, both applied in
 * rows nondecreasing lexicographically.
 
 Each depth scans the row values from the previous row's upward, a block at a
-time, and scores the block's admissible rows in one vectorized step: kernel
-column words give the codes of the placements through each candidate, and
-so the number of targets the placed rows would then cover.  Placements
-inside the placed rows are final, so a candidate survives only if that
-number plus the number of placements touching a later row reaches a^(k*k);
-the search recurses into the survivors in increasing order.  A node is one
-admissible row tried, and the budget is checked once per block.
+time, jumping past blocks that hold no letter-canonical value
+(``_next_canonical``), and scores the block's admissible rows in one
+vectorized step: kernel column words give the codes of the placements
+through each candidate, and so the number of targets the placed rows would
+then cover.  Placements inside the placed rows are final, so a candidate
+survives only if that number plus the number of placements touching a later
+row reaches a^(k*k); the search recurses into the survivors in increasing
+order.  A node is one admissible row tried, and the budget is checked once
+per block scanned.
 
 A ``found`` verdict is a proof: its witness is checked with
 ``verify.is_omnimosaic``.  So is an ``exhausted_none`` from counting: with
@@ -125,13 +127,17 @@ class _Searcher:
         (first occurrences in reading order 0, 1, 2, ...).
 
         Yields (values, rowcodes, used) of them, increasing, one triple per
-        block of values scanned, each possibly empty: rowcodes as in
-        ``self.rowcodes``, used the letters in use once the row is placed.  A
-        block's admissible rows are kept while they fit in _TABLE_BYTES.
+        block of values scanned: rowcodes as in ``self.rowcodes``, used the
+        letters in use once the row is placed.  The scan starts at row i-1's
+        block and skips, without a scan, every block that holds no letter-
+        canonical value, so no triple is empty.  A block's admissible rows
+        are kept while they fit in _TABLE_BYTES.
         """
         n, a, size = self.n, self.a, self.block
         prev = self.rows[i - 1] if i else 0
-        for lo in range(prev - prev % size, self.width, size):
+        value = prev  # admissible: row i-1 was, and used only grows
+        while value is not None:
+            lo = value - value % size
             found = self.kept.get((used, lo))
             if found is None:
                 values = np.arange(lo, min(lo + size, self.width), dtype=np.int64)
@@ -153,6 +159,7 @@ class _Searcher:
                 first = np.searchsorted(found[0], prev)
                 found = tuple(x[first:] for x in found)
             yield found
+            value = _next_canonical(lo + size, used, n, a)
 
     def _place(self, i: int, used: int, missing: np.ndarray, count: int) -> bool:
         """Try row i below the placed rows 0..i-1, whose letters are [0, used)
@@ -162,8 +169,6 @@ class _Searcher:
         placed = kernel.column_words(self.rowcodes[:i], self.rest[i], self.rowpow[:-1])
         for values, rowcodes, after in self._rows(i, used):
             self._tick(len(values))
-            if not len(values):
-                continue
             # fresh[b, t]: target t is missing and covered by a placement through row b
             fresh = np.zeros((len(values), self.total_targets), dtype=bool)
             codes = (placed + rowcodes[:, :, None]).reshape(len(values), -1)
@@ -179,6 +184,30 @@ class _Searcher:
                 if self._place(i + 1, int(after[b]), missing ^ fresh[b], int(counts[b])):
                     return True
         return False
+
+
+def _next_canonical(value: int, used: int, n: int, a: int) -> int | None:
+    """The least row value >= value, if any below a^n, whose letters are
+    canonical after letters [0, used): each at most one past every letter
+    before it.  Where the digits of value first break the rule, at some
+    position p, the answer raises by one the last digit before p that its
+    bound allows, and zeros the digits after it."""
+    if value >= a**n:
+        return None
+    top, raised = used - 1, None  # largest letter so far; last digit that may grow
+    for j in range(n):
+        digit, bound = value // a ** (n - 1 - j) % a, min(a - 1, top + 1)
+        if digit > bound:
+            break
+        if digit < bound:
+            raised = j
+        top = max(top, digit)
+    else:
+        return value
+    if raised is None:
+        return None
+    weight = a ** (n - 1 - raised)
+    return (value // weight + 1) * weight
 
 
 def _check_args(k: int, a: int, n: int | None = None) -> None:

@@ -132,7 +132,8 @@ class TestSymmetry:
         assert list(symmetries(m))[8].to_rows() == [[1, 0], [0, 1]]
 
     def test_burnside_at_4_2_2(self):
-        # omni 4x4 binary matrices, read off the enumeration kernel: the
+        # omni 4x4 binary matrices, read off the enumeration kernel, which
+        # gives those with entry (0, 0) = 0, closed under the letter swap: the
         # group maps the set to itself, and counting orbits directly and by
         # Burnside's lemma agree, which a missing or repeated element breaks
         n, k, a = 4, 2, 2
@@ -141,7 +142,10 @@ class TestSymmetry:
         for block in kernel.enumerate_coverage(n, k, a, range(a ** (k * k))):
             values = np.argwhere(block == full)  # [matrix, row]: row values
             values[:, 0] += lo
-            omni.update(MosaicMatrix.from_numpy(kernel.row_digits(v, n, a), a) for v in values)
+            for v in values:
+                digits = kernel.row_digits(v, n, a)
+                assert digits[0, 0] == 0
+                omni.update(MosaicMatrix.from_numpy(d, a) for d in (digits, 1 - digits))
             lo += len(block)
         assert len(omni) == 1448 == exact_enumeration(n, k, a).p_omni_exact * a ** (n * n)
         fixed = [0] * (8 * math.factorial(a))

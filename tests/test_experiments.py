@@ -86,18 +86,24 @@ class TestExactEnumeration:
         )
         assert exact_enumeration(3, 2, 2).p_omni_exact == Fraction(omni, 512)
 
-    @pytest.mark.parametrize("n,k,a", [(3, 2, 2), (3, 1, 3), (2, 2, 2), (1, 1, 3)])
+    @pytest.mark.parametrize(
+        "n,k,a", [(3, 2, 2), (3, 1, 3), (2, 2, 2), (1, 1, 3), (2, 1, 4), (2, 1, 5)]
+    )
     def test_per_target_brute_force(self, n, k, a):
-        # independent oracle: verify.coverage of every matrix, one at a time
+        # independent oracle: verify.coverage of every matrix, one at a time;
+        # at a >= 3 the letter swaps that give the matrices whose entry (0, 0)
+        # is not 0 send a code to several different codes
         missing = dict.fromkeys(range(a ** (k * k)), 0)
+        omni = 0
         for e in itertools.product(range(a), repeat=n * n):
             bits = coverage(MosaicMatrix(n, n, a, e), k)
+            omni += bool(bits.all())
             for code in missing:
                 missing[code] += not bits[code]
         total = a ** (n * n)
-        assert exact_enumeration(n, k, a).per_target == {
-            code: Fraction(m, total) for code, m in missing.items()
-        }
+        stats = exact_enumeration(n, k, a)
+        assert stats.per_target == {code: Fraction(m, total) for code, m in missing.items()}
+        assert stats.p_omni_exact == Fraction(omni, total)
 
     def test_5_2_2_reference_value(self):
         # values recorded from the per-placement enumeration and from a count of
@@ -112,7 +118,8 @@ class TestExactEnumeration:
 
     def test_single_target_beyond_mask_guard(self):
         # 81 and 512 targets: too many for masks, fine for one target
-        for n, k, a, codes in [(3, 2, 3, (0, 17, 41)), (3, 3, 2, (0, 100, 511))]:
+        # code 80 of (3,2,3) has no letter 0, so letters 1 and 2 swap it
+        for n, k, a, codes in [(3, 2, 3, (0, 17, 41, 80)), (3, 3, 2, (0, 100, 511))]:
             missing = dict.fromkeys(codes, 0)
             for e in itertools.product(range(a), repeat=n * n):
                 bits = coverage(MosaicMatrix(n, n, a, e), k)
@@ -122,6 +129,14 @@ class TestExactEnumeration:
                 assert exact_target_missing_probability(n, k, a, code) == Fraction(
                     missing[code], a ** (n * n)
                 )
+
+    @pytest.mark.parametrize("a", [65, 76])
+    def test_single_target_images_past_64(self, monkeypatch, a):
+        # code 0 has a images, one per letter: too many for one 64-bit mask
+        calls = _spy(monkeypatch, "enumerate_coverage")
+        assert exact_target_missing_probability(2, 1, a, 0) == Fraction(a - 1, a) ** 4
+        assert [args for _, args in calls] == [(2, 1, a, list(range(64))),
+                                               (2, 1, a, list(range(64, a)))]
 
     def test_k_exceeds_n_misses_everything(self):
         stats = exact_enumeration(1, 2, 2)
@@ -141,8 +156,8 @@ class TestExactEnumeration:
             assert stats.p_omni_exact == 0
             assert set(stats.per_target.values()) == {missing}
         assert calls == []
-        exact_target_missing_probability(2, 1, 2, 0)  # k < n enumerates
-        assert calls == [("enumerate_coverage", (2, 1, 2, [0]))]
+        exact_target_missing_probability(2, 1, 2, 0)  # k < n enumerates the code's images
+        assert calls == [("enumerate_coverage", (2, 1, 2, [0, 1]))]
 
     def test_guards(self):
         with pytest.raises(MosaicError):

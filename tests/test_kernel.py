@@ -216,13 +216,14 @@ def test_bit_counts_refuses_more_bits_than_a_mask_holds(dtype):
 # target None tracks every target; (5,4,2) is the largest k < n at the guard
 @pytest.mark.parametrize("n,k,a,target", [(5, 2, 2, None), (5, 3, 2, 77), (5, 4, 2, 7)])
 def test_enumeration_blocks_are_bounded(n, k, a, target):
-    # at the 2^25 matrix guard every step stays within 8 MB
+    # at the 2^25 matrix guard every step stays within 8 MB, and the steps
+    # hold the a^(n*n-1) matrices whose entry (0, 0) is 0
     codes = range(a ** (k * k)) if target is None else [target]
     matrices = 0
     for block in kernel.enumerate_coverage(n, k, a, codes):
         assert block.nbytes <= 8 * 2**20
         matrices += block.size
-    assert matrices == a ** (n * n)
+    assert matrices == a ** (n * n - 1)
 
 
 @pytest.mark.parametrize("n,k,a", [(2, 2, 2), (1, 2, 2), (5, 5, 2), (3, 7, 3)])
@@ -233,6 +234,20 @@ def test_enumeration_refuses_k_at_least_n_before_allocating(monkeypatch, n, k, a
     monkeypatch.setattr(kernel.np, "zeros", allocate)
     with pytest.raises(ValueError, match="k < n"):
         next(kernel.enumerate_coverage(n, k, a, [0]))
+
+
+# 65 codes would need 65-bit masks; a repeated code would leave a bit unset:
+# at (3,1,2) codes [1, 1] read codes[0] as covered by no matrix, though 511
+# of the 512 contain it
+@pytest.mark.parametrize("codes,match", [(range(65), "64-bit"), ([1, 1], "distinct"),
+                                         ([0, 3, 2, 3], "distinct")])
+def test_enumeration_refuses_bad_codes_before_allocating(monkeypatch, codes, match):
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(kernel.np, "zeros", allocate)
+    with pytest.raises(ValueError, match=match):
+        next(kernel.enumerate_coverage(3, 1, 2, codes))
 
 
 U8, U16, U32, U64 = np.uint8, np.uint16, np.uint32, np.uint64

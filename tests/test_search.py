@@ -200,8 +200,10 @@ def test_carried_coverage_matches_brute_force(monkeypatch, n, k, a, max_nodes):
     assert max(depths) >= min(n - 1, k + 1)  # prefixes past the first placements
 
 
-def test_budget_checked_once_per_block_even_when_empty(monkeypatch):
-    # (16,2,10): rows run to 10^16 values, most blocks hold no admissible row
+def test_budget_checked_once_per_block_and_empty_blocks_skipped(monkeypatch):
+    # (16,2,10): rows run to 10^16 values, and most blocks hold no admissible
+    # row; _rows jumps past them, so none is yielded, every block yielded is
+    # ticked, and the node count is the one a scan of every block reached
     rows, tick = search._Searcher._rows, search._Searcher._tick
     seen = {"blocks": 0, "empty": 0, "ticks": 0}
 
@@ -221,7 +223,30 @@ def test_budget_checked_once_per_block_even_when_empty(monkeypatch):
     r = exists_omnimosaic(16, 2, 10, budget=SearchBudget(max_seconds=0.3))
     assert r.status == BUDGET_EXCEEDED
     assert time.perf_counter() - start < 1.5
-    assert seen["ticks"] == seen["blocks"] and seen["empty"] > 0
+    assert seen["ticks"] == seen["blocks"] and seen["empty"] == 0
+    seen.update(blocks=0, ticks=0)
+    r = exists_omnimosaic(16, 2, 10, budget=SearchBudget(max_nodes=3000))
+    # a scan of every block took 33 717 blocks, 33 397 of them empty
+    assert (r.status, r.nodes, seen["blocks"], seen["empty"]) == (BUDGET_EXCEEDED, 3009, 320, 0)
+    assert seen["ticks"] == seen["blocks"]
+
+
+@pytest.mark.parametrize("n,a", [(1, 2), (3, 2), (4, 2), (2, 3), (3, 3), (3, 4), (2, 5)])
+def test_next_canonical_is_the_least_admissible_value(n, a):
+    # independent oracle: the rule checked on every value's digits
+    def canonical(value, used):
+        top = used - 1
+        for digit in kernel.row_digits(value, n, a).tolist():
+            if digit > top + 1:
+                return False
+            top = max(top, digit)
+        return True
+
+    for used in range(a + 1):
+        admissible = [v for v in range(a**n) if canonical(v, used)]
+        for value in range(a**n + 2):
+            least = next((v for v in admissible if v >= value), None)
+            assert search._next_canonical(value, used, n, a) == least
 
 
 def test_kept_blocks_stay_under_their_byte_bound(monkeypatch):

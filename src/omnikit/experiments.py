@@ -5,11 +5,13 @@ Reproducibility, stream 2: the trials of a run seeded with s come in blocks
 of B(n) = max(1, STREAM_CELLS // n^2) trials, and trial t is entry t mod B(n)
 of block t // B(n).  Block b is
 ``default_rng([s, b]).integers(0, a, size=(B(n), n, n), dtype=np.int64)``.
-A run whose last block ends early draws only the trials it needs: numpy's
-draws are prefix-stable, so they are the first entries of the whole block.
-Workers count whole blocks and results are aggregated as integer counts, so
-estimates are identical for any worker count.  Exact probabilities are kept
-as integer counts over a^(n*n) until display.
+Workers count ranges of trials.  A range draws each block it overlaps only
+up to the last trial it needs: numpy's draws are prefix-stable, so those
+are the first entries of the whole block.  Results are aggregated as
+integer counts, so estimates are identical for any worker count.  A worker
+is started only for POOL_FLOOR of predicted work (``trial_cost``: the
+draw's CELL_COST a cell plus the kernel's price of the count).  Exact
+probabilities are kept as integer counts over a^(n*n) until display.
 
 Exact enumeration walks only the a^(n*n-1) matrices whose entry (0, 0) is 0
 (``kernel.enumerate_coverage``).  The letter transposition tau_l = (0 l),
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,12 +37,15 @@ from omnikit import kernel
 from omnikit.core import MosaicError, check_sizes, power_exceeds, target_space
 
 ENUMERATION_GUARD = 2**25
-# Predicted work (kernel.trial_cost word-steps) that pays for one pool worker.
+# Predicted work (trial_cost word-steps) that pays for one pool worker.
 # On a 2-core VM a two-worker pool took 2.5 ms to start and join with empty
 # parts; with real parts two workers broke even with one near 40 M word-steps
 # of work at (12,3,2) and (16,2,3), about 20 ms, and stayed within the spread
 # between runs of one worker from 50 M to 130 M at (4,2,2).
 POOL_FLOOR = 20_000_000
+# A cell of a stream block took 3.1-3.6 ns at every n from 2 to 64 on a
+# 2-core Intel Xeon VM, about 18 kernel word-steps at 0.18 ns.
+CELL_COST = 18
 
 
 @dataclass(frozen=True)
@@ -91,22 +97,18 @@ def block_size(n: int) -> int:
     return max(1, STREAM_CELLS // (n * n))
 
 
-def _block_count(config: ExperimentConfig) -> int:
-    return -(-config.trials // block_size(config.n))
-
-
-def _run_blocks(config: ExperimentConfig, first: int, last: int) -> tuple[int, int, int]:
+def _run_trials(config: ExperimentConfig, lo: int, hi: int) -> tuple[int, int, int]:
     """(omni count, sum of missing counts, sum of squared missing counts) over
-    the trials of blocks [first, last) of the stream."""
+    trials [lo, hi) of the stream."""
     n, k, a = config.n, config.k, config.a
     total = target_space(k, a)
     size = block_size(n)
     omni = s1 = s2 = 0
-    for b in range(first, last):
-        count = min(size, config.trials - b * size)  # the run's last block may end early
+    for b in range(lo // size, -(-hi // size)):
+        # drawn up to the last trial the range needs, counted from lo
         rng = np.random.default_rng([config.seed, b])
-        block = rng.integers(0, a, size=(count, n, n), dtype=np.int64)
-        distinct = kernel.distinct_counts(block, k, a)
+        block = rng.integers(0, a, size=(min(size, hi - b * size), n, n), dtype=np.int64)
+        distinct = kernel.distinct_counts(block[max(0, lo - b * size):], k, a)
         # no int64 overflow: distinct <= min(4^n, 2^25) (C(n,k)^2, under the config
         # guard) and a block holds <= STREAM_CELLS/n^2 trials, so distinct @ distinct < 2^59
         m, sd, sdd = len(distinct), int(distinct.sum()), int(distinct @ distinct)
@@ -116,14 +118,21 @@ def _run_blocks(config: ExperimentConfig, first: int, last: int) -> tuple[int, i
     return omni, s1, s2
 
 
+def trial_cost(n: int, k: int, a: int) -> int:
+    """Predicted cost of one n×n trial: its draw and its count by the cheaper
+    path, priced as ``kernel.distinct_counts`` prices it, in word-steps."""
+    part_trials = kernel.automaton_parts(sys.maxsize, n, k, a)[1]
+    return CELL_COST * n * n + min(kernel.path_costs(part_trials, n, n, k, a)) // part_trials
+
+
 def _worker_count(config: ExperimentConfig, workers: int) -> int:
     """How many workers ``estimate`` starts: at most ``workers``, one per CPU
-    and one per block of the stream, and only as many as each get POOL_FLOOR
-    of predicted work (``kernel.trial_cost``); at least one."""
+    and one per trial, and only as many as each get POOL_FLOOR of predicted
+    work (``trial_cost``); at least one."""
     if workers < 1:
         raise MosaicError(f"workers must be >= 1, got {workers}")
-    work = config.trials * kernel.trial_cost(config.n, config.k, config.a)
-    return max(1, min(workers, os.cpu_count() or 1, _block_count(config), work // POOL_FLOOR))
+    work = config.trials * trial_cost(config.n, config.k, config.a)
+    return max(1, min(workers, os.cpu_count() or 1, config.trials, work // POOL_FLOOR))
 
 
 def estimate(config: ExperimentConfig, workers: int = 1) -> MissingStats:
@@ -132,14 +141,14 @@ def estimate(config: ExperimentConfig, workers: int = 1) -> MissingStats:
     Runs on ``_worker_count(config, workers)`` workers, in this process when
     that is one; the counts do not depend on the worker count.
     """
-    t, blocks = config.trials, _block_count(config)
+    t = config.trials
     workers = _worker_count(config, workers)
     if workers == 1:
-        parts = [_run_blocks(config, 0, blocks)]
-    else:  # each worker counts whole blocks
-        edges = [blocks * w // workers for w in range(workers + 1)]
+        parts = [_run_trials(config, 0, t)]
+    else:  # each worker counts a range of trials
+        edges = [t * w // workers for w in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_blocks, [config] * workers, edges[:-1], edges[1:]))
+            parts = list(pool.map(_run_trials, [config] * workers, edges[:-1], edges[1:]))
     omni, s1, s2 = (sum(column) for column in zip(*parts))
     p_hat = omni / t
     p_err = math.sqrt(p_hat * (1 - p_hat) / t)

@@ -61,8 +61,7 @@ overprices sizes whose trials fill their top level early.
 ``distinct_counts``, the one counting entry point, prices a stack as the
 trials one part holds, so that a size takes one path whatever the length of
 the block it is drawn in, and takes the cheaper path; ``verify.coverage``
-prices its one host.  ``trial_cost`` adds the n^2 cells of a Monte-Carlo
-trial's draw.
+prices its one host and that host's transpose.
 
 * ``enumerate_coverage`` covers the a^(n*n-1) n×n matrices whose entry (0, 0)
   is 0 at once, for k < n, through one row-tuple table of tracked codes.
@@ -103,11 +102,8 @@ COVERAGE_GUARD = 2**32  # most bitset bytes that covered() and automaton_covered
 # touches).  Fitted to both paths forced on 103 stacks, 1 to 16 384 matrices
 # of 2 to 36 columns, on a 2-core AMD EPYC VM with numpy 2.4.6: a word-step
 # took about 0.18 ns, a level at one column of one part about 2.0 us of
-# fixed numpy calls, and a placement code on the direct path 2.1-2.4 ns.  A
-# cell of a stream block (experiments, one generator a block of about 2^16
-# cells) took 3.1-3.6 ns at every n from 2 to 64 on a 2-core Intel Xeon VM,
-# about 18 word-steps at 0.18 ns.
-CODE_COST, CELL_COST, LEVEL_COST = 12, 18, 12_000
+# fixed numpy calls, and a placement code on the direct path 2.1-2.4 ns.
+CODE_COST, LEVEL_COST = 12, 12_000
 
 
 def powers(k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -213,13 +209,6 @@ def path_costs(trials: int, rows: int, cols: int, k: int, a: int) -> tuple[int, 
     held = level_bytes(k, a) + dtype.itemsize * units * width  # zero-filled, then reduced
     automaton = trials * placements * (cols * touched + held) // 8 + LEVEL_COST * k * cols * parts
     return automaton, CODE_COST * trials * placements * math.comb(cols, k)
-
-
-def trial_cost(n: int, k: int, a: int) -> int:
-    """Predicted cost of one n×n Monte-Carlo trial: its draw and its count by
-    the cheaper path, priced as ``distinct_counts`` prices it, in word-steps."""
-    part_trials = automaton_parts(sys.maxsize, n, k, a)[1]
-    return CELL_COST * n * n + min(path_costs(part_trials, n, n, k, a)) // part_trials
 
 
 def distinct_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:

@@ -6,13 +6,16 @@ columns.  First it drops every row past the k-th of a run of equal adjacent
 rows: a placement takes at most k rows of a run and any k of them are
 alike, so the set of codes is unchanged.  The construction pads its odd-k
 squares with copies of the last row, so they shrink this way, (3,4) from 36
-to 26 rows.  Then it takes the cheaper of the kernel's two paths, as
-``kernel.path_costs`` prices the host: the direct path encodes each
-placement and marks its code (``kernel.covered``); the subsequence
-automaton ORs the top level of every row subset's automaton and reads that
-as the bitset (``kernel.automaton_covered``).  Both are exact; the only
-approximations anywhere are the guards that refuse target spaces too large
-to bitset and hosts with too many placements to read.
+to 26 rows.  Target t occurs in the host iff its transpose occurs in the
+host's transpose, so it cuts the transpose's runs too, prices both on the
+kernel's two paths (``kernel.path_costs``) and reads the transpose only
+where that is strictly cheaper, as on a tall, narrow host; its bitset is
+mapped back by the digit transpose, entry (i, j) to (j, i).  The direct
+path encodes each placement and marks its code (``kernel.covered``); the
+subsequence automaton ORs the top level of every row subset's automaton
+and reads that as the bitset (``kernel.automaton_covered``).  Both are
+exact; the only approximations anywhere are the guards that refuse target
+spaces too large to bitset and hosts with too many placements to read.
 """
 
 from __future__ import annotations
@@ -54,10 +57,17 @@ def coverage(m: MosaicMatrix, k: int) -> np.ndarray:
             f"{placements} placements exceed placement guard {PLACEMENT_GUARD}; "
             "check individual targets with contains_target instead"
         )
-    arrs = _cut_runs(m.to_numpy(), k)[None]
-    automaton, direct = kernel.path_costs(*arrs.shape, k, m.a)
+    arr = m.to_numpy()
+    hosts = [_cut_runs(arr, k)[None], _cut_runs(np.ascontiguousarray(arr.T), k)[None]]
+    costs = [kernel.path_costs(*host.shape, k, m.a) for host in hosts]
+    turned = min(costs[1]) < min(costs[0])  # a tie keeps the host
+    automaton, direct = costs[turned]
     read = kernel.automaton_covered if automaton < direct else kernel.covered
-    return read(arrs, k, m.a)[0]
+    bits = read(hosts[turned], k, m.a)[0]
+    if turned:  # bit c of the transpose is the host's bit of target c transposed
+        order = [j * k + i for i in range(k) for j in range(k)]  # digit (i, j) <-> (j, i)
+        bits = bits.reshape((m.a,) * (k * k)).transpose(order).reshape(-1)
+    return bits
 
 
 def _cut_runs(arr: np.ndarray, k: int) -> np.ndarray:
@@ -103,6 +113,11 @@ def contains_target(m: MosaicMatrix, t: MosaicMatrix) -> Placement | None:
     batch of row subsets, in lexicographic order, is matched at once, one
     target column at a time; subsets with no hit drop out, and the first one
     left gives the least placement.
+
+    A tall host, C(cols,k) * rows < C(rows,k) * cols, is matched transposed
+    instead: for each column subset the target's rows are matched greedily
+    top to bottom, which gives its least rows, and the least (rows, cols)
+    over every column subset is the least placement.
     """
     if t.rows != t.cols:
         raise MosaicError("target must be square")
@@ -111,11 +126,26 @@ def contains_target(m: MosaicMatrix, t: MosaicMatrix) -> Placement | None:
     k = t.rows
     if k > m.rows or k > m.cols:
         raise MosaicError("target larger than host matrix")
-    rowpow, _ = kernel.powers(k, m.a)
-    arr = m.to_numpy()
-    twords = rowpow @ t.to_numpy()  # the target's column words
-    colidx = np.arange(m.cols)
-    for rowsubs in kernel.subset_batches(m.rows, k, max(1, kernel.CHUNK // m.cols)):
+    arr, tarr = m.to_numpy(), t.to_numpy()
+    if math.comb(m.cols, k) * m.rows < math.comb(m.rows, k) * m.cols:
+        best = min(((r, c) for colsubs, rows in _greedy_matches(arr.T, tarr.T, m.a)
+                    for r, c in zip(map(tuple, rows.tolist()), map(tuple, colsubs.tolist()))),
+                   default=None)
+        return None if best is None else Placement(*best)
+    for rowsubs, cols in _greedy_matches(arr, tarr, m.a):
+        if len(rowsubs):
+            return Placement(tuple(rowsubs[0].tolist()), tuple(cols[0].tolist()))
+    return None
+
+
+def _greedy_matches(arr: np.ndarray, target: np.ndarray, a: int):
+    """For each batch of row k-subsets of arr, in lexicographic order: the
+    subsets where target occurs, and the least columns it occurs at in each."""
+    k = len(target)
+    rowpow, _ = kernel.powers(k, a)
+    twords = rowpow @ target  # the target's column words
+    colidx = np.arange(arr.shape[1])
+    for rowsubs in kernel.subset_batches(len(arr), k, max(1, kernel.CHUNK // arr.shape[1])):
         words = kernel.column_words(arr, rowsubs, rowpow).T  # [subset, column]
         live = np.arange(len(rowsubs))
         cols = np.full((len(rowsubs), 1), -1)  # matched columns after a -1 sentinel
@@ -124,9 +154,7 @@ def contains_target(m: MosaicMatrix, t: MosaicMatrix) -> Placement | None:
             first = hits.argmax(axis=1)  # the leftmost hit, if any
             keep = np.flatnonzero(hits.any(axis=1))
             live, cols = live[keep], np.column_stack([cols[keep], first[keep]])
-        if live.size:
-            return Placement(tuple(rowsubs[live[0]].tolist()), tuple(cols[0, 1:].tolist()))
-    return None
+        yield rowsubs[live], cols[:, 1:]
 
 
 def verify_placement(m: MosaicMatrix, p: Placement, t: MosaicMatrix) -> bool:

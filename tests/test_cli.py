@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import random
 import sys
 import time
 
@@ -510,6 +511,29 @@ def test_large_arguments_exit_in_time(capsys, argv, want, seconds):
         assert out == "" and err.startswith("error:")
     else:
         assert json.loads(out)["schema"] == SCHEMA
+
+
+# Tall, narrow strips: verify reads the 160x5 strip transposed, five rows
+# with one row subset, and contains matches a target's rows in the 324x4
+# strip's one column subset; read upright, they took 159 s and about a minute
+_STRIP_TARGET = random.Random(28).randrange(3**16)
+
+
+@pytest.mark.parametrize(
+    "k,a,argv,want,seconds",
+    [
+        (5, 2, ["verify", "-", "--k", "5"], EXIT_OK, 5),
+        (4, 3, ["contains", "-", "--k", "4", "--target-code", str(_STRIP_TARGET)], EXIT_OK, 5),
+    ],
+)
+def test_tall_strips_exit_in_time(capsys, monkeypatch, k, a, argv, want, seconds):
+    _, strip, _ = run(capsys, "construct", "--strip", "--k", str(k), "--a", str(a))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(strip))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < seconds
+    assert code == want and "Traceback" not in err
+    assert json.loads(out)["schema"] == SCHEMA
 
 
 def test_bounds_at_an_alphabet_of_10_to_300(capsys):

@@ -262,9 +262,9 @@ class TestMonteCarlo:
             ExperimentConfig(n=n, k=k, a=a, trials=1)
 
     def test_deterministic_across_workers(self, monkeypatch):
-        # above the floor, so two workers start; parts split on block boundaries
+        # above the floor, so two workers start; parts split by trials
         config = ExperimentConfig(n=4, k=2, a=2, trials=140_000, seed=7)
-        assert config.trials * experiments.kernel.trial_cost(4, 2, 2) >= 2 * experiments.POOL_FLOOR
+        assert config.trials * experiments.trial_cost(4, 2, 2) >= 2 * experiments.POOL_FLOOR
         started = []
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", _recorded_pool(started))
@@ -278,7 +278,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", _in_process_pool(asked))
         config = ExperimentConfig(n=4, k=2, a=2, trials=250_000, seed=7)
-        assert config.trials * experiments.kernel.trial_cost(4, 2, 2) >= 3 * experiments.POOL_FLOOR
+        assert config.trials * experiments.trial_cost(4, 2, 2) >= 3 * experiments.POOL_FLOOR
         assert estimate(config, workers=100) == estimate(config, workers=1)
         assert asked == [3]
 
@@ -303,29 +303,28 @@ class TestMonteCarlo:
                      "thread_time_ns"):
             monkeypatch.setattr(time, name, no_clock)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        # (12,3,2)x4 000 has 9 blocks and (4,2,2)x200 000 has 49; (10,3,3)x300
-        # has work for two workers but one block, which ends early
+        # (10,3,3)x300 has work for two workers inside one block, which ends early
         sizes = {(12, 3, 2, 400): 1, (4, 2, 2, 10_000): 1, (6, 3, 6, 50): 1,
                  (8, 3, 2, 20_000): 2, (4, 2, 2, 100_000): 1, (4, 2, 2, 200_000): 2,
-                 (12, 3, 2, 4_000): 2, (10, 3, 3, 300): 1}
+                 (12, 3, 2, 4_000): 2, (10, 3, 3, 300): 2}
         for (n, k, a, trials), want in sizes.items():
             config = ExperimentConfig(n=n, k=k, a=a, trials=trials)
             assert experiments._worker_count(config, 2) == want, (n, k, a, trials)
             assert experiments._worker_count(config, 8) == want
             assert experiments._worker_count(config, 1) == 1
 
-    def test_workers_capped_at_block_count(self, monkeypatch):
-        # work for six workers, but two blocks of the stream, the second ended
-        # early: no worker gets an empty part
-        config = ExperimentConfig(n=10, k=3, a=3, trials=700, seed=6)
-        assert config.trials * experiments.kernel.trial_cost(10, 3, 3) >= 6 * experiments.POOL_FLOOR
-        assert experiments.block_size(10) == 655
+    def test_one_block_splits_between_workers(self, monkeypatch):
+        # work for six workers inside one block of the stream, which ends
+        # early: the workers split its trials, one per CPU
+        config = ExperimentConfig(n=12, k=3, a=3, trials=340, seed=6)
+        assert config.trials * experiments.trial_cost(12, 3, 3) >= 6 * experiments.POOL_FLOOR
+        assert experiments.block_size(12) == 455
         started = []
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", _recorded_pool(started))
         runs = [estimate(config, workers=w) for w in (1, 2, 8)]
         assert runs[0] == runs[1] == runs[2]
-        assert started == [2, 2]
+        assert started == [2, 4]
 
     # Stream 2 values at seed 2024 (and seed 0 at (6,3,6)), recorded from
     # _oracle_estimate: test_golden_values_match_the_oracle checks them there
@@ -367,7 +366,7 @@ class TestMonteCarlo:
     def test_golden_estimates_on_the_automaton(self, monkeypatch, n, k, a, trials, expected,
                                                workers):
         calls = _spy(monkeypatch, "covered_counts")
-        experiments._run_blocks(ExperimentConfig(n=n, k=k, a=a, trials=1), 0, 1)
+        experiments._run_trials(ExperimentConfig(n=n, k=k, a=a, trials=1), 0, 1)
         assert calls
         stats = estimate(ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=2024),
                          workers=workers)
@@ -506,13 +505,17 @@ class TestMonteCarlo:
 
     def test_trial_rng_independent_of_partition(self, monkeypatch):
         # a trial's matrix and counts depend on the seed and its index alone,
-        # not on the blocks a part counts beside it
-        config = ExperimentConfig(n=12, k=3, a=2, trials=3 * experiments.block_size(12) - 5,
-                                  seed=3)
-        counts = [experiments._run_blocks(config, *edges) for edges in [(0, 3), (0, 1), (1, 3)]]
-        assert counts[0] == tuple(map(sum, zip(*counts[1:])))
-        whole = np.concatenate(_drawn(monkeypatch, config, 0, 3))
-        parts = _drawn(monkeypatch, config, 0, 1) + _drawn(monkeypatch, config, 1, 3)
+        # not on the trials a part counts beside it; the cuts fall inside blocks
+        size = experiments.block_size(12)
+        config = ExperimentConfig(n=12, k=3, a=2, trials=3 * size - 5, seed=3)
+        edges = [0, size // 2, size + 7, 2 * size, config.trials]
+        ranges = list(zip(edges[:-1], edges[1:]))
+        counts = [experiments._run_trials(config, lo, hi) for lo, hi in ranges]
+        assert experiments._run_trials(config, 0, config.trials) == tuple(map(sum, zip(*counts)))
+        whole = np.concatenate(_drawn(monkeypatch, config, 0, config.trials))
+        parts = [part for lo, hi in ranges for part in _drawn(monkeypatch, config, lo, hi)]
+        assert [len(part) for part in parts] == [size // 2, size - size // 2, 7, size - 7,
+                                                 size - 5]
         assert np.array_equal(whole, np.concatenate(parts))
         assert not np.array_equal(whole[0], whole[1])
 
@@ -531,7 +534,7 @@ class TestMonteCarlo:
     @settings(max_examples=15, deadline=None)
     def test_estimate_matches_per_trial_draws(self, size, blocks, offset, seed, workers):
         # trial counts on both sides of a block boundary; with two workers the
-        # parts are cut on block boundaries and counted in this process
+        # trials are cut in half, wherever that falls, and counted in this process
         n, k, a = size
         trials = max(1, blocks * max(1, 2**16 // (n * n)) + offset)
         config = ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=seed)
@@ -542,8 +545,7 @@ class TestMonteCarlo:
             mp.setattr(experiments, "ProcessPoolExecutor", _in_process_pool(asked))
             stats = estimate(config, workers=workers)
         assert _fields(stats) == _oracle_estimate(n, k, a, trials, seed)
-        two_blocks = trials > max(1, 2**16 // (n * n))
-        assert asked == ([2] if workers == 2 and two_blocks else [])
+        assert asked == ([2] if workers == 2 and trials > 1 else [])
 
     def test_largest_alphabet(self):
         # k = 1 admits a up to 2^63, whose draws fill all but the sign bit
@@ -589,8 +591,8 @@ def _stream_trials(seed, lo, hi, n, a):
     return np.concatenate(blocks)[lo % size:][:hi - lo]
 
 
-def _drawn(monkeypatch, config, first, last):
-    """The arrays experiments._run_blocks draws for blocks [first, last) of
+def _drawn(monkeypatch, config, lo, hi):
+    """The arrays experiments._run_trials counts for trials [lo, hi) of
     config's run, in order; a stand-in for kernel.distinct_counts records
     them and counts nothing."""
     drawn = []
@@ -600,7 +602,7 @@ def _drawn(monkeypatch, config, first, last):
         return np.zeros(len(block), dtype=np.int64)
 
     monkeypatch.setattr(experiments.kernel, "distinct_counts", record)
-    experiments._run_blocks(config, first, last)
+    experiments._run_trials(config, lo, hi)
     return drawn
 
 
@@ -661,15 +663,18 @@ class TestTrialMatrices:
     @pytest.mark.parametrize("a", [2, 3, 5, 17, 255, 2**32, 2**32 + 1])
     @pytest.mark.parametrize("n", [1, 4, 5, 7, 12, 13, 16, 31, 32])
     def test_matches_trial_rng(self, monkeypatch, seed, a, n):
-        # runs ending inside the first block, one trial past it, and inside
-        # block 2^32, whose index takes two entropy words; a last block that
-        # ends early is the prefix of the whole block
+        # ranges ending inside the first block, one trial past it, and inside
+        # block 2^32, whose index takes two entropy words, each also cut
+        # inside its first block; a last block that ends early is the prefix
+        # of the whole block
         size = experiments.block_size(n)
-        for first, trials in [(0, 7), (0, size + 1), (2**32 - 1, (2**32 + 1) * size - 2)]:
-            config = ExperimentConfig(n=n, k=1, a=a, trials=trials, seed=seed)
-            got = np.concatenate(_drawn(monkeypatch, config, first, -(-trials // size)))
+        far = (2**32 - 1) * size
+        for lo, hi in [(0, 7), (0, size + 1), (far, far + 2 * size - 2),
+                       (3, 7), (size // 2, size + 1), (far + size - 1, far + 2 * size - 2)]:
+            config = ExperimentConfig(n=n, k=1, a=a, trials=hi, seed=seed)
+            got = np.concatenate(_drawn(monkeypatch, config, lo, hi))
             assert got.dtype == np.int64
-            assert np.array_equal(got, _stream_trials(seed, first * size, trials, n, a))
+            assert np.array_equal(got, _stream_trials(seed, lo, hi, n, a))
 
     @pytest.mark.parametrize("lo,hi", [(0, 40), (2**32 - 2, 2**32 + 2)])
     def test_run_trials_across_two_entropy_words(self, lo, hi):
@@ -681,7 +686,7 @@ class TestTrialMatrices:
         misses = [a - len(set(m.ravel().tolist()))
                   for m in _stream_trials(config.seed, lo, hi, n, a)]
         expected = (sum(m == 0 for m in misses), sum(misses), sum(m * m for m in misses))
-        assert experiments._run_blocks(config, lo, hi) == expected
+        assert experiments._run_trials(config, lo, hi) == expected
 
     def test_lemire_rejections_are_redrawn(self, monkeypatch):
         # 2^32 mod 3*2^30 = 2^30: numpy rejects and redraws a quarter of its
@@ -692,7 +697,7 @@ class TestTrialMatrices:
             whole = _stream_trials(11, 0, experiments.block_size(3), 3, a)
             for trials in (1, 19, 20):
                 config = ExperimentConfig(n=3, k=1, a=a, trials=trials, seed=11)
-                got = np.concatenate(_drawn(monkeypatch, config, 0, 1))
+                got = np.concatenate(_drawn(monkeypatch, config, 0, trials))
                 assert np.array_equal(got, whole[:trials])
 
     def test_sequential_steps_do_not_grow_with_n(self, monkeypatch):
@@ -709,7 +714,7 @@ class TestTrialMatrices:
             made.clear()
             config = ExperimentConfig(n=n, k=1, a=2, trials=3 * experiments.block_size(n) - 1,
                                       seed=9)
-            _drawn(monkeypatch, config, 0, 3)
+            _drawn(monkeypatch, config, 0, config.trials)
             assert made == [[9, 0], [9, 1], [9, 2]]
 
     def test_large_n_draws_per_trial(self, monkeypatch):
@@ -731,7 +736,7 @@ class TestTrialMatrices:
         whole = _stream_trials(0, 0, 2 * size, n, 3)
         for trials in (1, size - 1, size, size + 1, 2 * size - 1):
             config = ExperimentConfig(n=n, k=1, a=3, trials=trials, seed=0)
-            drawn = _drawn(monkeypatch, config, 0, -(-trials // size))
+            drawn = _drawn(monkeypatch, config, 0, trials)
             assert [len(block) for block in drawn] == [min(size, trials - b * size)
                                                       for b in range(len(drawn))]
             assert np.array_equal(np.concatenate(drawn), whole[:trials])
@@ -740,11 +745,13 @@ class TestTrialMatrices:
     def test_draws_a_writable_contiguous_int64_stack(self, monkeypatch, n):
         size = experiments.block_size(n)
         config = ExperimentConfig(n=n, k=1, a=5, trials=2 * size - 1, seed=3)
-        drawn = _drawn(monkeypatch, config, 0, 2)
-        for cells in drawn:
-            assert cells.dtype == np.int64 and cells.shape[1:] == (n, n)
-            assert cells.flags.c_contiguous and cells.flags.writeable
-        assert np.array_equal(np.concatenate(drawn), _stream_trials(3, 0, 2 * size - 1, n, 5))
+        for lo in (0, 2):  # a range may start inside a block
+            drawn = _drawn(monkeypatch, config, lo, config.trials)
+            for cells in drawn:
+                assert cells.dtype == np.int64 and cells.shape[1:] == (n, n)
+                assert cells.flags.c_contiguous and cells.flags.writeable
+            assert np.array_equal(np.concatenate(drawn),
+                                  _stream_trials(3, lo, 2 * size - 1, n, 5))
 
 
 class TestOneD:

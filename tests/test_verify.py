@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnikit import bounds, kernel, verify
-from omnikit.construct import Placement, square_omnimosaic
+from omnikit.construct import Placement, square_omnimosaic, thin_strip
 from omnikit.core import (
     MosaicError,
     MosaicMatrix,
@@ -202,6 +202,80 @@ class TestCoverageOfRepeatedRuns:
         assert r.submatrices_enumerated == math.comb(m.rows, k) ** 2
 
 
+def _read_shapes(monkeypatch):
+    """Record the shape of every stack verify.coverage hands either path."""
+    shapes = []
+    for name in ("covered", "automaton_covered"):
+        def spy(arrs, k, a, real=getattr(kernel, name)):
+            shapes.append(arrs.shape)
+            return real(arrs, k, a)
+
+        monkeypatch.setattr(kernel, name, spy)
+    return shapes
+
+
+class TestCoverageOrientation:
+    """A tall host is read transposed where that is strictly cheaper, and its
+    bitset mapped back by the digit transpose; either orientation on either
+    path gives the same bitset."""
+
+    # (rows, cols, k, a): tall, narrow random hosts whose transpose the
+    # automaton reads for less than either path reads the host
+    TALL = [(30, 5, 4, 2), (40, 6, 3, 3), (50, 4, 4, 2), (80, 4, 3, 2), (60, 5, 3, 3)]
+
+    @staticmethod
+    def _brute_bits(arr, k, a):
+        """The code-order bitset of arr, every placement listed by
+        itertools.combinations: its row words at each column subset, read
+        base a^k at each row subset."""
+        bits = np.zeros(a ** (k * k), dtype=bool)
+        rowsubs = np.array(list(combinations(range(len(arr)), k)))
+        for cols in combinations(range(arr.shape[1]), k):
+            words = arr[:, cols] @ (a ** np.arange(k - 1, -1, -1))
+            bits[words[rowsubs] @ (a**k) ** np.arange(k - 1, -1, -1)] = True
+        return bits
+
+    @pytest.mark.parametrize("rows,cols,k,a", TALL)
+    def test_tall_hosts_match_brute_force(self, monkeypatch, rows, cols, k, a):
+        arr = np.random.default_rng([rows, cols, k, a]).integers(0, a, size=(rows, cols))
+        shapes = _read_shapes(monkeypatch)
+        bits = coverage(MosaicMatrix.from_numpy(arr, a), k)
+        assert shapes == [(1, cols, rows)]  # no run of more than k equal columns
+        assert np.array_equal(bits, self._brute_bits(arr, k, a))
+
+    @pytest.mark.parametrize("k,a", [(4, 2), (3, 4)])
+    def test_strips_read_transposed(self, monkeypatch, k, a):
+        m = thin_strip(k, a)
+        shapes = _read_shapes(monkeypatch)
+        assert coverage(m, k).all()
+        assert shapes == [(1, k, m.rows)]
+
+    @pytest.mark.parametrize("k,a", [(3, 3), (4, 2), (3, 4), (2, 2)])
+    def test_constructions_keep_their_orientation(self, monkeypatch, k, a):
+        m = square_omnimosaic(k, a)
+        shapes = _read_shapes(monkeypatch)
+        assert coverage(m, k).all()
+        assert shapes[0][2] == m.cols
+
+    @given(st.one_of(readout_hosts(), hosts_with_runs()))
+    @settings(max_examples=60, deadline=None)
+    def test_forced_orientations_agree(self, host):
+        # coverage prices the host, then its transpose; the cheaper is read,
+        # on the cheaper of its two paths
+        arr, k, a = host
+        m = MosaicMatrix.from_numpy(arr, a)
+        want = set(placement_codes(arr, k, a))
+        for prices in [[(1, 2), (3, 3)], [(2, 1), (3, 3)], [(3, 3), (1, 2)], [(3, 3), (2, 1)]]:
+            with pytest.MonkeyPatch.context() as mp:
+                answers = iter(prices)
+                mp.setattr(kernel, "path_costs", lambda *args: next(answers))
+                shapes = _read_shapes(mp)
+                bits = coverage(m, k)
+            assert set(np.flatnonzero(bits).tolist()) == want
+            assert shapes[0][1:] == (verify._cut_runs(arr if prices[0] < prices[1] else arr.T,
+                                                      k).shape)
+
+
 class TestIsOmnimosaic:
     def test_witness_matrix(self):
         assert is_omnimosaic(WITNESS_4X4, 2).is_omni
@@ -388,6 +462,11 @@ class TestContainsTargetBruteForce:
         (7, 3, 2, 3),
         (6, 6, 2, 3),
         (4, 4, 2, 4),
+        # tall: matched transposed
+        (12, 3, 2, 2),
+        (13, 4, 2, 3),
+        (9, 5, 3, 2),
+        (10, 4, 2, 4),
     ]
 
     @pytest.mark.parametrize("chunk", [None, 8], ids=["one-batch", "many-batches"])
@@ -413,3 +492,27 @@ class TestContainsTargetBruteForce:
                 assert (None if got is None else (got.row_idx, got.col_idx)) == want
                 outcomes.add(want is None)
         assert outcomes == {True, False}  # both absent and present targets were seen
+
+
+@pytest.mark.parametrize("rows,cols,k,transposed", [
+    (7, 3, 3, True), (6, 4, 2, True), (324, 4, 4, True),
+    (6, 6, 2, False), (4, 6, 1, False), (3, 6, 3, False),
+])
+def test_contains_target_matches_tall_hosts_transposed(monkeypatch, rows, cols, k, transposed):
+    # transposed iff C(cols,k) * rows < C(rows,k) * cols; square hosts never
+    assert (math.comb(cols, k) * rows < math.comb(rows, k) * cols) == transposed
+    arr = np.random.default_rng([rows, cols, k]).integers(0, 2, size=(rows, cols))
+    t = arr[-k:, -k:]
+    seen = []
+
+    def spy(host, target, a, real=verify._greedy_matches):
+        seen.append(host.shape)
+        return real(host, target, a)
+
+    monkeypatch.setattr(verify, "_greedy_matches", spy)
+    got = contains_target(MosaicMatrix.from_numpy(arr, 2), MosaicMatrix.from_numpy(t, 2))
+    assert seen == [(cols, rows) if transposed else (rows, cols)]
+    if rows * cols <= 64:
+        assert (got.row_idx, got.col_idx) == brute_least_placement(arr, t)
+    else:
+        assert verify_placement(MosaicMatrix.from_numpy(arr, 2), got, MosaicMatrix.from_numpy(t, 2))

@@ -263,12 +263,16 @@ def _read_oned_sequence(args) -> tuple[list[int], int]:
         text = _read_text(args.file).replace("\n", "")  # \r\n was read as \n
         symbols = sorted(set(text))
         index = {s: i for i, s in enumerate(symbols)}
-        return [index[s] for s in text], max(2, len(symbols))
-    if not all(c in "0123456789" for c in args.seq):
+        seq, letters = [index[s] for s in text], len(symbols)
+    elif not all(c in "0123456789" for c in args.seq):
         raise MosaicError(f"--seq must be decimal digits, got {args.seq!r}")
-    check_sizes(a=args.a)
-    seq = [int(c) for c in args.seq]
-    return seq, args.a
+    else:
+        seq, letters = [int(c) for c in args.seq], 0
+    a = max(2, letters) if args.a is None else args.a
+    check_sizes(a=a)
+    if a < letters:
+        raise MosaicError(f"--a {a} is below the file's {letters} distinct characters")
+    return seq, a
 
 
 def _cmd_oned(args) -> int:
@@ -365,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--file", help="text file or - for stdin; its distinct characters but line ends "
         "form the alphabet"
     )
-    p.add_argument("--a", type=int, default=2)
+    p.add_argument("--a", type=int, help="alphabet size (default 2, or the file's "
+                   "distinct characters but at least 2)")
     p.add_argument("--k", type=int)
     p.set_defaults(func=_cmd_oned)
 

@@ -127,12 +127,14 @@ def trial_cost(n: int, k: int, a: int) -> int:
 
 def _worker_count(config: ExperimentConfig, workers: int) -> int:
     """How many workers ``estimate`` starts: at most ``workers``, one per CPU
-    and one per trial, and only as many as each get POOL_FLOOR of predicted
-    work (``trial_cost``); at least one."""
+    the process may run on and one per trial, and only as many as each get
+    POOL_FLOOR of predicted work (``trial_cost``); at least one."""
     if workers < 1:
         raise MosaicError(f"workers must be >= 1, got {workers}")
     work = config.trials * trial_cost(config.n, config.k, config.a)
-    return max(1, min(workers, os.cpu_count() or 1, config.trials, work // POOL_FLOOR))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(workers, cpus, config.trials, work // POOL_FLOOR))
 
 
 def estimate(config: ExperimentConfig, workers: int = 1) -> MissingStats:

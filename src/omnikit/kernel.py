@@ -22,10 +22,10 @@ covered set, a code-order bool bitset per matrix, and its size.
   fixed by its k letters: the codes a row subset covers are in bijection
   with the length-k subsequences of v_0 ... v_{n-1}, and, as the letters
   give the submatrix back, so are the codes of all row subsets with the
-  union of their subsequence sets.  One left-to-right pass builds those sets
-  as bitsets L_1 ... L_k per row subset (L_j: the length-j subsequences of
-  the prefix read so far): at column c, from level k down to 1, L_{j-1} is
-  copied into slot v_c of L_j.  A level's slot stride is rounded up to a
+  union of their subsequence sets.  One pass builds those sets as bitsets
+  L_1 ... L_k per row subset (L_j: the length-j subsequences of the letters
+  read so far): at column c, from level k down to 1, L_{j-1} is copied into
+  slot v_c of L_j.  A level's slot stride is rounded up to a
   power of two while L_{j-1} fits in 64 bits, so that no slot straddles a
   word, and is the bits of L_{j-1}'s elements past that.  A level is held in
   as few bytes as that allows, as ``automaton_levels`` gives it: a level of
@@ -37,18 +37,17 @@ covered set, a code-order bool bitset per matrix, and its size.
   [row subsets, trials, elements], so a slot is one contiguous run.  The
   automaton runs in parts of row subsets × trials (``automaton_parts``) of
   at most max(32 * CHUNK, one row subset's) bytes of levels, and ORs each
-  part's L_k over its row subsets into one top level per matrix, so a large
-  host never holds all of its row subsets at once.  A stack of several such
-  parts, each of every row subset of some matrices, runs in as many rounds
-  instead: round r steps the spread row subsets table[r::rounds] of every
-  matrix whose top level is not yet full (``full_top``), so a matrix that
+  part's L_k over its row subsets into one top level per matrix.  One loop
+  walks slices of the row subsets: one part's, streamed, where a matrix has
+  more, else round r of a stack's table[r::rounds].  Between slices it drops
+  every matrix whose top level is full (``full_top``), so a matrix that
   covers every target early, as most do above the paper's upper bound,
-  steps no later round.  ``covered_counts`` reads the top level's
-  popcount.  ``automaton_covered`` reads the set: bit sum_j v_j * stride_j
-  of L_k marks the subsequence v_1 ... v_k, so a fixed cut of each slot to
-  the a^k slots of the level below, a split of each letter into its k
-  digits and a transpose of those digits into row-major order give the
-  code-order bitset, with no table of positions.
+  steps no later slice.  ``covered_counts`` reads the top level's popcount.
+  ``automaton_covered`` reads the set: the pass reads letters right to left,
+  so bit sum_j v_j * stride_j of L_k, v_k most significant, marks the
+  columns left to right; a fixed cut of each slot to the a^k slots of the
+  level below and a split of each letter into its k digits give the
+  column-major code order, with no table of positions.
 
 ``path_costs`` prices a stack on each path in word-steps.  The direct path
 costs CODE_COST per placement code.  The automaton costs, per row subset of
@@ -294,12 +293,12 @@ def covered_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
 
 
 def automaton_covered(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
-    """[t, a^(k*k)] bool, as ``covered`` gives it, read off the top level of
-    each matrix (``top_levels``).  Bit sum_j v_j * stride_j of L_k marks the
-    subsequence v_1 ... v_k, so cutting each slot to a^k slots of the level
-    below and each letter into its k digits, then taking the digits in row-
-    major order, gives the code-order bitset.  Refuses, before allocating,
-    t padded top levels of more than COVERAGE_GUARD bits in all."""
+    """[t, a^(k*k)] bool, as ``covered`` gives it of the transposed stack,
+    read off the top level of each matrix (``top_levels``): its bits are in
+    column-major code order, as the letters are read right to left, so
+    cutting each slot to a^k slots of the level below and each letter into
+    its k digits gives the bitset.  Refuses, before allocating, t padded top
+    levels of more than COVERAGE_GUARD bits in all."""
     trials = len(arrs)
     levels = automaton_levels(k, a)
     _, dtype, units, width = levels[-1]
@@ -312,9 +311,7 @@ def automaton_covered(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     letters = a**k
     for stride, *_ in reversed(levels):  # [t, v_k, ..., v_j, slot]
         bits = bits[..., : letters * stride].reshape(*bits.shape[:-1], letters, stride)
-    digits = bits.reshape(trials, *(a,) * (k * k))  # letter v_j's k digits, v_k first
-    order = [1 + (k - 1 - col) * k + i for i in range(k) for col in range(k)]
-    return digits.transpose(0, *order).reshape(trials, a ** (k * k))
+    return bits.reshape(trials, a ** (k * k))  # letter v_j's k digits, v_k first
 
 
 def top_levels(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
@@ -323,12 +320,10 @@ def top_levels(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     letters (module docstring), run in parts of ``automaton_parts`` row
     subsets × trials; all zeros where there is no placement.
 
-    Where a part holds every row subset of some matrices and the stack
-    takes several such parts, it runs in as many rounds instead, each one
-    part of no more states: round r steps the row subsets table[r::rounds]
-    of every matrix whose top level is not yet full (``full_top``).  A full
-    top level cannot change, so a matrix that covers every target early
-    steps no later round, and the result is the same."""
+    Slice by slice of its row subsets (module docstring), it steps every
+    matrix whose top level is not yet full (``full_top``), in parts of no
+    more states.  A full top level cannot change, so a matrix that covers
+    every target early steps no later slice, and the result is the same."""
     trials, rows, cols = arrs.shape
     _, dtype, units, width = automaton_levels(k, a)[-1]
     top = np.zeros((trials, units * width), dtype=dtype)
@@ -336,20 +331,17 @@ def top_levels(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
         return top
     placements = math.comb(rows, k)
     subsets_a_part, trials_a_part = automaton_parts(trials, rows, k, a)
-    rounds = -(-trials // trials_a_part)
+    if subsets_a_part < placements:  # a slice is one matrix's part, streamed
+        slices = subset_batches(rows, k, subsets_a_part)
+    else:  # a slice is one round, spread through the table
+        table = next(subset_batches(rows, k, placements))
+        rounds = min(placements, -(-trials // trials_a_part))
+        slices = (table[r::rounds] for r in range(rounds))
+    full = full_top(k, a)
     # letters gather whole runs of trials
     by_col = np.ascontiguousarray(arrs.astype(np.min_scalar_type(a**k - 1)).transpose(2, 1, 0))
-    # in rounds only where a round of every matrix fits one part
-    if (rounds <= 1 or subsets_a_part < placements
-            or trials * -(-placements // rounds) > placements * trials_a_part):
-        for rowsubs in subset_batches(rows, k, subsets_a_part):
-            for lo in range(0, trials, trials_a_part):
-                top[lo : lo + trials_a_part] |= _automaton_part(
-                    by_col[:, :, lo : lo + trials_a_part], rowsubs, k, a)
-        return top
-    table, full = next(subset_batches(rows, k, placements)), full_top(k, a)
     live, acc = np.arange(trials), top  # the matrices short of a full top level, and theirs
-    for r in range(rounds):
+    for r, rowsubs in enumerate(slices):
         if r:  # drop the matrices whose top level is full, comparing one element first
             maybe = np.flatnonzero(acc[:, -1] == full[-1])
             done = maybe[(acc[maybe] == full).all(axis=1)]
@@ -359,8 +351,10 @@ def top_levels(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
                 top[live[done]] = acc[done]
                 live, acc, by_col = live[keep], acc[keep], by_col[:, :, keep]
                 if not len(live):
-                    return top
-        acc |= _automaton_part(by_col, table[r::rounds], k, a)
+                    break
+        step = max(1, subsets_a_part * trials_a_part // len(rowsubs))  # matrices a part
+        for lo in range(0, len(live), step):
+            acc[lo : lo + step] |= _automaton_part(by_col[:, :, lo : lo + step], rowsubs, k, a)
     if acc is not top:
         top[live] = acc
     return top
@@ -414,8 +408,8 @@ def _automaton_part(by_col: np.ndarray, rowsubs: np.ndarray, k: int, a: int) -> 
         start = -(-end // 8) * 8
     first = [np.arange(0, states * units, units, dtype=np.intp) if units > 1 else None
              for _, _, units, _ in levels]
-    for c in range(cols):
-        v = letters[c]
+    for c in range(cols):  # right to left, so that L_k's bits are in column-major order
+        v = letters[cols - 1 - c]
         # L_j can still reach L_k only if k - j columns are left after c
         for j in range(min(k, c + 1), max(0, k - cols + c), -1):
             stride, dtype, units, width = levels[j - 1]

@@ -9,11 +9,12 @@ squares with copies of the last row, so they shrink this way, (3,4) from 36
 to 26 rows.  Target t occurs in the host iff its transpose occurs in the
 host's transpose, so it cuts the transpose's runs too, prices both on the
 kernel's two paths (``kernel.path_costs``) and reads the transpose only
-where that is strictly cheaper, as on a tall, narrow host; its bitset is
-mapped back by the digit transpose, entry (i, j) to (j, i).  The direct
+where that is strictly cheaper, as on a tall, narrow host.  The direct
 path encodes each placement and marks its code (``kernel.covered``); the
 subsequence automaton ORs the top level of every row subset's automaton
-and reads that as the bitset (``kernel.automaton_covered``).  Both are
+and reads that as the bitset of the transpose of what it reads
+(``kernel.automaton_covered``).  A bitset of the host's transpose is
+mapped back by the digit transpose, entry (i, j) to (j, i).  Both are
 exact; the only approximations anywhere are the guards that refuse target
 spaces too large to bitset and hosts with too many placements to read.
 """
@@ -64,7 +65,7 @@ def coverage(m: MosaicMatrix, k: int) -> np.ndarray:
     automaton, direct = costs[turned]
     read = kernel.automaton_covered if automaton < direct else kernel.covered
     bits = read(hosts[turned], k, m.a)[0]
-    if turned:  # bit c of the transpose is the host's bit of target c transposed
+    if turned != (read is kernel.automaton_covered):  # bits of the host's transpose
         order = [j * k + i for i in range(k) for j in range(k)]  # digit (i, j) <-> (j, i)
         bits = bits.reshape((m.a,) * (k * k)).transpose(order).reshape(-1)
     return bits

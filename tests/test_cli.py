@@ -389,6 +389,16 @@ class TestSampleExactOned:
         assert payload["a"] == 2
         assert payload["collections"] == 2
 
+    def test_oned_file_takes_a(self, capsys, tmp_path):
+        # abab has every 1-letter word over its 2 letters, not over 3
+        path = tmp_path / "seq.txt"
+        path.write_text("abab")
+        code, payload, _ = run_json(capsys, "oned", "--file", str(path), "--k", "1")
+        assert (code, payload["a"], payload["is_omni"]) == (EXIT_OK, 2, True)
+        code, payload, _ = run_json(capsys, "oned", "--file", str(path), "--a", "3", "--k", "1")
+        assert (code, payload["a"], payload["is_omni"]) == (EXIT_FALSE, 3, False)
+        assert payload["missing_words"] == 1
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -415,10 +425,13 @@ class TestSampleExactOned:
         ["search", "--k", "2", "--a", "2", "--n", "5", "--max-seconds", "nan"],
         ["bounds", "--k", "1", "--a", "2", "--n", "0"],
         ["bounds", "--k", "1", "--a", "2", "--n", "5"],  # --n selects the k >= 2 Suen report
+        ["oned", "--file", "{abc}", "--a", "2"],  # 3 distinct characters
     ],
 )
-def test_bad_arguments_exit_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_bad_arguments_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "abc.txt"
+    path.write_text("abc")
+    code, out, err = run(capsys, *(arg.format(abc=path) for arg in argv))
     assert code == EXIT_ERROR
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err

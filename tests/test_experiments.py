@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -266,7 +267,7 @@ class TestMonteCarlo:
         config = ExperimentConfig(n=4, k=2, a=2, trials=140_000, seed=7)
         assert config.trials * experiments.trial_cost(4, 2, 2) >= 2 * experiments.POOL_FLOOR
         started = []
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _cpus(monkeypatch, 2)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", _recorded_pool(started))
         assert estimate(config, workers=4) == estimate(config, workers=1)
         assert started == [2]
@@ -275,7 +276,7 @@ class TestMonteCarlo:
         # a pool starts all its workers at once, so the fake one records how
         # many were asked for
         asked = []
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        _cpus(monkeypatch, 3)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", _in_process_pool(asked))
         config = ExperimentConfig(n=4, k=2, a=2, trials=250_000, seed=7)
         assert config.trials * experiments.trial_cost(4, 2, 2) >= 3 * experiments.POOL_FLOOR
@@ -289,7 +290,7 @@ class TestMonteCarlo:
         def no_pool(*args, **kwargs):
             raise AssertionError("started a pool")
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _cpus(monkeypatch, 2)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
         config = ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=3)
         assert estimate(config, workers=2) == estimate(config, workers=1)
@@ -302,7 +303,7 @@ class TestMonteCarlo:
                      "monotonic_ns", "process_time", "process_time_ns", "thread_time",
                      "thread_time_ns"):
             monkeypatch.setattr(time, name, no_clock)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _cpus(monkeypatch, 2)
         # (10,3,3)x300 has work for two workers inside one block, which ends early
         sizes = {(12, 3, 2, 400): 1, (4, 2, 2, 10_000): 1, (6, 3, 6, 50): 1,
                  (8, 3, 2, 20_000): 2, (4, 2, 2, 100_000): 1, (4, 2, 2, 200_000): 2,
@@ -313,6 +314,18 @@ class TestMonteCarlo:
             assert experiments._worker_count(config, 8) == want
             assert experiments._worker_count(config, 1) == 1
 
+    def test_worker_count_reads_the_cpus_the_process_may_use(self, monkeypatch):
+        # (28,3,4)x30 has work for 128 workers; the machine has 8 CPUs, and
+        # the process may run on fewer
+        config = ExperimentConfig(n=28, k=3, a=4, trials=30)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert experiments._worker_count(config, 8) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert experiments._worker_count(config, 8) == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS
+        assert experiments._worker_count(config, 8) == 8
+
     def test_one_block_splits_between_workers(self, monkeypatch):
         # work for six workers inside one block of the stream, which ends
         # early: the workers split its trials, one per CPU
@@ -320,7 +333,7 @@ class TestMonteCarlo:
         assert config.trials * experiments.trial_cost(12, 3, 3) >= 6 * experiments.POOL_FLOOR
         assert experiments.block_size(12) == 455
         started = []
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        _cpus(monkeypatch, 4)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", _recorded_pool(started))
         runs = [estimate(config, workers=w) for w in (1, 2, 8)]
         assert runs[0] == runs[1] == runs[2]
@@ -453,26 +466,45 @@ class TestMonteCarlo:
         monkeypatch.setattr(kernel, "CHUNK", 8 if chunk == "8" else 3 * per_trial // budget + 1)
         # forced, since parts of a smaller CHUNK cost more
         monkeypatch.setattr(kernel, "path_costs", lambda *args: (1 - automaton, automaton))
+        real_part = kernel._automaton_part
         calls = _spy(monkeypatch, "covered_counts", "covered", "_sorted_counts", "_automaton_part")
         assert kernel.distinct_counts(arrs, k, a).tolist() == want
         assert {called for called, _ in calls} == {path, name}
-        if automaton:  # by_col [c, r, t] and a batch of row subsets; at CHUNK = 8
-            # a part holds as many row subsets of one trial as fit
+        if automaton:  # by_col [c, r, t] and a batch of row subsets
             held = [args[0].shape[2] * len(args[1]) * unit for called, args in calls
                     if called == name]
-            parts = 10 * -(-math.comb(n, k) // max(1, budget * kernel.CHUNK // unit))
         else:
             held = [len(args[0]) * per_trial for _, args in calls]
-            parts = 10
         assert max(held) <= max(budget * kernel.CHUNK, unit)
+        if automaton and chunk == "8":
+            # a trial's row subsets stream in slices of one part's; each
+            # (trial, row subset) is stepped at most once, no trial takes a
+            # part after the one that fills its top level, and a trial that
+            # never fills steps every row subset
+            index = {arr.tobytes(): t for t, arr in enumerate(arrs.astype(np.uint8))}
+            full, stepped = kernel.full_top(k, a), collections.Counter()
+            acc = np.zeros((10, len(full)), dtype=full.dtype)
+            for called, (by_col, rowsubs, *_) in calls:
+                if called != name:
+                    continue
+                ts = [index[by_col[:, :, j].T.astype(np.uint8).tobytes()]
+                      for j in range(by_col.shape[2])]
+                assert not (acc[ts] == full).all(axis=1).any()
+                acc[ts] |= real_part(by_col, rowsubs, k, a)
+                stepped.update((t, s) for t in ts for s in map(tuple, rowsubs.tolist()))
+            assert max(stepped.values()) == 1
+            subsets = set(map(tuple, kernel.subsets(n, k).tolist()))
+            for t in np.flatnonzero(np.array(want) < a ** (k * k)):
+                assert {s for (u, s) in stepped if u == t} == subsets
+            assert np.bitwise_count(acc).sum(axis=1).tolist() == want
         # at "3 trials" the automaton runs in 4 rounds, and a matrix whose
         # top level is full steps no later round
-        if automaton and chunk == "3 trials" and a ** (k * k) in want:
+        elif automaton and a ** (k * k) in want:
             assert sum(held) < 10 * per_trial
             assert want == np.count_nonzero(kernel.covered(arrs, k, a), axis=1).tolist()
         else:
             assert sum(held) == 10 * per_trial
-            assert len(held) == (parts if chunk == "8" else 4)
+            assert len(held) == (10 if chunk == "8" else 4)
 
     @pytest.mark.parametrize("n,k,a", [(3, 5, 2), (2, 3, 128)])
     def test_k_exceeds_n_misses_everything(self, n, k, a):
@@ -540,7 +572,7 @@ class TestMonteCarlo:
         config = ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=seed)
         asked = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(os, "cpu_count", lambda: 2)
+            _cpus(mp, 2)
             mp.setattr(experiments, "POOL_FLOOR", 1)
             mp.setattr(experiments, "ProcessPoolExecutor", _in_process_pool(asked))
             stats = estimate(config, workers=workers)
@@ -640,6 +672,12 @@ def _in_process_pool(asked):
             return map(fn, *args)
 
     return Pool
+
+
+def _cpus(monkeypatch, count):
+    """Let the process run on ``count`` CPUs, as ``_worker_count`` reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
 def _spy(monkeypatch, *names):

@@ -440,7 +440,8 @@ def test_covered_counts_in_rounds_match_the_bitset(monkeypatch, n, k, a, chunk):
         assert 0 < np.count_nonzero(got == a ** (k * k)) < trials
     _, dtype, units, width = kernel.automaton_levels(k, a)[-1]
     if trials * 8 * dtype.itemsize * units * width <= kernel.COVERAGE_GUARD:
-        assert np.array_equal(kernel.automaton_covered(arrs, k, a), want)
+        assert np.array_equal(kernel.automaton_covered(arrs, k, a),
+                              kernel.covered(arrs.transpose(0, 2, 1), k, a))
 
 
 # at the small CHUNK the stack runs in ceil(trials / 3) rounds; no (12,3,3)
@@ -480,3 +481,43 @@ def test_one_matrix_steps_every_row_subset(monkeypatch):
     calls = _spy_parts(monkeypatch, host)
     assert np.array_equal(kernel.top_levels(host, 3, 2)[0], kernel.full_top(3, 2))
     assert [(ts, len(subs)) for ts, subs, _ in calls] == [([0], math.comb(len(host[0]), 3))]
+
+
+def test_more_rounds_than_row_subsets(monkeypatch):
+    # at CHUNK = 8 a (3,3) part holds one state, so three 3×5 matrices of one
+    # row subset each take one round, in three parts
+    monkeypatch.setattr(kernel, "CHUNK", 8)
+    arrs = np.random.default_rng(3).integers(0, 3, size=(3, 3, 5))
+    calls = _spy_parts(monkeypatch, arrs)
+    want = [len(set(placement_codes(arr, 3, 3))) for arr in arrs]
+    assert kernel.covered_counts(arrs, 3, 3).tolist() == want
+    assert [(ts, len(subs)) for ts, subs, _ in calls] == [([0], 1), ([1], 1), ([2], 1)]
+
+def test_one_matrix_larger_than_a_part_stops_once_full(monkeypatch):
+    # the (4,2) construction's 1 820 row subsets stream in parts of 240; its
+    # top level fills before the last part
+    host = square_omnimosaic(4, 2).to_numpy()[None]
+    placements = math.comb(host.shape[1], 4)
+    subsets_a_part = kernel.automaton_parts(1, host.shape[1], 4, 2)[0]
+    assert subsets_a_part < placements
+    calls = _spy_parts(monkeypatch, host)
+    assert np.array_equal(kernel.top_levels(host, 4, 2)[0], kernel.full_top(4, 2))
+    assert 0 < len(calls) < -(-placements // subsets_a_part)
+    stepped = [s for _, subs, _ in calls for s in subs]
+    assert stepped == [tuple(s) for s in kernel.subsets(host.shape[1], 4)[: len(stepped)].tolist()]
+    bits = kernel.covered(host.transpose(0, 2, 1), 4, 2)
+    assert bits.all()
+    assert np.array_equal(kernel.automaton_covered(host, 4, 2), bits)
+
+
+def test_a_host_that_never_fills_steps_every_row_subset_once(monkeypatch):
+    # 4 845 row subsets in parts of 240, and at most 5 codes each: fewer than
+    # the 2^16 targets, so the top level never fills
+    host = np.random.default_rng(4).integers(0, 2, size=(1, 20, 5))
+    subsets_a_part = kernel.automaton_parts(1, 20, 4, 2)[0]
+    calls = _spy_parts(monkeypatch, host)
+    top = kernel.top_levels(host, 4, 2)
+    stepped = [s for _, subs, _ in calls for s in subs]
+    assert stepped == [tuple(s) for s in kernel.subsets(20, 4).tolist()]
+    assert len(calls) == -(-len(stepped) // subsets_a_part) > 1
+    assert np.bitwise_count(top).sum() == len(set(placement_codes(host[0], 4, 2)))

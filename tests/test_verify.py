@@ -107,8 +107,8 @@ def _readout_host(rows, cols, k, a):
 
 class TestAutomatonReadout:
     """The OR of the automaton's top level over row subsets, read as a
-    code-order bitset, against the direct bitset and brute force; verify
-    reports the same on both paths."""
+    column-major code-order bitset, against the direct bitset and brute
+    force of the transposed host; verify reports the same on both paths."""
 
     # CHUNK = 8 runs the automaton in parts of one row subset
     @given(readout_hosts(), st.sampled_from([kernel.CHUNK, 8]))
@@ -127,10 +127,11 @@ class TestAutomatonReadout:
 
     @staticmethod
     def _check(arr, k, a):
+        # the automaton reads the host transposed
         bits = kernel.automaton_covered(arr[None], k, a)[0]
         assert bits.dtype == bool and bits.shape == (a ** (k * k),)
-        assert np.array_equal(bits, kernel.covered(arr[None], k, a)[0])
-        assert set(np.flatnonzero(bits).tolist()) == set(placement_codes(arr, k, a))
+        assert np.array_equal(bits, kernel.covered(arr.T[None], k, a)[0])
+        assert set(np.flatnonzero(bits).tolist()) == set(placement_codes(arr.T, k, a))
         m = MosaicMatrix.from_numpy(arr, a)
         reports = {}
         for path, costs in [("automaton_covered", (0, 1)), ("covered", (1, 0))]:
@@ -159,7 +160,8 @@ class TestAutomatonReadout:
             with pytest.raises(MosaicError, match="coverage guard"):
                 kernel.automaton_covered(arrs, 2, 3)
         monkeypatch.setattr(kernel, "COVERAGE_GUARD", 2 * 144)
-        assert np.array_equal(kernel.automaton_covered(arrs, 2, 3), kernel.covered(arrs, 2, 3))
+        assert np.array_equal(kernel.automaton_covered(arrs, 2, 3),
+                              kernel.covered(arrs.transpose(0, 2, 1), 2, 3))
 
 
 @st.composite

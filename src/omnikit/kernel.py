@@ -25,16 +25,14 @@ covered set, a code-order bool bitset per matrix, and its size.
   union of their subsequence sets.  One pass builds those sets as bitsets
   L_1 ... L_k per row subset (L_j: the length-j subsequences of the letters
   read so far): at column c, from level k down to 1, L_{j-1} is copied into
-  slot v_c of L_j.  A level's slot stride is rounded up to a
-  power of two while L_{j-1} fits in 64 bits, so that no slot straddles a
-  word, and is the bits of L_{j-1}'s elements past that.  A level is held in
-  as few bytes as that allows, as ``automaton_levels`` gives it: a level of
-  at most 64 bits in one element of the narrowest unsigned dtype that holds
-  it, where a step is one shift-OR; past 64 bits one element per slot (16,
-  32 or 64 bits), or one run of L_{j-1}'s elements per slot, where a step is
-  one scatter that overwrites the slot, since L_{j-1} only grows; only L_1
-  of more than 64 letters packs its one-bit slots in words.  Each level is
-  [row subsets, trials, elements], so a slot is one contiguous run.  The
+  slot v_c of L_j.  A level is one of three kinds (``automaton_levels``):
+  one element of the narrowest unsigned dtype, where its slots of L_{j-1}'s
+  bits rounded up to a power of two fit in 64 bits, and a step is one
+  shift-OR; L_1 of more than 64 letters, its one-bit slots packed in words;
+  else a slot level, whose slot holds L_{j-1}'s elements, so that its stride
+  is their bits, and a step copies L_{j-1} into slot v_c as one record,
+  overwriting it, since L_{j-1} only grows.  Each level is [row subsets,
+  trials, elements], so a slot is one contiguous record.  The
   automaton runs in parts of row subsets × trials (``automaton_parts``) of
   at most max(32 * CHUNK, one row subset's) bytes of levels, and ORs each
   part's L_k over its row subsets into one top level per matrix.  One loop
@@ -247,23 +245,21 @@ def _sorted_counts(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
 def automaton_levels(k: int, a: int) -> tuple[tuple[int, np.dtype, int, int], ...]:
     """[(slot stride in bits, dtype, units, width)] of the bitsets L_1 ... L_k
     that the automaton keeps per row subset: L_j has a^k slots, held as
-    ``units`` runs of ``width`` elements of ``dtype``: one element, its packed
-    words, or one run per slot (module docstring)."""
+    ``units`` runs of ``width`` elements of ``dtype``, in one of three kinds
+    (module docstring): one element; L_1's packed words, of stride 1; or a
+    slot level, a^k runs of L_{j-1}'s ``width`` elements per state."""
     letters = a**k
     levels = []
     bits = 1  # L_0: the empty subsequence
     for _ in range(k):
-        if bits > 64:  # a slot holds L_{j-1}'s elements
+        stride = 1 << (bits - 1).bit_length()  # L_{j-1}'s bits rounded up to a power of two
+        if letters * stride <= 64:  # every slot in one element
+            dtype, units, width = np.min_scalar_type((1 << letters * stride) - 1), 1, 1
+        elif stride == 1:  # L_1 past 64 letters: one bit per slot, packed in words
+            dtype, units, width = np.dtype(np.uint64), -(-letters // 64), 1
+        else:  # a slot holds L_{j-1}'s elements
             _, dtype, units, width = levels[-1]
             stride, units, width = 8 * dtype.itemsize * units * width, letters, units * width
-        else:  # a slot of L_{j-1}'s bits rounded up to a power of two
-            stride, width = 1 << (bits - 1).bit_length(), 1
-            if letters * stride <= 64:  # every slot in one element
-                dtype, units = np.min_scalar_type((1 << letters * stride) - 1), 1
-            elif stride == 1:  # one bit per slot, packed in words
-                dtype, units = np.dtype(np.uint64), -(-letters // 64)
-            else:  # one element per slot
-                dtype, units = np.min_scalar_type((1 << stride) - 1), letters
         bits = letters * stride
         levels.append((stride, dtype, units, width))
     return tuple(levels)
@@ -401,10 +397,13 @@ def _automaton_part(by_col: np.ndarray, rowsubs: np.ndarray, k: int, a: int) -> 
     # smaller parts at (12,3,2) left that limit under a part's temporaries,
     # so every Monte-Carlo block faulted its memory back in
     buffer = np.zeros(states * level_bytes(k, a) + 8 * k, dtype=np.uint8)
-    state, start = [], 0
-    for _, dtype, units, width in levels:
+    state, records, start = [], [], 0
+    for stride, dtype, units, width in levels:
         end = start + states * units * width * dtype.itemsize
         state.append(buffer[start:end].view(dtype))
+        # a slot level's L_{j-1} and L_j as [states] and [states * units] records of a slot
+        record = np.dtype((np.void, dtype.itemsize * width))
+        records.append([s.view(record) for s in state[-2:]] if units > 1 and stride > 1 else None)
         start = -(-end // 8) * 8
     first = [np.arange(0, states * units, units, dtype=np.intp) if units > 1 else None
              for _, _, units, _ in levels]
@@ -418,13 +417,12 @@ def _automaton_part(by_col: np.ndarray, rowsubs: np.ndarray, k: int, a: int) -> 
             if units == 1:  # shift-OR into the one element; v * stride < 64
                 shift = v if stride == 1 else v << small.type(stride.bit_length() - 1)
                 level |= np.left_shift(prev, shift, dtype=dtype)
-            elif stride == 1:  # bit v of the packed words
+            elif stride == 1:  # L_1: bit v of the packed words
                 at = at + np.right_shift(v, 6, dtype=np.intp)
                 level[at] |= np.left_shift(prev, v & small.type(63), dtype=dtype)
-            elif width == 1:  # one element per slot, overwritten: L_{j-1} only grows
-                level[at + v] = prev
-            else:  # the slot is a row of L_{j-1}'s elements, overwritten likewise
-                level.reshape(-1, width)[at + v] = prev.reshape(states, width)
+            else:  # slot v is overwritten with L_{j-1}'s record, as L_{j-1} only grows
+                below, slot = records[j - 1]
+                slot[at + v] = below
     # OR over row subsets, the leading axis of a level
     _, _, units, width = levels[-1]
     return np.bitwise_or.reduce(state[-1].reshape(len(rowsubs), trials, units * width), axis=0)

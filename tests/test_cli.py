@@ -381,6 +381,13 @@ class TestSampleExactOned:
         assert code == EXIT_FALSE
         assert payload["is_omni"] is False
 
+    def test_oned_missing_words_in_one_pass(self, capsys):
+        # 10^6 words against 1 000 letters: one pass, not one match a word
+        start = time.perf_counter()
+        code, payload, _ = run_json(capsys, "oned", "--seq", "0" * 1000, "--a", "10", "--k", "6")
+        assert time.perf_counter() - start < 5
+        assert (code, payload["missing_words"]) == (EXIT_FALSE, 10**6 - 1)
+
     def test_oned_file(self, capsys, tmp_path):
         path = tmp_path / "seq.txt"
         path.write_text("abab")

@@ -242,9 +242,23 @@ class TestExactSuenInputs:
         truth = exact_target_missing_probability(5, 2, 2, 0)
         assert float(truth) <= bound
 
+    # refused past 2^4096: a^(2k^2) at (150,150,2) and (60,46,2), and n^(4k)
+    # at (10^100,24,2).  A guard on C(n,k)^4 alone would admit (150,150,2),
+    # 2.8 s, and refuse (45684,24,2), 16 ms
     def test_guard(self):
-        with pytest.raises(MosaicError):
-            exact_suen_inputs(60, 8, 2)
+        for n, k, a in [(150, 150, 2), (60, 46, 2), (10**100, 24, 2)]:
+            with pytest.raises(MosaicError, match="exceeds 2"):
+                exact_suen_inputs(n, k, a)
+        for n, k, a in [(4, 0, 2), (4, 2, 1), (0, 1, 2)]:  # k < 1, a < 2, n < 1
+            with pytest.raises(MosaicError, match="must be >="):
+                exact_suen_inputs(n, k, a)
+
+    def test_admits_the_size_the_suen_bound_certifies(self):
+        mu, delta_big, delta_small = exact_suen_inputs(45684, 24, 2)
+        assert mu == Fraction(math.comb(45684, 24) ** 2, 2**576)
+        overlapping = (math.comb(45684, 24) - math.comb(45660, 24)) ** 2 - 1
+        assert delta_small == Fraction(overlapping, 2**576)
+        assert 0 < delta_big
 
 
 class TestMonteCarlo:
@@ -792,6 +806,18 @@ class TestTrialMatrices:
                                   _stream_trials(3, lo, 2 * size - 1, n, 5))
 
 
+def _direct_missing_count(seq, k, a):
+    """Length-k words over [0, a) that a greedy left-to-right match of each
+    word, one at a time, does not find in seq: the direct oracle."""
+    missing = 0
+    for word in itertools.product(range(a), repeat=k):
+        matched = 0
+        for x in seq:
+            matched += matched < k and x == word[matched]
+        missing += matched < k
+    return missing
+
+
 class TestOneD:
     def test_count_collections(self):
         assert oneD_count_collections([0, 1, 0, 1], 2) == 2
@@ -808,8 +834,23 @@ class TestOneD:
             a = int(rng.integers(2, 4))
             k = int(rng.integers(1, 4))
             seq = list(rng.integers(0, a, size=n))
-            direct = oneD_missing_count(seq, k, a) == 0
+            direct = _direct_missing_count(seq, k, a) == 0
             assert oneD_is_omni(seq, k, a) == direct
+
+    def test_missing_count_matches_direct_oracle(self, rng):
+        for _ in range(300):
+            a, k, n = int(rng.integers(2, 5)), int(rng.integers(1, 5)), int(rng.integers(0, 14))
+            seq = list(rng.integers(0, a, size=n))
+            assert oneD_missing_count(seq, k, a) == _direct_missing_count(seq, k, a), (seq, k)
+        for n in range(9):
+            for seq in itertools.product(range(2), repeat=n):
+                for k in range(1, 5):
+                    assert oneD_missing_count(seq, k, 2) == _direct_missing_count(seq, k, 2)
+
+    def test_missing_count_rejects_out_of_alphabet(self):
+        for seq in ([0, 2, 1], [-1], [0, 1, 5]):
+            with pytest.raises(MosaicError, match="outside alphabet"):
+                oneD_missing_count(seq, 2, 2)
 
     def test_missing_count_example(self):
         # 0101 lacks 11-prefixed ... it has 11? 0,1,0,1 -> 11 yes; 00 yes; 10 yes
@@ -826,7 +867,7 @@ class TestOneD:
     def test_exhaustive_mean_matches_direct_count(self, n, k, a):
         # independent oracle: match every word against every sequence directly
         grand = sum(
-            oneD_missing_count(seq, k, a)
+            _direct_missing_count(seq, k, a)
             for seq in itertools.product(range(a), repeat=n)
         )
         assert oneD_exhaustive_mean_missing(n, k, a) == Fraction(grand, a**n)
@@ -837,7 +878,7 @@ class TestOneD:
         for n, a in grid:
             sequences = list(itertools.product(range(a), repeat=n))
             for k in range(1, 5):
-                grand = sum(oneD_missing_count(seq, k, a) for seq in sequences)
+                grand = sum(_direct_missing_count(seq, k, a) for seq in sequences)
                 assert oneD_exhaustive_mean_missing(n, k, a) == Fraction(grand, a**n), (n, k, a)
 
     def test_exhaustive_mean_reference_value(self):

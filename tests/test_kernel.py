@@ -266,6 +266,39 @@ def test_automaton_levels(k, a, levels):
     assert kernel.automaton_levels(k, a) == tuple(levels)
 
 
+# every size with k <= 8 and a^k <= 2^20, but k = 1 only up to a = 1024
+LEVEL_GRID = [(k, a) for k in range(1, 9) for a in range(2, 1025) if a**k <= 2**20]
+
+
+def test_every_level_is_one_of_three_kinds():
+    assert len(LEVEL_GRID) == 2211
+    for k, a in LEVEL_GRID:
+        letters, bits = a**k, 1  # L_0: the empty subsequence
+        levels = kernel.automaton_levels(k, a)
+        for j, (stride, dtype, units, width) in enumerate(levels):
+            if units == 1:  # one element: a^k slots of a power of two >= L_{j-1}'s bits
+                assert width == 1 and letters * stride <= 8 * dtype.itemsize <= 64
+                assert stride >= bits and stride & (stride - 1) == 0
+            elif stride == 1:  # L_1 past 64 letters, its bits packed in words
+                assert (j, dtype, units, width) == (0, U64, -(-letters // 64), 1) and letters > 64
+            else:  # a slot level: one record a slot, of L_{j-1}'s bytes per state
+                _, below, below_units, below_width = levels[j - 1]
+                assert j > 0 and units == letters and dtype == below
+                assert dtype.itemsize * width == below.itemsize * below_units * below_width
+                assert stride == 8 * dtype.itemsize * width >= bits
+            bits = letters * stride
+
+
+# the slot levels' record bytes at the sizes the count and readout tests run
+@pytest.mark.parametrize("k,a,records", [
+    (2, 3, [2]), (2, 5, [4]), (3, 2, [8]), (2, 9, [16]), (3, 3, [4, 108]), (4, 2, [2, 32, 512]),
+    (3, 4, [8, 512]),
+])
+def test_slot_level_records(k, a, records):
+    assert [dtype.itemsize * width for stride, dtype, units, width in kernel.automaton_levels(k, a)
+            if units > 1 and stride > 1] == records
+
+
 def direct_counts(arrs, k, a):
     """Each matrix's targets in the bitset of every placement's code."""
     return np.count_nonzero(kernel.covered(arrs, k, a), axis=1)
@@ -322,8 +355,9 @@ def test_covered_counts_on_multiword_levels(n, k, a):
         assert got.tolist() == [len(set(placement_codes(arr, k, a))) for arr in arrs]
 
 
-# one size per slot layout of the automaton's levels: L_k in one element; one
-# uint16, uint32 or uint64 element per slot; slots of L_{k-1}'s elements
+# one size per slot layout of the automaton's levels: L_k in one element;
+# slot levels of one uint16, uint32 or uint64 of L_{k-1}, and of L_{k-1}'s
+# 27 uint32
 @pytest.mark.parametrize("n,k,a,layout", [
     (4, 2, 2, [(1, U8, 1, 1), (4, U16, 1, 1)]),
     (9, 2, 4, [(1, U16, 1, 1), (16, U16, 16, 1)]),
@@ -362,7 +396,8 @@ def _every_letter(n, k, a):
 
 # the level dtypes at each width of a one-element level: L_1 of 4 and L_2 of
 # 16 bits at (2,2), L_1 of 9 bits at (1,9) and at (2,3), where L_2 has 16-bit
-# slots, 25 at (2,5), 40 at (1,40), 64 at (1,64); (1,65) packs bits in words
+# slots, 25 at (2,5), 40 at (1,40), 64 at (1,64); (1,65) packs bits in words,
+# and so does (2,9), whose L_2 slots are records of those 2 words
 @pytest.mark.parametrize("n,k,a,dtypes", [
     (4, 2, 2, [U8, U16]),
     (5, 1, 9, [U16]),
@@ -371,6 +406,7 @@ def _every_letter(n, k, a):
     (7, 1, 40, [U64]),
     (8, 1, 64, [U64]),
     (9, 1, 65, [U64]),
+    (9, 2, 9, [U64, U64]),
 ])
 def test_covered_counts_across_level_dtypes(n, k, a, dtypes):
     assert [dtype for _, dtype, _, _ in kernel.automaton_levels(k, a)] == dtypes
@@ -384,9 +420,9 @@ def test_covered_counts_across_level_dtypes(n, k, a, dtypes):
     assert np.concatenate(parts).tolist() == want
 
 
-# one size per slot layout of the top level: one element (1,2), (2,2); packed
-# words (1,70); one element per slot (2,3), (2,9), (3,2); runs of L_{k-1}'s
-# elements (3,3), (4,2)
+# one size per kind of top level: one element (1,2), (2,2); packed words
+# (1,70); slot levels whose records are L_{k-1}'s one element, (2,3) and
+# (3,2), or its words or run of elements, (2,9), (3,3) and (4,2)
 @pytest.mark.parametrize("k,a", [(1, 2), (1, 70), (2, 2), (2, 3), (2, 9), (3, 2), (3, 3), (4, 2)])
 def test_full_top_is_the_top_level_of_an_omnimosaic(k, a):
     full = kernel.full_top(k, a)

@@ -84,9 +84,11 @@ class TestPlacementGuard:
 
 
 # (k, a) per kind of automaton level: k = 1; shift-OR levels at (2,2) and
-# (3,2); packed words at (2,9), 81 letters; one element per slot and run
-# slots at (3,3) and (3,4)
-READOUT_SIZES = [(1, 2), (1, 5), (2, 2), (3, 2), (2, 9), (3, 3), (3, 4)]
+# (3,2); packed words at (2,9), 81 letters; slot levels whose records are
+# 2 bytes at (2,3), 4 at (2,5), 8 at (3,2), 16 at (2,9), 4 and 108 at (3,3),
+# 2, 32 and 512 at (4,2), and 8 and 512 at (3,4)
+READOUT_SIZES = [(1, 2), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (2, 9), (3, 3), (4, 2),
+                 (3, 4)]
 
 
 @st.composite

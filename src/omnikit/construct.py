@@ -208,4 +208,5 @@ def higher_dim_side_estimate(k: int, a: int, d: int) -> float:
     """
     if d < 2:
         raise MosaicError("d must be >= 2")
-    return k * a ** (k ** (d - 1) / d)
+    # a float power: a huge d overflows here instead of building the int k^(d-1)
+    return bounds._finite("k * a^(k^(d-1)/d)", lambda: k * a ** (k ** (d - 1.0) / d))

@@ -298,6 +298,8 @@ def exact_suen_inputs(n: int, k: int, a: int) -> tuple[Fraction, Fraction, Fract
     pair counts C(n,k)^4, exceeds 2^4096: about 0.25 s there on a 2-core Intel Xeon VM.
     """
     check_sizes(n, k, a)
+    if n < k:
+        raise MosaicError("n must be >= k")
     if power_exceeds(a, 2 * k * k, 2**4096) or power_exceeds(n, 4 * k, 2**4096):
         raise MosaicError("exact Suen inputs: a^(2k^2) or n^(4k) exceeds 2^4096")
     akk = Fraction(1, a ** (k * k))
@@ -371,9 +373,9 @@ def oneD_exhaustive_mean_missing(n: int, k: int, a: int) -> Fraction:
     but prefixes that matched the same number of the word's letters have the
     same future, so it keeps only counts[m], how many prefixes matched m.
     """
-    total = a**n
-    if total > ENUMERATION_GUARD:
+    if power_exceeds(a, n, ENUMERATION_GUARD):
         raise MosaicError("sequence space exceeds guard")
+    total = a**n
     grand = 0
     for code in range(a**k):
         word = [(code // a ** (k - 1 - t)) % a for t in range(k)]

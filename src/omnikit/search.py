@@ -3,35 +3,29 @@
 The depth-first search places the n-by-n matrix one row at a time, n deep.
 A row is a base-a int in [0, a^n), first column most significant
 (``kernel.row_digits``), so increasing values are increasing rows.  The
-search visits only matrices that satisfy these rules, both applied in
-``_Searcher._rows``:
+search visits only letter-canonical matrices, those whose first occurrences
+of letters in reading order are 0, 1, 2, ... (``_Searcher._rows``); rows
+may come in any order.
 
-* letter canonicalization: the first occurrences of letters in reading
-  order are 0, 1, 2, ...;
-* rows nondecreasing lexicographically.
+Each depth scans the row values from 0 upward, a block at a time, jumping
+past blocks that hold no letter-canonical value (``_next_canonical``), and
+scores the block's admissible rows in one vectorized step: kernel column
+words give the codes of the placements through each candidate, and so the
+number of targets the placed rows would then cover.  Placements inside the
+placed rows are final, so a candidate survives only if that number plus the
+number of placements touching a later row reaches a^(k*k); the search
+recurses into the survivors in increasing order.  A node is one admissible
+row tried, and the budget is checked once per block scanned.
 
-Each depth scans the row values from the previous row's upward, a block at a
-time, jumping past blocks that hold no letter-canonical value
-(``_next_canonical``), and scores the block's admissible rows in one
-vectorized step: kernel column words give the codes of the placements
-through each candidate, and so the number of targets the placed rows would
-then cover.  Placements inside the placed rows are final, so a candidate
-survives only if that number plus the number of placements touching a later
-row reaches a^(k*k); the search recurses into the survivors in increasing
-order.  A node is one admissible row tried, and the budget is checked once
-per block scanned.
-
-A ``found`` verdict is a proof: its witness is checked with
-``verify.is_omnimosaic``.  So is an ``exhausted_none`` from counting: with
-C(n,k)^2 < a^(k*k) there are fewer placements than targets, and the search
-answers before placing any row.  Any other ``exhausted_none`` is not yet a
-proof of nonexistence.  Letter canonicalization is sound, but the row order
-is not: submatrix rows must be increasing, so permuting the rows of an
-omnimosaic can lose the property (10 of the 24 row permutations of the
-(4,2,2) witness do), and an orbit may have no sorted member that is omni.
-Making the symmetry breaking sound is open work: the group it must quotient
-by is ``core.symmetries``, the 8·a! letter permutations, transposes and row
-and column reversals.
+Every verdict is a proof.  A ``found`` witness is checked with
+``verify.is_omnimosaic``.  An ``exhausted_none`` from counting holds because
+C(n,k)^2 < a^(k*k): there are fewer placements than targets, and the search
+answers before placing any row.  An ``exhausted_none`` after a search holds
+because renaming letters maps an omnimosaic to an omnimosaic, so every orbit
+under letter permutations has a letter-canonical member, and the capacity
+prune cuts only prefixes that cannot cover every target.  Rows are not
+sorted: submatrix rows must be increasing, so permuting the rows of an
+omnimosaic can lose the property.
 """
 
 from __future__ import annotations
@@ -120,22 +114,20 @@ class _Searcher:
             raise _Budget()
         self.nodes += tried
 
-    def _rows(self, i: int, used: int):
-        """The rows that may be placed as row i, letters [0, used) appearing
-        above it: those of value at least row i-1's (rows nondecreasing) in
-        which each letter past those first appears after every smaller one
-        (first occurrences in reading order 0, 1, 2, ...).
+    def _rows(self, used: int):
+        """The rows that may be placed below rows whose letters are
+        [0, used): those in which each letter past those first appears after
+        every smaller one (first occurrences in reading order 0, 1, 2, ...).
 
         Yields (values, rowcodes, used) of them, increasing, one triple per
         block of values scanned: rowcodes as in ``self.rowcodes``, used the
-        letters in use once the row is placed.  The scan starts at row i-1's
-        block and skips, without a scan, every block that holds no letter-
-        canonical value, so no triple is empty.  A block's admissible rows
-        are kept while they fit in _TABLE_BYTES.
+        letters in use once the row is placed.  The scan skips, without a
+        scan, every block that holds no letter-canonical value, so no triple
+        is empty.  A block's admissible rows are kept while they fit in
+        _TABLE_BYTES.
         """
         n, a, size = self.n, self.a, self.block
-        prev = self.rows[i - 1] if i else 0
-        value = prev  # admissible: row i-1 was, and used only grows
+        value = 0  # all zeros: admissible whatever the letters used
         while value is not None:
             lo = value - value % size
             found = self.kept.get((used, lo))
@@ -155,9 +147,6 @@ class _Searcher:
                 if self.kept_bytes + entry <= _TABLE_BYTES:
                     self.kept[used, lo] = found
                     self.kept_bytes += entry
-            if lo < prev:
-                first = np.searchsorted(found[0], prev)
-                found = tuple(x[first:] for x in found)
             yield found
             value = _next_canonical(lo + size, used, n, a)
 
@@ -167,7 +156,7 @@ class _Searcher:
         n, a = self.n, self.a
         # [c, s]: code of placement (column subset c, rows rest[s] and i) but row i's part
         placed = kernel.column_words(self.rowcodes[:i], self.rest[i], self.rowpow[:-1])
-        for values, rowcodes, after in self._rows(i, used):
+        for values, rowcodes, after in self._rows(used):
             self._tick(len(values))
             # fresh[b, t]: target t is missing and covered by a placement through row b
             fresh = np.zeros((len(values), self.total_targets), dtype=bool)
@@ -226,7 +215,7 @@ def exists_omnimosaic(
     a: int,
     budget: SearchBudget | None = None,
 ) -> SearchResult:
-    """Decide whether an O(n,k,a) omnimosaic exists, by a canonical row-by-row DFS.
+    """Decide whether an O(n,k,a) omnimosaic exists, by a letter-canonical row-by-row DFS.
 
     Requires k >= 1, a >= 2, k <= n <= MAX_N and, unless counting settles
     the answer, a^n < 2^63.
@@ -256,8 +245,8 @@ def min_omnimosaic_n(
 ) -> list[tuple[int, SearchResult]]:
     """Trace of exists_omnimosaic from the pigeonhole bound upward.
 
-    Stops at the first found size (that size is omega(k,a) once every
-    earlier exhausted_none is a proof; see the module docstring), on budget
+    Stops at the first found size, which is omega(k,a) since every earlier
+    exhausted_none is a proof (see the module docstring), on budget
     exhaustion, or at MAX_N.
     """
     _check_args(k, a)

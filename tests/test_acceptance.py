@@ -67,7 +67,7 @@ def test_criterion_02_exact_values():
         ok = False  # would contradict nothing, but must then be a valid omni
         detail = "unexpected witness at n=5"
     elif stretch.status == search.EXHAUSTED_NONE:
-        detail = "n=5 exhausted under row-sort symmetry breaking, not a proof"
+        detail = "n=5 exhausted under letter canonicalization, proves omega(2,3) = 6"
     else:
         detail = (
             f"bracket 5<=omega(2,3)<=6 stands; n=5 exhaustion exceeded "

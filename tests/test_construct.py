@@ -274,3 +274,10 @@ class TestHigherDim:
     def test_rejects_d1(self):
         with pytest.raises(MosaicError):
             higher_dim_side_estimate(2, 2, 1)
+
+    def test_overflow_is_refused(self):
+        # 10^(100^2/3) is past any float, and so is 2^(10^12 - 1), which is
+        # not built as an int
+        for k, a, d in [(100, 10, 3), (2, 2, 10**12)]:
+            with pytest.raises(MosaicError, match="overflows a float"):
+                higher_dim_side_estimate(k, a, d)

@@ -253,6 +253,11 @@ class TestExactSuenInputs:
             with pytest.raises(MosaicError, match="must be >="):
                 exact_suen_inputs(n, k, a)
 
+    def test_refuses_k_past_n(self):
+        # as bounds.suen_report does, before math.comb(n - k, k) sees a negative n - k
+        with pytest.raises(MosaicError, match="n must be >= k"):
+            exact_suen_inputs(3, 5, 2)
+
     def test_admits_the_size_the_suen_bound_certifies(self):
         mu, delta_big, delta_small = exact_suen_inputs(45684, 24, 2)
         assert mu == Fraction(math.comb(45684, 24) ** 2, 2**576)
@@ -889,6 +894,11 @@ class TestOneD:
         with pytest.raises(MosaicError, match="sequence space exceeds guard"):
             oneD_exhaustive_mean_missing(26, 1, 2)
         assert oneD_exhaustive_mean_missing(25, 1, 2) == Fraction(1, 2**24)
+
+    def test_exhaustive_mean_refuses_before_building_the_size(self):
+        # 2^(10^18) would not fit in memory: the guard must not build it
+        with pytest.raises(MosaicError, match="sequence space exceeds guard"):
+            oneD_exhaustive_mean_missing(10**18, 1, 2)
 
     def test_threshold_consistency(self):
         # at n well above a*H_a*k almost every sequence is omni

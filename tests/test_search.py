@@ -112,19 +112,18 @@ class TestBudget:
 class TestWitnessQuality:
     def test_witness_is_canonical_shape(self):
         r = exists_omnimosaic(4, 2, 2)
-        rows = r.witness.to_rows()
-        assert rows == sorted(rows)  # nondecreasing rows
+        firsts = list(dict.fromkeys(r.witness.entries))
+        assert firsts == list(range(len(firsts)))  # letters first appear as 0, 1, 2, ...
         assert r.witness.entries[0] == 0  # first entry relabeled to 0
 
 
-# (status, nodes, witness entries): statuses and witnesses are those of the
-# cell-by-cell search this one replaced; a node is one admissible row tried,
-# and sizes with fewer placements than targets are settled with no node
+# (status, nodes, witness entries): a node is one admissible row tried, and
+# sizes with fewer placements than targets are settled with no node
 GOLDEN = {
-    (4, 2, 2): (FOUND, 2286, (0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1)),
-    (5, 2, 2): (FOUND, 2812, (0,) * 12 + (1, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 0)),
-    (6, 2, 2): (FOUND, 5796, (0,) * 22 + (1, 0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1)),
-    (7, 2, 2): (FOUND, 6034, (0,) * 36 + (1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 0, 1)),
+    (4, 2, 2): (FOUND, 2152, (0,) * 5 + (1, 1, 1, 1, 1, 0, 0, 0, 1, 0, 1)),
+    (5, 2, 2): (FOUND, 3120, (0,) * 13 + (1, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 1)),
+    (6, 2, 2): (FOUND, 3616, (0,) * 24 + (1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1)),
+    (7, 2, 2): (FOUND, 7360, (0,) * 36 + (1, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1)),
     (3, 2, 2): (EXHAUSTED_NONE, 0, None),
     (4, 2, 3): (EXHAUSTED_NONE, 0, None),
     (6, 3, 2): (EXHAUSTED_NONE, 0, None),
@@ -137,6 +136,8 @@ class TestGolden:
         r = exists_omnimosaic(n, k, a)
         entries = r.witness.entries if r.witness else None
         assert (r.status, r.nodes, entries) == GOLDEN[n, k, a]
+        if r.witness:
+            assert len(set(placement_codes(r.witness.to_rows(), k, a))) == a ** (k * k)
 
     def test_min_trace(self):
         trace = min_omnimosaic_n(2, 2)
@@ -145,7 +146,7 @@ class TestGolden:
 
     def test_open_instance_budget(self):
         r = exists_omnimosaic(5, 2, 3, budget=SearchBudget(max_nodes=8192))
-        assert (r.status, r.nodes) == (BUDGET_EXCEEDED, 8273)
+        assert (r.status, r.nodes) == (BUDGET_EXCEEDED, 8304)
 
 
 class TestCounting:
@@ -207,8 +208,8 @@ def test_budget_checked_once_per_block_and_empty_blocks_skipped(monkeypatch):
     rows, tick = search._Searcher._rows, search._Searcher._tick
     seen = {"blocks": 0, "empty": 0, "ticks": 0}
 
-    def counted_rows(self, i, used):
-        for found in rows(self, i, used):
+    def counted_rows(self, used):
+        for found in rows(self, used):
             seen["blocks"] += 1
             seen["empty"] += not len(found[0])
             yield found
@@ -231,19 +232,68 @@ def test_budget_checked_once_per_block_and_empty_blocks_skipped(monkeypatch):
     assert seen["ticks"] == seen["blocks"]
 
 
-@pytest.mark.parametrize("n,a", [(1, 2), (3, 2), (4, 2), (2, 3), (3, 3), (3, 4), (2, 5)])
-def test_next_canonical_is_the_least_admissible_value(n, a):
-    # independent oracle: the rule checked on every value's digits
-    def canonical(value, used):
+def canonical_rows(n, a, used):
+    """Independent oracle: {row value: letters in use after it} over the rows
+    in which each letter is at most one past every letter before it."""
+    rows = {}
+    for value in range(a**n):
         top = used - 1
         for digit in kernel.row_digits(value, n, a).tolist():
             if digit > top + 1:
-                return False
+                break
             top = max(top, digit)
-        return True
+        else:
+            rows[value] = top + 1
+    return rows
 
+
+def admitted_rows(searcher, used):
+    """Every value _rows(used) yields, over all its blocks, with the letters
+    in use once each is placed."""
+    return {
+        int(v): int(after)
+        for values, _, afters in searcher._rows(used)
+        for v, after in zip(values.tolist(), afters.tolist())
+    }
+
+
+@pytest.mark.parametrize("n,a", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (4, 3)])
+@pytest.mark.parametrize("block", [None, 2])
+def test_rows_are_every_canonical_row(n, a, block):
+    # no row order: the rows below a placed prefix depend only on its letters
+    s = search._Searcher(n, min(n, 2), a, None)
+    if block:
+        s.block = block  # many blocks, most of them skipped
     for used in range(a + 1):
-        admissible = [v for v in range(a**n) if canonical(v, used)]
+        assert admitted_rows(s, used) == canonical_rows(n, a, used)
+
+
+def test_search_admits_every_canonical_omnimosaic():
+    # brute force over all 2^16 (4,2,2) matrices, independent of the kernel
+    bits = (np.arange(1 << 16)[:, None] >> np.arange(15, -1, -1)) & 1
+    grids = bits.reshape(-1, 4, 4)
+    covered = np.zeros(len(grids), dtype=np.int64)
+    for r1, r2 in itertools.combinations(range(4), 2):
+        for c1, c2 in itertools.combinations(range(4), 2):
+            code = grids[:, [r1, r1, r2, r2], [c1, c2, c1, c2]] @ [8, 4, 2, 1]
+            covered |= 1 << code
+    omni = grids[covered == (1 << 16) - 1]
+    canonical = omni[omni[:, 0, 0] == 0]  # at a = 2, letter-canonical is entry 0 being 0
+    assert (len(omni), len(canonical)) == (1448, 724)
+    s = search._Searcher(4, 2, 2, None)
+    admitted = [admitted_rows(s, used) for used in range(3)]
+    for grid in canonical:
+        used = 0
+        for row in grid.tolist():
+            value = int("".join(map(str, row)), 2)
+            assert value in admitted[used], grid
+            used = admitted[used][value]
+
+
+@pytest.mark.parametrize("n,a", [(1, 2), (3, 2), (4, 2), (2, 3), (3, 3), (3, 4), (2, 5)])
+def test_next_canonical_is_the_least_admissible_value(n, a):
+    for used in range(a + 1):
+        admissible = sorted(canonical_rows(n, a, used))
         for value in range(a**n + 2):
             least = next((v for v in admissible if v >= value), None)
             assert search._next_canonical(value, used, n, a) == least
@@ -253,8 +303,8 @@ def test_kept_blocks_stay_under_their_byte_bound(monkeypatch):
     rows = search._Searcher._rows
     held = []
 
-    def checked(self, i, used):
-        for found in rows(self, i, used):
+    def checked(self, used):
+        for found in rows(self, used):
             size = sum(sum(x.nbytes for x in f) + search._ENTRY_BYTES for f in self.kept.values())
             assert size == self.kept_bytes <= search._TABLE_BYTES
             held.append(len(self.kept))

@@ -69,6 +69,7 @@ def pigeonhole_min_n(k: int, a: int) -> int:
     bisecting the bracket between decides at most ceil(log2((k+3)/2))
     values of n exactly, at most one when R is far above k^2.
     """
+    check_sizes(k=k, a=a)
     digits = math.lgamma(k + 1) / math.log(10) / k + k / 2 * math.log10(a)
     with localcontext(Context(prec=int(digits) + 30)):
         root = (Decimal(math.factorial(k)).ln() / k + Decimal(a).ln() * k / 2).exp()
@@ -95,17 +96,20 @@ def _finite(name: str, compute) -> float:
 
 def asymptotic_lower(k: int, a: int) -> float:
     """Stirling form of the pigeonhole bound: k * a^(k/2) / e."""
+    check_sizes(k=k, a=a)
     return _finite("k * a^(k/2) / e", lambda: k * a ** (k / 2) / E)
 
 
 def construction_upper(k: int, a: int) -> int:
     """Side length achieved by the balanced grid construction (padded square)."""
+    check_sizes(k=k, a=a)
     lo, hi = k // 2, k - k // 2
     return hi * a**hi + lo * a**lo
 
 
 def ramsey_n0(k: int) -> float:
     """(sqrt2/e) * k * 2^(k/2): the graph-analog counting bound."""
+    check_sizes(k=k)
     return _finite("(sqrt2/e) * k * 2^(k/2)", lambda: math.sqrt(2) / E * k * 2 ** (k / 2))
 
 
@@ -166,6 +170,7 @@ def suen_report(n: int, k: int, a: int) -> BoundsReport:
     multiplies by the a^(k*k) targets.  When the preconditions backing the
     cap chain fail, the report is flagged advisory.
     """
+    check_sizes(n, k, a)
     if n < k:
         raise MosaicError("n must be >= k")
     ln_a = math.log(a)
@@ -258,21 +263,17 @@ class LemmaVerdicts:
 _EPS = 1e-9
 
 
-def _at_most_one_sign_change(diffs: list[float], first: int, second: int) -> tuple[bool, int | None]:
-    """Pattern check: signs of diffs go `first` then `second` (either run may be empty)."""
-    state = 0
+def _at_most_one_sign_change(diffs: list[float], first: int) -> tuple[bool, int | None]:
+    """Whether the signs of diffs run `first` then -first, either run possibly
+    empty, skipping every |d| <= _EPS; if not, the index of the first
+    difference with the sign of `first` that follows one with the other."""
+    turned = False
     for idx, d in enumerate(diffs):
-        sign = 0 if abs(d) <= _EPS else (1 if d > 0 else -1)
-        if sign == 0:
+        if abs(d) <= _EPS:
             continue
-        if state == 0:
-            state = 1 if sign == first else 2
-            if sign not in (first, second):
-                return False, idx
-        elif state == 1:
-            if sign == second:
-                state = 2
-        elif state == 2 and sign == first:
+        if (d > 0) != (first > 0):
+            turned = True
+        elif turned:
             return False, idx
     return True, None
 
@@ -294,6 +295,7 @@ def check_lemma_properties(n: int, k: int, a: int) -> LemmaVerdicts:
                        n <= a^(k-1)/k and the peak_dominates precondition
                        also holds.
     """
+    check_sizes(n, k, a)
     v = LemmaVerdicts(n, k, a)
 
     def phi(r, c):
@@ -304,7 +306,7 @@ def check_lemma_properties(n: int, k: int, a: int) -> LemmaVerdicts:
     for c in range(1, k + 1):
         r_max = k if c < k else k - 1
         diffs = [phi(r + 1, c) - phi(r, c) for r in range(1, r_max)]
-        ok, idx = _at_most_one_sign_change(diffs, first=1, second=-1)
+        ok, idx = _at_most_one_sign_change(diffs, first=1)
         if not ok:
             passed, ce = False, (idx + 1, c)
             break
@@ -321,7 +323,7 @@ def check_lemma_properties(n: int, k: int, a: int) -> LemmaVerdicts:
     diffs = [b - x for x, b in zip(gammas, gammas[1:])]
     pre = len(diffs) < 2 or (diffs[0] <= _EPS and diffs[-1] >= -_EPS)
     if pre:
-        ok, idx = _at_most_one_sign_change(diffs, first=-1, second=1)
+        ok, idx = _at_most_one_sign_change(diffs, first=-1)
         v.checks.append(
             LemmaCheck("diagonal_valley", True, ok, None if ok else (idx + 1, idx + 1))
         )
@@ -338,17 +340,9 @@ def check_lemma_properties(n: int, k: int, a: int) -> LemmaVerdicts:
     v.checks.append(LemmaCheck("peak_dominates", peak_pre, peak_res))
 
     if peak_pre and critical:
-        best = -math.inf
-        arg = None
-        for r in range(1, k + 1):
-            for c in range(1, k + 1):
-                if r + c >= 2 * k:
-                    continue
-                val = phi(r, c)
-                if val > best:
-                    best, arg = val, (r, c)
-        peak = max(phi(k - 1, k), phi(k, k - 1))
-        ok = peak >= best - _EPS
+        cells = ((r, c) for r in range(1, k + 1) for c in range(1, k + 1) if r + c < 2 * k)
+        arg = max(cells, key=lambda rc: phi(*rc))  # the first maximum
+        ok = max(phi(k - 1, k), phi(k, k - 1)) >= phi(*arg) - _EPS
         v.checks.append(LemmaCheck("critical_point", True, ok, None if ok else arg))
     else:
         v.checks.append(LemmaCheck("critical_point", False, None))
@@ -370,6 +364,9 @@ def oneD_EX(n: int, k: int, a: int, exact: bool = False):
     and each position hits independently with probability 1/a.  Validated
     against exhaustive enumeration in the experiments module.
     """
+    check_sizes(k=k, a=a)
+    if n < 0:
+        raise MosaicError(f"n must be >= 0, got {n}")
     p = Fraction(1, a)
     tail = sum(
         math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(min(k, n + 1))

@@ -34,8 +34,8 @@ EXIT_BUDGET = 4
 ONED_THRESHOLD_MAX_A = 2**12
 
 
-def _emit(payload: dict) -> None:
-    payload = {"schema": SCHEMA, **payload}
+def _emit(args, payload: dict) -> None:
+    payload = {"schema": SCHEMA, "command": args.command, **payload}
     json.dump(payload, sys.stdout, indent=2, default=_json_default)
     sys.stdout.write("\n")
 
@@ -74,8 +74,8 @@ def _cmd_verify(args) -> int:
     m = _read_matrix(args.file)
     report = is_omnimosaic(m, args.k)
     _emit(
+        args,
         {
-            "command": "verify",
             "k": args.k,
             "rows": m.rows,
             "cols": m.cols,
@@ -94,8 +94,8 @@ def _cmd_locate(args) -> int:
     placement = construct.locate(rm, grid, target)
     ok = verify_placement(mosaic, placement, target)
     _emit(
+        args,
         {
-            "command": "locate",
             "k": args.k,
             "a": args.a,
             "target_code": args.target_code,
@@ -118,8 +118,8 @@ def _cmd_contains(args) -> int:
     target = decode_target(args.target_code, args.k, m.a)
     placement = contains_target(m, target)
     _emit(
+        args,
         {
-            "command": "contains",
             "k": args.k,
             "target_code": args.target_code,
             "present": placement is not None,
@@ -141,8 +141,8 @@ def _cmd_search(args) -> int:
         trace = search.min_omnimosaic_n(args.k, args.a, budget=budget)
         result = trace[-1][1]
     _emit(
+        args,
         {
-            "command": "search",
             "k": args.k,
             "a": args.a,
             "trace": [
@@ -173,7 +173,6 @@ def _cmd_bounds(args) -> int:
         raise MosaicError(f"n must be >= k, got n={args.n}, k={args.k}")
     lower = bounds.asymptotic_lower(args.k, args.a)  # refuses sizes past float range
     payload = {
-        "command": "bounds",
         "k": args.k,
         "a": args.a,
         "pigeonhole_min_n": bounds.pigeonhole_min_n(args.k, args.a),
@@ -190,7 +189,7 @@ def _cmd_bounds(args) -> int:
         payload["suen_threshold_n_theorem_form"] = est.theorem_form
         n = args.n if args.n is not None else est.refined
         payload["suen_report"] = asdict(bounds.suen_report(n, args.k, args.a))
-    _emit(payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -220,8 +219,8 @@ def _cmd_sample(args) -> int:
     )
     stats = experiments.estimate(config, workers=args.workers)
     _emit(
+        args,
         {
-            "command": "sample",
             "n": args.n,
             "k": args.k,
             "a": args.a,
@@ -240,7 +239,6 @@ def _cmd_exact(args) -> int:
     else:
         stats = experiments.exact_enumeration(args.n, args.k, args.a)
     payload = {
-        "command": "exact",
         "n": args.n,
         "k": args.k,
         "a": args.a,
@@ -254,7 +252,7 @@ def _cmd_exact(args) -> int:
         ]
         payload["monochromatic_codes"] = report.monochromatic_codes
         payload["maximal_all_monochromatic"] = report.maximal_all_monochromatic
-    _emit(payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -279,7 +277,6 @@ def _cmd_oned(args) -> int:
     seq, a = _read_oned_sequence(args)
     collections = experiments.oneD_count_collections(seq, a)
     payload = {
-        "command": "oned",
         "length": len(seq),
         "a": a,
         "collections": collections,
@@ -290,7 +287,7 @@ def _cmd_oned(args) -> int:
         payload["is_omni"] = experiments.oneD_is_omni(seq, args.k, a)
         if not power_exceeds(a, args.k, 2**20):
             payload["missing_words"] = experiments.oneD_missing_count(seq, args.k, a)
-    _emit(payload)
+    _emit(args, payload)
     if args.k is not None and not payload["is_omni"]:
         return EXIT_FALSE
     return EXIT_OK

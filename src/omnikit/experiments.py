@@ -330,6 +330,7 @@ def exact_suen_inputs(n: int, k: int, a: int) -> tuple[Fraction, Fraction, Fract
 
 def oneD_count_collections(seq, a: int) -> int:
     """Number of disjoint coupon collections in greedy left-to-right order."""
+    check_sizes(a=a)
     seen: set[int] = set()
     count = 0
     for x in seq:
@@ -346,6 +347,7 @@ def oneD_is_omni(seq, k: int, a: int) -> bool:
     """A sequence contains every length-k word as a subsequence iff it holds
     at least k disjoint coupon collections (greedy segmentation maximizes the
     count, by the standard exchange argument)."""
+    check_sizes(k=k)
     return oneD_count_collections(seq, a) >= k
 
 
@@ -355,7 +357,7 @@ def oneD_missing_count(seq, k: int, a: int) -> int:
     distinct length-j subsequences of the letters read so far, letter x adds
     d[j-1] of them ending in x, less the e[j-1] already counted, where e is d
     just before x's previous occurrence (0 if none)."""
-    check_sizes(k=k)
+    check_sizes(k=k, a=a)
     d, before = [1] + [0] * k, {}  # before[x]: d just before x's last occurrence
     for x in seq:
         if not 0 <= x < a:
@@ -373,6 +375,9 @@ def oneD_exhaustive_mean_missing(n: int, k: int, a: int) -> Fraction:
     but prefixes that matched the same number of the word's letters have the
     same future, so it keeps only counts[m], how many prefixes matched m.
     """
+    check_sizes(k=k, a=a)
+    if n < 0:
+        raise MosaicError(f"n must be >= 0, got {n}")
     if power_exceeds(a, n, ENUMERATION_GUARD):
         raise MosaicError("sequence space exceeds guard")
     total = a**n

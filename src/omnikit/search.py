@@ -252,7 +252,6 @@ def min_omnimosaic_n(
     _check_args(k, a)
     trace: list[tuple[int, SearchResult]] = []
     n = bounds.pigeonhole_min_n(k, a)
-    _check_args(k, a, n)
     while True:
         result = exists_omnimosaic(n, k, a, budget=budget)
         trace.append((n, result))

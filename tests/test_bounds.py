@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from omnikit import bounds
+from omnikit import bounds, experiments
 from omnikit.core import MosaicError
 
 
@@ -349,10 +349,83 @@ class TestLemmaProperties:
         ).check("critical_point")
         assert cc.precondition_holds and cc.passed
 
+    def test_zigzag_weights_fail_rows_and_diagonal(self, monkeypatch):
+        # phi = r mod 2 falls at r = 1 and rises again at r = 2 in every row,
+        # and its diagonal, a valley's check, falls again at r = 3 after
+        # rising at r = 2
+        monkeypatch.setattr(bounds, "phi_log", lambda r, c, n, k, a: float(r % 2))
+        v = bounds.check_lemma_properties(100, 6, 2)
+        assert (v.check("unimodal_rows").passed, v.check("unimodal_rows").counterexample) == (
+            False, (2, 1)
+        )
+        c = v.check("diagonal_valley")
+        assert (c.precondition_holds, c.passed, c.counterexample) == (True, False, (3, 3))
+
     def test_verdict_lookup_unknown(self):
         v = bounds.check_lemma_properties(20, 3, 2)
         with pytest.raises(KeyError):
             v.check("nope")
+
+
+_EPS = bounds._EPS
+
+
+class TestSignScan:
+    """_at_most_one_sign_change(diffs, first): the signs of diffs run `first`,
+    then -first; each list is checked as written for first = 1 and negated
+    for first = -1."""
+
+    @pytest.mark.parametrize("first", [1, -1])
+    @pytest.mark.parametrize(
+        "diffs,want",
+        [
+            ([], (True, None)),
+            ([1.0, 2.0, -1.0, -3.0], (True, None)),  # rises, then falls
+            ([1.0, 1.0, 1.0], (True, None)),  # monotone in the sign of first
+            ([-1.0, -2.0], (True, None)),  # monotone in the other sign
+            ([1.0, -1.0, 2.0], (False, 2)),  # rises again after falling
+            ([-1.0, 3.0, -1.0], (False, 1)),  # falls, then rises
+            ([1.0, -1.0, _EPS, -_EPS, 0.0, _EPS / 2, -2.0], (True, None)),
+            ([-_EPS, 1.0, -2.0, _EPS, 3.0], (False, 4)),
+            ([_EPS, -_EPS, 0.0], (True, None)),
+        ],
+    )
+    def test_scan(self, diffs, first, want):
+        assert bounds._at_most_one_sign_change([first * d for d in diffs], first) == want
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (experiments.oneD_exhaustive_mean_missing, (3, 2, 0)),
+        (experiments.oneD_exhaustive_mean_missing, (-1, 2, 2)),
+        (experiments.oneD_exhaustive_mean_missing, (3, 2, 1)),
+        (experiments.oneD_exhaustive_mean_missing, (3, 0, 2)),
+        (bounds.oneD_EX, (3, 2, 0)),
+        (bounds.oneD_EX, (3, 2, 1)),
+        (bounds.oneD_EX, (-1, 2, 2)),
+        (bounds.pigeonhole_min_n, (0, 2)),
+        (bounds.pigeonhole_min_n, (2, 1)),
+        (bounds.suen_report, (2, 0, 2)),
+        (bounds.suen_report, (2, 2, 1)),
+        (bounds.asymptotic_lower, (2, 1)),
+        (bounds.asymptotic_lower, (0, 2)),
+        (bounds.construction_upper, (0, 2)),
+        (bounds.construction_upper, (2, 1)),
+        (bounds.ramsey_n0, (0,)),
+        (bounds.check_lemma_properties, (3, 2, 1)),
+        (bounds.check_lemma_properties, (3, 0, 2)),
+        (bounds.check_lemma_properties, (0, 2, 2)),
+        (experiments.oneD_count_collections, ([0, 0], 0)),
+        (experiments.oneD_count_collections, ([0, 0], 1)),
+        (experiments.oneD_is_omni, ([0, 0], 1, 1)),
+        (experiments.oneD_is_omni, ([0, 1], 0, 2)),
+        (experiments.oneD_missing_count, ([0, 0], 1, 1)),
+    ],
+)
+def test_invalid_sizes_refused(fn, args):
+    with pytest.raises(MosaicError, match=r"^[nka] must be >= [012], got -?\d+$"):
+        fn(*args)
 
 
 class TestOneD:

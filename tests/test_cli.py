@@ -214,6 +214,28 @@ def test_one_parser_keeps_no_state_between_calls(capsys):
     assert [t["n"] for t in payload["trace"]] == [4]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{m}", "--k", "2"],
+        ["locate", "--k", "2", "--a", "2", "--target-code", "6"],
+        ["contains", "{m}", "--k", "2", "--target-code", "6"],
+        ["search", "--k", "2", "--a", "2", "--n", "3"],
+        ["bounds", "--k", "2", "--a", "2"],
+        ["sample", "--n", "4", "--k", "2", "--a", "2", "--trials", "20"],
+        ["exact", "--n", "2", "--k", "1", "--a", "2", "--table"],
+        ["oned", "--seq", "0110", "--k", "2"],
+    ],
+)
+def test_payload_names_its_command_after_the_schema(capsys, tmp_path, argv):
+    path = tmp_path / "m.txt"
+    path.write_text(serialize_matrix(WITNESS_4X4))
+    argv = [str(path) if x == "{m}" else x for x in argv]
+    payload = json.loads(run(capsys, *argv)[1])
+    assert list(payload)[:2] == ["schema", "command"]
+    assert (payload["schema"], payload["command"]) == (SCHEMA, argv[0])
+
+
 class TestLocate:
     def test_verified_placement(self, capsys):
         code, payload, _ = run_json(

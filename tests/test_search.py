@@ -334,16 +334,44 @@ def test_nothing_held_after_return(monkeypatch):
     assert len(refs) == 2 and all(ref() is None for ref in refs)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="row sorting is not a sound symmetry: submatrix rows must increase",
-)
-def test_row_permutations_of_a_witness_stay_omni():
-    witness = exists_omnimosaic(4, 2, 2).witness
-    rows = witness.to_rows()
+@pytest.mark.parametrize("n,k,a", [key for key, value in GOLDEN.items() if value[0] == FOUND])
+def test_letter_permutations_of_a_witness_stay_omni(n, k, a):
+    # letter permutations are the group the search quotients by
+    entries = GOLDEN[n, k, a][2]
+    for perm in itertools.permutations(range(a)):
+        image = MosaicMatrix(n, n, a, tuple(perm[e] for e in entries))
+        assert is_omnimosaic(image, k).is_omni, perm
+
+
+def test_some_row_permutation_of_a_witness_is_not_omni():
+    # submatrix rows must increase, so rows are not a symmetry: 18 of the
+    # 24 row orders of the (4,2,2) witness lose the property
+    rows = MosaicMatrix(4, 4, 2, GOLDEN[4, 2, 2][2]).to_rows()
     lost = [
         perm
         for perm in itertools.permutations(range(4))
         if not is_omnimosaic(MosaicMatrix.from_rows([rows[p] for p in perm], 2), 2).is_omni
     ]
-    assert lost == []
+    assert lost
+
+
+@pytest.mark.parametrize("n,k,a", [(3, 2, 2), (4, 2, 3), (6, 3, 2)])
+def test_dfs_exhausts_where_counting_proves_none(monkeypatch, n, k, a):
+    # counting already proves no O(n,k,a) exists; with that shortcut patched
+    # out (the row guard kept), the DFS must agree on its own
+    real = search.power_exceeds
+
+    def row_guard_only(base, e, limit):
+        return limit == search._ROW_LIMIT and real(base, e, limit)
+
+    monkeypatch.setattr(search, "power_exceeds", row_guard_only)
+    r = exists_omnimosaic(n, k, a)
+    assert r.status == EXHAUSTED_NONE and r.witness is None and r.nodes > 0
+
+
+def test_min_trace_steps_past_an_exhausted_size(monkeypatch):
+    real = search.bounds.pigeonhole_min_n
+    monkeypatch.setattr(search.bounds, "pigeonhole_min_n", lambda k, a: real(k, a) - 1)
+    trace = min_omnimosaic_n(2, 2)
+    assert [(n, r.status) for n, r in trace] == [(3, EXHAUSTED_NONE), (4, FOUND)]
+    assert trace[-1][1].witness.entries == GOLDEN[4, 2, 2][2]

@@ -296,6 +296,8 @@ def check_lemma_properties(n: int, k: int, a: int) -> LemmaVerdicts:
                        also holds.
     """
     check_sizes(n, k, a)
+    if n < k:  # phi(r, c) = 0 for small r, and differences of -inf are NaN
+        raise MosaicError("n must be >= k")
     v = LemmaVerdicts(n, k, a)
 
     def phi(r, c):

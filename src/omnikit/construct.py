@@ -14,14 +14,14 @@ ascending order; outputs are therefore byte-for-byte reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from omnikit import bounds, kernel
-from omnikit.core import MosaicError, MosaicMatrix, Placement, check_sizes, power_exceeds
+from omnikit.core import MosaicError, MosaicMatrix, Placement, _Memo, check_sizes, power_exceeds
 
 H = "H"
 V = "V"
@@ -80,18 +80,28 @@ class RegionMap:
     v_rows: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def _cells(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(offset, indices) of each row region, then of each column region:
-        the region's row or column is its offset plus the base-a value of the
-        target's row-major entries at those indices, derived on first use."""
+    def _sides(self) -> tuple[tuple[tuple[int, ...], _Memo], ...]:
+        """For the rows, then the columns: the row-major indices of the target
+        entries that pick them, region by region, and a memo from the base-a
+        value of those entries to the index tuple, derived on first use.  A
+        memo holds at most a^(#H) or a^(#V) tuples, each shared by every
+        placement that picks it (tuples are immutable)."""
         k = len(self.h_columns)
-        return tuple(
-            (off, tuple(i * k + j for j in h_cols))
-            for i, (off, h_cols) in enumerate(zip(self.row_offsets, self.h_columns))
-        ) + tuple(
-            (off, tuple(i * k + j for i in v_rows))
-            for j, (off, v_rows) in enumerate(zip(self.col_offsets, self.v_rows))
-        )
+        rows = tuple(i * k + j for i, h_cols in enumerate(self.h_columns) for j in h_cols)
+        cols = tuple(i * k + j for j, v_rows in enumerate(self.v_rows) for i in v_rows)
+        return ((rows, _Memo(partial(_split, self.row_offsets))),
+                (cols, _Memo(partial(_split, self.col_offsets))))
+
+
+def _split(offsets: tuple[int, ...], code: int) -> tuple[int, ...]:
+    """The index each region of a side picks for code: code is one mixed-radix
+    digit a region, radix the region's size hi - lo (a^r for r picking
+    entries), last region least significant, added to the region's offset."""
+    picked = []
+    for lo, hi in zip(offsets[-2::-1], offsets[:0:-1]):
+        code, d = divmod(code, hi - lo)
+        picked.append(lo + d)
+    return tuple(picked[::-1])
 
 
 def canonical_grid(k: int) -> GridDiagram:
@@ -180,9 +190,10 @@ def locate(rm: RegionMap, grid: GridDiagram, target: MosaicMatrix) -> Placement:
     """Constructively place a k-by-k target inside the mosaic built from grid.
 
     The row chosen in row-region i is the base-a value of the target entries
-    at the H positions of grid row i; columns are symmetric.  Those entries
-    are read at the row-major indices rm derives once, in one Horner pass
-    per region.  Refuses a grid whose H and V cells are not rm's.
+    at the H positions of grid row i; columns are symmetric.  Each side is
+    one Horner pass over the entries at the row-major indices rm derives
+    once, and one lookup of that value in rm's memo of index tuples.
+    Refuses a grid whose H and V cells are not rm's.
     """
     k = grid.k
     if target.rows != k or target.cols != k:
@@ -192,13 +203,13 @@ def locate(rm: RegionMap, grid: GridDiagram, target: MosaicMatrix) -> Placement:
     if grid.h_columns != rm.h_columns or grid.v_rows != rm.v_rows:
         raise MosaicError("grid diagram does not match the region map")
     e, a = target.entries, rm.a
-    placed = []
-    for off, idx in rm._cells:
+    sides = []
+    for idx, memo in rm._sides:
         code = 0
         for x in idx:
             code = code * a + e[x]
-        placed.append(off + code)
-    return Placement(tuple(placed[:k]), tuple(placed[k:]))
+        sides.append(memo[code])
+    return Placement(*sides)
 
 
 def higher_dim_side_estimate(k: int, a: int, d: int) -> float:

@@ -214,7 +214,8 @@ MAGIC = "omnimosaic v1"
 
 
 class _Memo(dict):
-    """fn(key), called once per distinct key: a matrix repeats a few letters."""
+    """fn(key), called once per distinct key: a matrix repeats a few letters,
+    and the placements of a construction a few index tuples."""
 
     def __init__(self, fn):
         self.fn = fn

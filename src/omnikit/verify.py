@@ -159,6 +159,8 @@ def _greedy_matches(arr: np.ndarray, target: np.ndarray, a: int):
 
 
 def verify_placement(m: MosaicMatrix, p: Placement, t: MosaicMatrix) -> bool:
+    if t.a != m.a:
+        raise MosaicError("alphabet mismatch")
     if len(p.row_idx) != t.rows or len(p.col_idx) != t.cols:
         return False
     if p.row_idx[-1] >= m.rows or p.col_idx[-1] >= m.cols:

@@ -361,6 +361,13 @@ class TestLemmaProperties:
         c = v.check("diagonal_valley")
         assert (c.precondition_holds, c.passed, c.counterexample) == (True, False, (3, 3))
 
+    # phi(r, c) = 0 for small r there, so the row scan read NaN differences
+    # of -inf as falls and reported a counterexample (2, 3)
+    @pytest.mark.parametrize("n,k,a", [(2, 5, 2), (1, 4, 2), (3, 6, 3)])
+    def test_refuses_n_below_k(self, n, k, a):
+        with pytest.raises(MosaicError, match="n must be >= k"):
+            bounds.check_lemma_properties(n, k, a)
+
     def test_verdict_lookup_unknown(self):
         v = bounds.check_lemma_properties(20, 3, 2)
         with pytest.raises(KeyError):

@@ -175,6 +175,36 @@ class TestLocate:
             t = decode_target(code, k, a)
             assert locate(rm, grid, t) == locate_by_definition(grid, a, t)
 
+    def test_placements_share_index_tuples(self):
+        # (3,3): 4 H cells and 5 V cells, so 3^4 row and 3^5 column choices
+        grid = canonical_grid(3)
+        _, rm = build_mosaic(grid, 3)
+        placements = [locate(rm, grid, decode_target(c, 3, 3)) for c in range(3**9)]
+        assert len({id(p.row_idx) for p in placements}) == 3**4
+        assert len({id(p.col_idx) for p in placements}) == 3**5
+
+    def test_equal_h_entries_share_the_row_tuple(self):
+        grid = canonical_grid(3)
+        _, rm = build_mosaic(grid, 2)
+        h = [i * 3 + j for i, cols in enumerate(grid.h_columns) for j in cols]
+        t = decode_target(300, 3, 2)
+        flipped = [1 - e if x not in h else e for x, e in enumerate(t.entries)]
+        u = MosaicMatrix(3, 3, 2, tuple(flipped))
+        p, q = locate(rm, grid, t), locate(rm, grid, u)
+        assert p.row_idx is q.row_idx
+        assert p.col_idx != q.col_idx
+
+    def test_memo_holds_only_the_choices_seen(self, rng):
+        grid = canonical_grid(4)
+        _, rm = build_mosaic(grid, 2)
+        (_, row_memo), (_, col_memo) = rm._sides
+        rows, cols = set(), set()
+        for code in rng.integers(2**16, size=300).tolist():
+            p = locate(rm, grid, decode_target(code, 4, 2))
+            rows.add(p.row_idx)
+            cols.add(p.col_idx)
+            assert (len(row_memo), len(col_memo)) == (len(rows), len(cols))
+
     def test_alphabet_mismatch(self):
         grid = canonical_grid(2)
         _, rm = build_mosaic(grid, 2)

@@ -9,7 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnikit import bounds, kernel, verify
-from omnikit.construct import Placement, square_omnimosaic, thin_strip
+from omnikit.construct import (
+    Placement,
+    build_mosaic,
+    canonical_grid,
+    locate,
+    square_omnimosaic,
+    thin_strip,
+)
 from omnikit.core import (
     MosaicError,
     MosaicMatrix,
@@ -378,6 +385,15 @@ class TestVerifyPlacement:
             verify_placement(
                 WITNESS_4X4, Placement((0, 4), (0, 1)), decode_target(0, 2, 2)
             )
+
+    def test_alphabet_mismatch(self):
+        # a=3 entries that are all 0/1 held in the a=2 (2,2) construction
+        m, rm = build_mosaic(canonical_grid(2), 2)
+        t = decode_target(5, 2, 2)
+        p = locate(rm, canonical_grid(2), t)
+        assert verify_placement(m, p, t)
+        with pytest.raises(MosaicError, match="alphabet mismatch"):
+            verify_placement(m, p, MosaicMatrix(2, 2, 3, t.entries))
 
     def test_shifted_placement_fails_somewhere(self, rng):
         hits = 0

@@ -256,7 +256,6 @@ class ConjectureReport:
     table: list[tuple[int, Fraction]]  # (target code, P(missing)), descending
     monochromatic_codes: list[int]
     maximal_all_monochromatic: bool
-    max_over_mono_ratio: float  # max P(M missing) / P(J missing), reported only
     stats: MissingStats  # the exact enumeration the table was read from
 
 
@@ -270,8 +269,6 @@ def conjecture_table(n: int, k: int, a: int) -> ConjectureReport:
     mono = [letter * repunit for letter in range(a)]
     top = table[0][1]
     maximal = {code for code, p in table if p == top}
-    p_mono = stats.per_target[mono[0]]
-    ratio = float(top / p_mono) if p_mono else math.inf
     return ConjectureReport(
         n=n,
         k=k,
@@ -279,7 +276,6 @@ def conjecture_table(n: int, k: int, a: int) -> ConjectureReport:
         table=table,
         monochromatic_codes=sorted(mono),
         maximal_all_monochromatic=maximal == set(mono),
-        max_over_mono_ratio=ratio,
         stats=stats,
     )
 

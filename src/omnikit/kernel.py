@@ -37,8 +37,10 @@ covered set, a code-order bool bitset per matrix, and its size.
   at most max(32 * CHUNK, one row subset's) bytes of levels, and ORs each
   part's L_k over its row subsets into one top level per matrix.  One loop
   walks slices of the row subsets: one part's, streamed, where a matrix has
-  more, else round r of a stack's table[r::rounds].  Between slices it drops
-  every matrix whose top level is full (``full_top``), so a matrix that
+  more, else round r of a stack's table[r::rounds].  No step sets a bit of
+  a slot's padding, so a top level's popcount is the number of targets its
+  matrix covers, and the level is full when that is a^(k*k).  Between
+  slices it drops every matrix whose top level is full, so a matrix that
   covers every target early, as most do above the paper's upper bound,
   steps no later slice.  ``covered_counts`` reads the top level's popcount.
   ``automaton_covered`` reads the set: the pass reads letters right to left,
@@ -317,9 +319,11 @@ def top_levels(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     subsets × trials; all zeros where there is no placement.
 
     Slice by slice of its row subsets (module docstring), it steps every
-    matrix whose top level is not yet full (``full_top``), in parts of no
-    more states.  A full top level cannot change, so a matrix that covers
-    every target early steps no later slice, and the result is the same."""
+    matrix whose top level is not yet full, in parts of no more states.  No
+    padding bit is ever set, so the popcount of a top level is its count,
+    and it is full when that is a^(k*k).  A full top level cannot change, so
+    a matrix that covers every target early steps no later slice, and the
+    result is the same."""
     trials, rows, cols = arrs.shape
     _, dtype, units, width = automaton_levels(k, a)[-1]
     top = np.zeros((trials, units * width), dtype=dtype)
@@ -333,19 +337,15 @@ def top_levels(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
         table = next(subset_batches(rows, k, placements))
         rounds = min(placements, -(-trials // trials_a_part))
         slices = (table[r::rounds] for r in range(rounds))
-    full = full_top(k, a)
     # letters gather whole runs of trials
     by_col = np.ascontiguousarray(arrs.astype(np.min_scalar_type(a**k - 1)).transpose(2, 1, 0))
     live, acc = np.arange(trials), top  # the matrices short of a full top level, and theirs
     for r, rowsubs in enumerate(slices):
-        if r:  # drop the matrices whose top level is full, comparing one element first
-            maybe = np.flatnonzero(acc[:, -1] == full[-1])
-            done = maybe[(acc[maybe] == full).all(axis=1)]
-            if len(done):
-                keep = np.ones(len(live), dtype=bool)
-                keep[done] = False
-                top[live[done]] = acc[done]
-                live, acc, by_col = live[keep], acc[keep], by_col[:, :, keep]
+        if r:  # drop the matrices whose top level is full
+            full = np.bitwise_count(acc).sum(axis=1, dtype=np.int64) == a ** (k * k)
+            if full.any():
+                top[live[full]] = acc[full]
+                live, acc, by_col = live[~full], acc[~full], by_col[:, :, ~full]
                 if not len(live):
                     break
         step = max(1, subsets_a_part * trials_a_part // len(rowsubs))  # matrices a part
@@ -354,25 +354,6 @@ def top_levels(arrs: np.ndarray, k: int, a: int) -> np.ndarray:
     if acc is not top:
         top[live] = acc
     return top
-
-
-@lru_cache(maxsize=64)
-def full_top(k: int, a: int) -> np.ndarray:
-    """[elements]: the top level of a matrix that covers every a^(k*k) target:
-    bit sum_j v_j * stride_j set for every k letters v_j < a^k, and no bit of
-    a slot's padding.  Read-only."""
-    levels = automaton_levels(k, a)
-    bits = np.ones(1, dtype=bool)  # L_0: the empty subsequence
-    for stride, *_ in levels:  # a^k slots of stride bits, each holding L_{j-1}
-        slot = np.zeros(stride, dtype=bool)
-        slot[: len(bits)] = bits
-        bits = np.tile(slot, a**k)
-    _, dtype, units, width = levels[-1]
-    held = np.zeros(8 * dtype.itemsize * units * width, dtype=bool)
-    held[: len(bits)] = bits
-    full = np.packbits(held, bitorder="little").view(dtype.newbyteorder("<")).astype(dtype)
-    full.flags.writeable = False
-    return full
 
 
 def _automaton_part(by_col: np.ndarray, rowsubs: np.ndarray, k: int, a: int) -> np.ndarray:

@@ -179,7 +179,6 @@ class TestConjectureTable:
         rep = conjecture_table(4, 2, 2)
         assert rep.monochromatic_codes == [0, 15]
         assert rep.maximal_all_monochromatic
-        assert rep.max_over_mono_ratio == 1.0
         codes = [c for c, _ in rep.table]
         probs = [p for _, p in rep.table]
         assert probs == sorted(probs, reverse=True)
@@ -501,14 +500,14 @@ class TestMonteCarlo:
             # part after the one that fills its top level, and a trial that
             # never fills steps every row subset
             index = {arr.tobytes(): t for t, arr in enumerate(arrs.astype(np.uint8))}
-            full, stepped = kernel.full_top(k, a), collections.Counter()
-            acc = np.zeros((10, len(full)), dtype=full.dtype)
+            _, dtype, units, width = kernel.automaton_levels(k, a)[-1]
+            acc, stepped = np.zeros((10, units * width), dtype=dtype), collections.Counter()
             for called, (by_col, rowsubs, *_) in calls:
                 if called != name:
                     continue
                 ts = [index[by_col[:, :, j].T.astype(np.uint8).tobytes()]
                       for j in range(by_col.shape[2])]
-                assert not (acc[ts] == full).all(axis=1).any()
+                assert not (np.bitwise_count(acc[ts]).sum(axis=1) == a ** (k * k)).any()
                 acc[ts] |= real_part(by_col, rowsubs, k, a)
                 stepped.update((t, s) for t in ts for s in map(tuple, rowsubs.tolist()))
             assert max(stepped.values()) == 1

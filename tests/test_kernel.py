@@ -425,11 +425,15 @@ def test_covered_counts_across_level_dtypes(n, k, a, dtypes):
 # (3,2), or its words or run of elements, (2,9), (3,3) and (4,2)
 @pytest.mark.parametrize("k,a", [(1, 2), (1, 70), (2, 2), (2, 3), (2, 9), (3, 2), (3, 3), (4, 2)])
 def test_full_top_is_the_top_level_of_an_omnimosaic(k, a):
-    full = kernel.full_top(k, a)
-    assert not full.flags.writeable
-    assert np.bitwise_count(full).sum() == a ** (k * k)  # no padding bit
-    host = square_omnimosaic(k, a).to_numpy()
-    assert np.array_equal(kernel.top_levels(host[None], k, a)[0], full)
+    # a full top level: a bit for every target, and none of a slot's padding
+    host = square_omnimosaic(k, a).to_numpy()[None]
+    assert _filled(kernel.top_levels(host, k, a), k, a).tolist() == [True]
+    assert kernel.automaton_covered(host, k, a).all()
+
+
+def _filled(top, k, a):
+    """[t]: whether each top level is full, its popcount a^(k*k)."""
+    return np.bitwise_count(top).sum(axis=1) == a ** (k * k)
 
 
 def _small_chunk(n, k, a):
@@ -494,8 +498,7 @@ def test_rounds_drop_matrices_whose_top_level_is_full(monkeypatch, n, k, a, tria
     assert max(len(ts) * len(subs) for ts, subs, _ in calls) <= 3 * len(subsets)
     stepped = collections.Counter((t, s) for ts, subs, _ in calls for t in ts for s in subs)
     assert max(stepped.values()) == 1
-    full = kernel.full_top(k, a)
-    filled = (top == full).all(axis=1)
+    filled = _filled(top, k, a)
     if not filled.any():  # every row subset of every matrix, in as many parts as before
         assert set(stepped) == set(itertools.product(range(trials), subsets))
         assert len(calls) == -(-trials // 3)
@@ -503,9 +506,10 @@ def test_rounds_drop_matrices_whose_top_level_is_full(monkeypatch, n, k, a, tria
     # a matrix takes no part after the one that fills its top level
     acc = np.zeros_like(top)
     for ts, _, part in calls:
-        assert not (acc[ts] == full).all(axis=1).any()
+        assert not _filled(acc[ts], k, a).any()
         acc[ts] |= part
     assert np.array_equal(acc, top)
+    assert np.array_equal(filled, kernel.covered(arrs, k, a).all(axis=1))
     assert len(stepped) < trials * len(subsets)
     for t in np.flatnonzero(~filled):
         assert {s for (u, s) in stepped if u == t} == set(subsets)
@@ -515,7 +519,7 @@ def test_one_matrix_steps_every_row_subset(monkeypatch):
     # an omnimosaic fills its top level early, but one matrix takes one part
     host = square_omnimosaic(3, 2).to_numpy()[None]
     calls = _spy_parts(monkeypatch, host)
-    assert np.array_equal(kernel.top_levels(host, 3, 2)[0], kernel.full_top(3, 2))
+    assert _filled(kernel.top_levels(host, 3, 2), 3, 2).tolist() == [True]
     assert [(ts, len(subs)) for ts, subs, _ in calls] == [([0], math.comb(len(host[0]), 3))]
 
 
@@ -537,7 +541,7 @@ def test_one_matrix_larger_than_a_part_stops_once_full(monkeypatch):
     subsets_a_part = kernel.automaton_parts(1, host.shape[1], 4, 2)[0]
     assert subsets_a_part < placements
     calls = _spy_parts(monkeypatch, host)
-    assert np.array_equal(kernel.top_levels(host, 4, 2)[0], kernel.full_top(4, 2))
+    assert _filled(kernel.top_levels(host, 4, 2), 4, 2).tolist() == [True]
     assert 0 < len(calls) < -(-placements // subsets_a_part)
     stepped = [s for _, subs, _ in calls for s in subs]
     assert stepped == [tuple(s) for s in kernel.subsets(host.shape[1], 4)[: len(stepped)].tolist()]

@@ -10,8 +10,9 @@ up to the last trial it needs: numpy's draws are prefix-stable, so those
 are the first entries of the whole block.  Results are aggregated as
 integer counts, so estimates are identical for any worker count.  A worker
 is started only for POOL_FLOOR of predicted work (``trial_cost``: the
-draw's CELL_COST a cell plus the kernel's price of the count).  Exact
-probabilities are kept as integer counts over a^(n*n) until display.
+draw's CELL_COST a cell plus the kernel's price of the count), and the
+pool stack (``concurrent.futures``) is imported only when a pool starts.
+Exact probabilities are kept as integer counts over a^(n*n) until display.
 
 Exact enumeration walks only the a^(n*n-1) matrices whose entry (0, 0) is 0
 (``kernel.enumerate_coverage``).  The letter transposition tau_l = (0 l),
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,6 +148,8 @@ def estimate(config: ExperimentConfig, workers: int = 1) -> MissingStats:
     if workers == 1:
         parts = [_run_trials(config, 0, t)]
     else:  # each worker counts a range of trials
+        from concurrent.futures import ProcessPoolExecutor
+
         edges = [t * w // workers for w in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_trials, [config] * workers, edges[:-1], edges[1:]))

@@ -106,7 +106,8 @@ def _missing_sample(bits: np.ndarray) -> list[int]:
 
 
 def contains_target(m: MosaicMatrix, t: MosaicMatrix) -> Placement | None:
-    """Lexicographically least placement of target t in m, or None.
+    """Lexicographically least placement of target t in m, or None (also
+    when t has more rows or columns than m).
 
     For fixed rows, matching the target's column words greedily left to
     right against m's column words restricted to those rows is exact, since
@@ -126,7 +127,7 @@ def contains_target(m: MosaicMatrix, t: MosaicMatrix) -> Placement | None:
         raise MosaicError("alphabet mismatch")
     k = t.rows
     if k > m.rows or k > m.cols:
-        raise MosaicError("target larger than host matrix")
+        return None
     arr, tarr = m.to_numpy(), t.to_numpy()
     if math.comb(m.cols, k) * m.rows < math.comb(m.rows, k) * m.cols:
         best = min(((r, c) for colsubs, rows in _greedy_matches(arr.T, tarr.T, m.a)

@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
 import time
 
@@ -261,6 +264,18 @@ class TestContains:
         )
         assert code == EXIT_FALSE and not payload["present"]
 
+    def test_target_larger_than_host_is_absent(self, capsys, tmp_path):
+        # as verify reports the same host not omni for k = 3
+        path = tmp_path / "m.txt"
+        path.write_text("omnimosaic v1\n2 5 2\n0 1 0 1 0\n1 0 1 0 1\n")
+        code, payload, _ = run_json(
+            capsys, "contains", str(path), "--k", "3", "--target-code", "5"
+        )
+        assert code == EXIT_FALSE
+        assert payload["present"] is False and payload["row_idx"] is None
+        code, payload, _ = run_json(capsys, "verify", str(path), "--k", "3")
+        assert code == EXIT_FALSE and payload["is_omni"] is False
+
     def test_k_below_one_names_k(self, capsys, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text(serialize_matrix(WITNESS_4X4))
@@ -313,6 +328,28 @@ class TestBoundsAndSweep:
         assert lines[0] == "k,a,n,log_mu,log_total_bound,certifies"
         assert len(lines) == 4
         assert lines[1].startswith("8,2,")
+
+
+class TestColdStart:
+    """What a fresh ``omnikit`` process imports.  pytest itself imports
+    logging, so this runs in a new interpreter."""
+
+    POOL_STACK = ("concurrent.futures", "multiprocessing", "logging", "socket", "queue")
+
+    # (4,2,2)x100 is below POOL_FLOOR, so two workers run it in this process
+    @pytest.mark.parametrize("work", [
+        "",
+        "assert cli.main(['sample', '--n', '4', '--k', '2', '--a', '2', '--trials', '100',"
+        " '--workers', '2']) == 0",
+    ], ids=["import", "sample-in-process"])
+    def test_no_pool_stack_until_a_pool_starts(self, work):
+        script = (f"import sys\nfrom omnikit import cli\n{work}\n"
+                  f"print(sorted(m for m in {self.POOL_STACK!r} if m in sys.modules))")
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestSampleExactOned:

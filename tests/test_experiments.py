@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import itertools
 import math
 import os
@@ -286,7 +287,7 @@ class TestMonteCarlo:
         assert config.trials * experiments.trial_cost(4, 2, 2) >= 2 * experiments.POOL_FLOOR
         started = []
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _recorded_pool(started))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _recorded_pool(started))
         assert estimate(config, workers=4) == estimate(config, workers=1)
         assert started == [2]
 
@@ -295,7 +296,7 @@ class TestMonteCarlo:
         # many were asked for
         asked = []
         _cpus(monkeypatch, 3)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _in_process_pool(asked))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(asked))
         config = ExperimentConfig(n=4, k=2, a=2, trials=250_000, seed=7)
         assert config.trials * experiments.trial_cost(4, 2, 2) >= 3 * experiments.POOL_FLOOR
         assert estimate(config, workers=100) == estimate(config, workers=1)
@@ -309,7 +310,7 @@ class TestMonteCarlo:
             raise AssertionError("started a pool")
 
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         config = ExperimentConfig(n=n, k=k, a=a, trials=trials, seed=3)
         assert estimate(config, workers=2) == estimate(config, workers=1)
 
@@ -352,7 +353,7 @@ class TestMonteCarlo:
         assert experiments.block_size(12) == 455
         started = []
         _cpus(monkeypatch, 4)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _recorded_pool(started))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _recorded_pool(started))
         runs = [estimate(config, workers=w) for w in (1, 2, 8)]
         assert runs[0] == runs[1] == runs[2]
         assert started == [2, 4]
@@ -592,7 +593,7 @@ class TestMonteCarlo:
         with pytest.MonkeyPatch.context() as mp:
             _cpus(mp, 2)
             mp.setattr(experiments, "POOL_FLOOR", 1)
-            mp.setattr(experiments, "ProcessPoolExecutor", _in_process_pool(asked))
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(asked))
             stats = estimate(config, workers=workers)
         assert _fields(stats) == _oracle_estimate(n, k, a, trials, seed)
         assert asked == ([2] if workers == 2 and trials > 1 else [])
@@ -664,7 +665,7 @@ def _fields(stats):
 def _recorded_pool(started):
     """ProcessPoolExecutor that records each pool's worker count in ``started``."""
 
-    class Pool(experiments.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)

@@ -340,6 +340,18 @@ class TestContainsTarget:
         m = MosaicMatrix.from_rows([[0] * 3] * 3, a=2)
         assert contains_target(m, decode_target(15, 2, 2)) is None
 
+    @pytest.mark.parametrize("rows,cols", [(2, 5), (5, 2), (2, 2)])
+    def test_target_larger_than_host_is_absent(self, rows, cols):
+        m = MosaicMatrix.from_rows([[0] * cols] * rows, a=2)
+        assert contains_target(m, decode_target(0, 3, 2)) is None
+        assert not is_omnimosaic(m, 3).is_omni
+
+    def test_non_square_target_and_alphabet_mismatch_refused(self):
+        with pytest.raises(MosaicError, match="target must be square"):
+            contains_target(WITNESS_4X4, MosaicMatrix.from_rows([[0, 1]], a=2))
+        with pytest.raises(MosaicError, match="alphabet mismatch"):
+            contains_target(WITNESS_4X4, decode_target(0, 2, 3))
+
     def test_identity_when_equal(self):
         p = contains_target(WITNESS_4X4, WITNESS_4X4)
         assert p == Placement((0, 1, 2, 3), (0, 1, 2, 3))
